@@ -8,6 +8,7 @@ rejected by the feasibility check before realization, 70 other errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -351,6 +352,11 @@ def _cmd_explore4(args) -> int:
     return 0
 
 
+def _worker_count(text: str) -> int:
+    """--workers: values below 1 mean 1, values above the CPU count mean the CPU count."""
+    return max(1, min(int(text), os.cpu_count() or 1))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="findiag", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -370,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="shift a spectrum not starting at 0 (and the sequence) to [0, B]",
             )
-        p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+        p.add_argument("--workers", type=_worker_count, default=1, help="explore worker processes")
 
     p = sub.add_parser("decide", help="full feasibility decision")
     common(p)

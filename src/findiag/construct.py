@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, TruncationTooSmallError
+from .errors import ConstructionError, DomainError, TruncationTooSmallError
 from .majorize import Witness, _weighted_sum, check_finite_majorization
 from .scalars import INF
 from .sequences import (
@@ -34,6 +34,12 @@ from .sequences import (
     SpectrumSpec,
     normalize,
 )
+
+
+def _require(ok: bool, message: str) -> None:
+    """Check a construction invariant; unlike assert, kept under python -O."""
+    if not ok:
+        raise ConstructionError(message)
 
 
 @dataclass(frozen=True)
@@ -163,7 +169,7 @@ def horn_construct(lam: Sequence, d: Sequence) -> SymmetricMatrix:
         below = next((idx for idx, (v, _) in enumerate(active) if v < target), None)
         # the remaining working values majorize the remaining targets, so a
         # bracketing pair exists whenever there is no exact hit
-        assert below is not None and below >= 1, "majorization invariant violated"
+        _require(below is not None and below >= 1, "majorization invariant violated")
         alpha, pa = active[below - 1]
         beta, pb = active[below]
         c2 = (target - beta) / (alpha - beta)
@@ -181,7 +187,7 @@ def horn_construct(lam: Sequence, d: Sequence) -> SymmetricMatrix:
         active.pop(below - 1)
         _insort_desc(active, (merged, pb))
         coord_of_position[pos] = pa
-    assert not active, "working multiset should be exhausted"
+    _require(not active, "working multiset should be exhausted")
 
     perm = np.array(coord_of_position, dtype=int)
     out = entries[np.ix_(perm, perm)]
@@ -378,7 +384,7 @@ def _build_problem(
     w = max(wmin, 1 - kappa, 0)
     M0 = z + len(Y) - sigma - kappa
     M_top = w + kappa
-    assert M0 >= 1 and M_top >= 1
+    _require(M0 >= 1 and M_top >= 1, "both endpoint blocks must be nonempty")
 
     G = [Fraction(0)] * z + Y + [B] * w
     Lam = (
@@ -387,70 +393,48 @@ def _build_problem(
         + [B] * M_top
     )
     L = len(G)
-    assert len(Lam) == L
+    _require(len(Lam) == L, "eigenvalue list must match the diagonal length")
 
     deltas = [Fraction(0)]
     run = Fraction(0)
     for g, l in zip(G, Lam):
         run += g - l
         deltas.append(run)
-    assert deltas[L] == 0, "totals must balance by construction"
+    _require(deltas[L] == 0, "totals must balance by construction")
     if any(dm < 0 for dm in deltas):
         return "retry"
     return _FiniteProblem(B, G, Lam, M0, sigma, deltas)
 
 
-def _assemble_case2(prob: _FiniteProblem) -> SymmetricMatrix:
-    """Window minimum at the right end: fill the top block to exact Bs, build
-    the lower block by the finite construction, adjoin B·I, undo the fill."""
+def _assemble_split(prob: _FiniteProblem, m0: int) -> SymmetricMatrix:
+    """Window minimum at m0: drain delta_{m0} from the bottom into the top,
+    split into two finite constructions at m0, undo the move.  At the right
+    end m0 = M0 + sigma the top block fills to exact Bs, so it is B·I."""
     L = len(prob.G)
     split = prob.M0 + prob.sigma
-    eta = prob.deltas[split]
     donors = list(range(prob.M0))
     recipients = list(range(L - 1, split - 1, -1))
-    newG, transfers = _water_fill(prob.G, prob.B, donors, recipients, eta)
-    assert all(v == prob.B for v in newG[split:]), "top block must fill exactly"
-
-    blockA = horn_construct(prob.Lam[:split], newG[:split])
-    entries = np.zeros((L, L))
-    entries[:split, :split] = blockA.as_array()
-    for i in range(split, L):
-        entries[i, i] = float(prob.B)
-    rotations = list(blockA.provenance)
-    exact = list(newG)
-    for i, j, amt in reversed(transfers):
-        x, y = exact[i], exact[j]
-        rotations.append(_steer(entries, i, j, x, y, x + amt))
-        exact[i] = x + amt
-        exact[j] = y - amt
-    assert exact == prob.G
-    return SymmetricMatrix(entries, tuple(rotations), tuple(prob.G))
-
-
-def _assemble_case1(prob: _FiniteProblem, m0: int) -> SymmetricMatrix:
-    """Strict interior window minimum at m0: drain delta_{m0} from the bottom
-    into the top, split into two finite constructions at m0, undo the move."""
-    L = len(prob.G)
-    eta = prob.deltas[m0]
-    donors = list(range(prob.M0))
-    recipients = list(range(L - 1, prob.M0 + prob.sigma - 1, -1))
-    newG, transfers = _water_fill(prob.G, prob.B, donors, recipients, eta)
+    newG, transfers = _water_fill(prob.G, prob.B, donors, recipients, prob.deltas[m0])
 
     blockA = horn_construct(prob.Lam[:m0], newG[:m0])
-    blockB = horn_construct(prob.Lam[m0:], newG[m0:])
     entries = np.zeros((L, L))
     entries[:m0, :m0] = blockA.as_array()
-    entries[m0:, m0:] = blockB.as_array()
-    rotations = list(blockA.provenance) + [
-        GivensRotation(r.p + m0, r.q + m0, r.c, r.s) for r in blockB.provenance
-    ]
+    rotations = list(blockA.provenance)
+    if m0 == split:
+        _require(all(v == prob.B for v in newG[split:]), "top block must fill exactly")
+        for i in range(split, L):
+            entries[i, i] = float(prob.B)
+    else:
+        blockB = horn_construct(prob.Lam[m0:], newG[m0:])
+        entries[m0:, m0:] = blockB.as_array()
+        rotations += [GivensRotation(r.p + m0, r.q + m0, r.c, r.s) for r in blockB.provenance]
     exact = list(newG)
     for i, j, amt in reversed(transfers):
         x, y = exact[i], exact[j]
         rotations.append(_steer(entries, i, j, x, y, x + amt))
         exact[i] = x + amt
         exact[j] = y - amt
-    assert exact == prob.G
+    _require(exact == prob.G, "undoing the transfers must restore the diagonal")
     return SymmetricMatrix(entries, tuple(rotations), tuple(prob.G))
 
 
@@ -459,11 +443,11 @@ def _assemble(prob: _FiniteProblem) -> SymmetricMatrix:
     m0_off = min(range(len(window)), key=lambda i: (window[i], i))
     m0 = prob.M0 + m0_off
     if prob.deltas[m0] == prob.deltas[prob.M0 + prob.sigma]:
-        return _assemble_case2(prob)
+        return _assemble_split(prob, prob.M0 + prob.sigma)
     if m0 == prob.M0:
         # minimum at the left end only: reflect d_i -> B - d_{-i}, which sends
-        # delta_m to delta_{L-m} and the left end to the right end, solve by
-        # the case above, and pull back through M -> B·I − M.
+        # delta_m to delta_{L-m} and the left end to the right end, solve at
+        # the right end, and pull back through M -> B·I − M.
         L = len(prob.G)
         refl = _FiniteProblem(
             B=prob.B,
@@ -474,8 +458,11 @@ def _assemble(prob: _FiniteProblem) -> SymmetricMatrix:
             deltas=[prob.deltas[L - m] for m in range(L + 1)],
         )
         rwindow = refl.deltas[refl.M0 : refl.M0 + refl.sigma + 1]
-        assert refl.deltas[refl.M0 + refl.sigma] == min(rwindow)
-        mirrored = _assemble_case2(refl)
+        _require(
+            refl.deltas[refl.M0 + refl.sigma] == min(rwindow),
+            "the reflected window minimum must sit at its right end",
+        )
+        mirrored = _assemble_split(refl, refl.M0 + refl.sigma)
         rev = np.arange(L - 1, -1, -1)
         entries = (float(prob.B) * np.eye(L) - mirrored.as_array())[np.ix_(rev, rev)]
         for i, g in enumerate(prob.G):
@@ -484,7 +471,7 @@ def _assemble(prob: _FiniteProblem) -> SymmetricMatrix:
             GivensRotation(L - 1 - r.p, L - 1 - r.q, r.c, r.s) for r in mirrored.provenance
         )
         return SymmetricMatrix(entries, rotations, tuple(prob.G))
-    return _assemble_case1(prob, m0)
+    return _assemble_split(prob, m0)
 
 
 def realize_truncated(
@@ -546,8 +533,8 @@ def verify_realization(
     witness: Optional[Witness] = None,
     tol: float = 1e-8,
 ) -> RealizationReport:
-    """Check a realization numerically: diagonal match (exact when the matrix
-    carries an exact diagonal record, bitwise on floats otherwise), eigenvalue
+    """Check a realization numerically: diagonal match (bitwise on floats, and
+    exact against the record when the matrix carries one), eigenvalue
     distance to the spectrum set, and per-point multiplicities by nearest
     spectrum point.  With a witness, interior multiplicities must equal its N
     and both endpoint multiplicities must be positive."""
@@ -555,10 +542,9 @@ def verify_realization(
     expected = [Fraction(x) for x in expected_diagonal]
     if len(expected) != matrix.dimension:
         raise DomainError("expected diagonal length differs from matrix dimension")
+    diag_ok = all(float(e) == arr[i, i] for i, e in enumerate(expected))
     if matrix.exact_diagonal is not None:
-        diag_ok = tuple(expected) == matrix.exact_diagonal
-    else:
-        diag_ok = all(float(e) == arr[i, i] for i, e in enumerate(expected))
+        diag_ok = diag_ok and tuple(expected) == matrix.exact_diagonal
 
     eigs = np.linalg.eigvalsh(arr) if matrix.dimension else np.zeros(0)
     pts = [float(p) for p in spectrum.points]

@@ -10,15 +10,13 @@ matrices).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import product
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
-from .majorize import Witness, _equivalent_form, _weighted_sum, check_finite_majorization
+from .majorize import Witness, check_finite_majorization
 from .scalars import INF
 from .sequences import (
     DiagonalSequence,
@@ -85,32 +83,19 @@ def _stats_for(seq: DiagonalSequence, spectrum: SpectrumSpec) -> Tuple[Threshold
     return tuple(threshold_stats(seq, a) for a in alphas)
 
 
-def _scan_chunk(args) -> List[Tuple[Tuple[int, ...], int]]:
-    """Enumerate one slice of the multiplicity box (worker entry point)."""
-    spectrum, bounds, half, stats_at, lo, hi = args
-    B = spectrum.B
-    cmd = half.C - half.D
-    rest = [range(1, b + 1) for b in bounds[1:]]
-    out = []
-    for n1 in range(lo, hi + 1):
-        for tail in product(*rest):
-            N = (n1,) + tail
-            k = (cmd - _weighted_sum(spectrum, N)) / B
-            if k.denominator != 1:
-                continue
-            if _equivalent_form(half, stats_at, spectrum, N):
-                out.append((N, int(k)))
-    return out
-
-
 def enumerate_witnesses(
     seq: DiagonalSequence, spectrum: SpectrumSpec, workers: int = 1
 ) -> List[Witness]:
     """All witnesses within the multiplicity bounds, in lexicographic N order.
 
-    Each candidate N is kept iff the trace equation has an integer solution k
-    and the mass bounds hold; both are decided exactly, so the returned list
-    is deterministic (and worker-count independent).
+    N is kept iff C(B/2) − D(B/2) − Σ A_j N_j = kB for an integer k and every
+    mass bound of equivalent_form_check holds.  The bounds have positive
+    coefficients, so a depth-first search over N_1, N_2, … stops each
+    coordinate at the largest value that still fits with all later N_j = 1
+    (Fincke–Pohst pruning); coordinates i.. can balance only multiples of
+    gcd(A_i, …, A_n, B), so each runs over one arithmetic progression.  The
+    search is exact in integers scaled once and exhaustive over the box of
+    witness_bounds; ``workers`` is accepted and ignored.
     """
     _require_matching_b(seq, spectrum)
     seq = normalize(seq)
@@ -127,24 +112,44 @@ def enumerate_witnesses(
     if any(b < 1 for b in bounds):
         return []
     by_alpha = {st.alpha: st for st in stats}
-    stats_at = {a: by_alpha[a] for a in spectrum.interior}
+    n = spectrum.n
+    at = [by_alpha[a] for a in spectrum.interior]
+    values = (spectrum.B, half.C - half.D, *spectrum.interior)
+    values += tuple(st.C for st in at) + tuple(st.D for st in at)
+    Q = math.lcm(*(x.denominator for x in values))
+    qB, qgap, *scaled = (x.numerator * (Q // x.denominator) for x in values)
+    qa, qC, qD = scaled[:n], scaled[n : 2 * n], scaled[2 * n :]
+    # mass bound r, scaled by Q²: Σ_j qw[r][j]·N_j ≤ qcap[r]
+    qw = [
+        [(qB - ar) * aj if j <= r else ar * (qB - aj) for j, aj in enumerate(qa)]
+        for r, ar in enumerate(qa)
+    ]
+    qcap = [(qB - a) * c + a * d for a, c, d in zip(qa, qC, qD)]
 
-    b1 = bounds[0]
-    workers = max(1, min(workers, b1))
-    if workers == 1:
-        found = _scan_chunk((spectrum, bounds, half, stats_at, 1, b1))
-    else:
-        step = -(-b1 // workers)
-        chunks = [
-            (spectrum, bounds, half, stats_at, lo, min(lo + step - 1, b1))
-            for lo in range(1, b1 + 1, step)
-        ]
-        found = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_scan_chunk, chunks):
-                found.extend(part)
-    found.sort(key=lambda nk: nk[0])
-    return [Witness(N, k) for N, k in found]
+    # coordinates i.. can balance exactly the multiples of g[i]
+    g = [qB] * (n + 1)
+    for i in reversed(range(n)):
+        g[i] = math.gcd(qa[i], g[i + 1])
+    if qgap % g[0]:
+        return []
+    # N_i must leave a multiple of g[i+1]: one residue class modulo step[i]
+    step = [g[i + 1] // g[i] for i in range(n)]
+    inv = [pow(qa[i] // g[i], -1, step[i]) for i in range(n)]
+    # rest[i][r]: the load of coordinates i.. on mass bound r, all at 1
+    rest = [[sum(row[i:]) for row in qw] for i in range(n + 1)]
+    found: List[Witness] = []
+
+    def search(i: int, N: Tuple[int, ...], used: List[int], res: int) -> None:
+        hi = min(bounds[i], *((qcap[r] - used[r] - rest[i + 1][r]) // qw[r][i] for r in range(n)))
+        for v in range((res // g[i]) * inv[i] % step[i] or step[i], hi + 1, step[i]):
+            left = res - qa[i] * v
+            if i == n - 1:
+                found.append(Witness(N + (v,), left // qB))
+            else:
+                search(i + 1, N + (v,), [u + row[i] * v for u, row in zip(used, qw)], left)
+
+    search(0, (), [0] * n, qgap)
+    return found
 
 
 def decide(seq: DiagonalSequence, spectrum: SpectrumSpec, workers: int = 1) -> Decision:

@@ -21,6 +21,10 @@ class UnsupportedOperationError(RuntimeError):
     """
 
 
+class ConstructionError(RuntimeError):
+    """An internal invariant of a realization failed: a defect, not bad input."""
+
+
 class TruncationTooSmallError(ValueError):
     """A finite realization was requested at a tail depth that cannot work.
 

@@ -101,6 +101,18 @@ def candidate_multiplicity_bound(seq: DiagonalSequence) -> int:
         N += 1
 
 
+def _map_chunks(fn, head: tuple, items: list, workers: int) -> list:
+    """fn((*head, chunk)) over contiguous chunks of items, concatenated in
+    order: in this process for one worker, else one chunk per process."""
+    workers = max(1, min(workers, len(items)))
+    if workers == 1:
+        return fn((*head, items))
+    step = -(-len(items) // workers)
+    chunks = [(*head, items[i : i + step]) for i in range(0, len(items), step)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [row for part in pool.map(fn, chunks) for row in part]
+
+
 def _confirm_chunk(args) -> List[Fraction]:
     seq, candidates = args
     out = []
@@ -144,18 +156,7 @@ def three_point_spectra(
         for k in range(k_lo, k_hi + 1):
             candidates.add((cmd - k * B) / N)
 
-    ordered = sorted(candidates)
-    workers = max(1, min(workers, len(ordered))) if ordered else 1
-    if workers == 1:
-        confirmed = _confirm_chunk((seq, ordered))
-    else:
-        step = -(-len(ordered) // workers)
-        chunks = [(seq, ordered[i : i + step]) for i in range(0, len(ordered), step)]
-        confirmed = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_confirm_chunk, chunks):
-                confirmed.extend(part)
-    return frozenset(confirmed)
+    return frozenset(_map_chunks(_confirm_chunk, (seq,), sorted(candidates), workers))
 
 
 def _region_chunk(args) -> List[RegionSample]:
@@ -181,17 +182,7 @@ def four_point_region(
     if not isinstance(grid, int) or isinstance(grid, bool) or grid < 3:
         raise DomainError(f"grid must be an integer ≥ 3, got {grid!r}")
     seq = normalize(seq)
-    ps = list(range(1, grid - 1))
-    workers = max(1, min(workers, len(ps)))
-    if workers == 1:
-        return _region_chunk((seq, grid, ps))
-    step = -(-len(ps) // workers)
-    chunks = [(seq, grid, ps[i : i + step]) for i in range(0, len(ps), step)]
-    rows: List[RegionSample] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_region_chunk, chunks):
-            rows.extend(part)
-    return rows
+    return _map_chunks(_region_chunk, (seq, grid), list(range(1, grid - 1)), workers)
 
 
 # --------------------------------------------------------------------------

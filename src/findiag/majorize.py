@@ -187,10 +187,6 @@ class _ZLayout:
                 "infinitely many exact Bs (with no tail) to index over ℤ"
             )
 
-    @property
-    def mid_len(self) -> int:
-        return len(self.mid)
-
     def element(self, i: int) -> Fraction:
         if i <= 0:
             return self.left.element(-i) if self.left is not None else Fraction(0)

@@ -1,12 +1,14 @@
 """Command-line interface: exit codes, payload shapes, file round-trips."""
 
 import json
+import os
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from findiag.cli import main
+from findiag import ConstructionError
+from findiag.cli import build_parser, main
 
 F = Fraction
 
@@ -236,6 +238,46 @@ def test_unknown_flag_exits_64(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["decide", "--seq", DYADIC, "--spectrum", "0,1/2,1", "--frobnicate"])
     assert exc.value.code == 64
+
+
+def test_workers_clamped_to_cpu_count(monkeypatch):
+    # the parsed value only: no process is started
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    parser = build_parser()
+    base = ["explore4", "--seq", DYADIC, "--grid", "4"]
+    assert parser.parse_args(base).workers == 1
+    for given, want in (("2", 2), ("3", 3), ("1000000", 3), ("0", 1), ("-5", 1)):
+        assert parser.parse_args(base + [f"--workers={given}"]).workers == want
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown CPU count
+    assert parser.parse_args(base + ["--workers=8"]).workers == 1
+
+
+def test_non_integer_workers_exits_64(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["explore3", "--seq", DYADIC, "--workers", "many"])
+    assert exc.value.code == 64
+
+
+def test_construction_error_exits_70(capsys, monkeypatch):
+    def broken(*args):
+        raise ConstructionError("totals must balance by construction")
+
+    monkeypatch.setattr("findiag.cli.realize_truncated", broken)
+    code, out, err = run(
+        capsys,
+        "realize",
+        "--seq",
+        DYADIC,
+        "--spectrum",
+        "0,1/2,1",
+        "--witness",
+        '{"N": [1], "k": -1}',
+        "--trunc",
+        "4",
+    )
+    assert code == 70
+    assert out == ""
+    assert "totals must balance" in err
 
 
 def test_missing_subcommand_exits_64(capsys):

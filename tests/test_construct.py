@@ -253,6 +253,14 @@ def test_verify_flags_wrong_diagonal():
     assert not rep.diagonal_exact_match
 
 
+def test_verify_checks_float_diagonal_against_record():
+    # the record says [1/2, 1/2] but the floats on the diagonal are [1, 1]
+    spec = SpectrumSpec((F(0), F(2)))
+    m = SymmetricMatrix(np.ones((2, 2)), exact_diagonal=(F(1, 2), F(1, 2)))
+    rep = verify_realization(m, spec, [F(1, 2), F(1, 2)])
+    assert not rep.diagonal_exact_match
+
+
 def test_realize_wrong_witness_still_raises_cleanly(dyadic):
     # a witness whose trace congruence holds but whose mass bound fails:
     # N=(5) balances the trace yet is infeasible; realization cannot succeed
