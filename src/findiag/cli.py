@@ -21,7 +21,7 @@ from .construct import (
     realize_truncated,
     verify_realization,
 )
-from .decide import Verdict, decide, decide_projection, enumerate_witnesses, witness_bounds
+from .decide import Verdict, _sharing_stats, decide, decide_projection, enumerate_witnesses, witness_bounds
 from .errors import (
     DomainError,
     SchemaError,
@@ -167,28 +167,29 @@ def _explain_payload(seq: DiagonalSequence, spectrum: SpectrumSpec, witnesses):
 def _cmd_decide(args) -> int:
     spectrum, shift = _load_spectrum(args)
     seq = _shift_sequence(_load_sequence(args.seq), shift)
-    decision = decide(seq, spectrum, workers=args.workers)
-    payload = dump_decision(decision)
-    if shift:
-        payload["translation"] = format_rational(shift)
-    if args.explain:
-        payload["explain"] = _explain_payload(seq, spectrum, decision.witnesses)
-    if args.subset_spectra:
-        results = []
-        for subset in _interior_subsets(spectrum.points):
-            if subset:
-                sub = SpectrumSpec((Fraction(0), *subset, spectrum.B))
-                d = decide(seq, sub, workers=args.workers)
-            else:
-                d = decide_projection(seq)
-            results.append(
-                {
-                    "interior": [format_rational(p) for p in subset],
-                    "verdict": d.verdict.value,
-                    "witnesses": [dump_witness(w) for w in d.witnesses],
-                }
-            )
-        payload["subset_results"] = results
+    with _sharing_stats(seq):
+        decision = decide(seq, spectrum, workers=args.workers)
+        payload = dump_decision(decision)
+        if shift:
+            payload["translation"] = format_rational(shift)
+        if args.explain:
+            payload["explain"] = _explain_payload(seq, spectrum, decision.witnesses)
+        if args.subset_spectra:
+            results = []
+            for subset in _interior_subsets(spectrum.points):
+                if subset:
+                    sub = SpectrumSpec((Fraction(0), *subset, spectrum.B))
+                    d = decide(seq, sub, workers=args.workers)
+                else:
+                    d = decide_projection(seq)
+                results.append(
+                    {
+                        "interior": [format_rational(p) for p in subset],
+                        "verdict": d.verdict.value,
+                        "witnesses": [dump_witness(w) for w in d.witnesses],
+                    }
+                )
+            payload["subset_results"] = results
     _print(payload)
     return _verdict_exit(decision.verdict)
 

@@ -32,7 +32,6 @@ from .sequences import (
     DivergentTail,
     GeometricTail,
     SpectrumSpec,
-    normalize,
 )
 
 
@@ -487,7 +486,6 @@ def realize_truncated(
     ``minimal`` attribute carries the smallest workable level within T+256,
     or None when no level can work (trace imbalance, which is T-independent).
     """
-    seq = normalize(seq)
     if seq.B != spectrum.B:
         raise DomainError(
             f"sequence endpoint B={seq.B} differs from spectrum endpoint {spectrum.B}"

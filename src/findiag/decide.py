@@ -10,6 +10,8 @@ matrices).
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -23,7 +25,6 @@ from .sequences import (
     SpectrumSpec,
     ThresholdStats,
     divergence_flags,
-    normalize,
     threshold_stats,
 )
 
@@ -74,13 +75,54 @@ def witness_bounds(stats: Sequence[ThresholdStats], spectrum: SpectrumSpec) -> T
     return tuple(bounds)
 
 
-def _stats_for(seq: DiagonalSequence, spectrum: SpectrumSpec) -> Tuple[ThresholdStats, ...]:
+class _StatsTable(dict):
+    """α ↦ threshold_stats(seq, α) for one sequence, each α evaluated once;
+    also keeps the witness bounds of the spectrum asked for last, which
+    decide and the enumerate_witnesses it calls both need."""
+
+    def __init__(self, seq: DiagonalSequence):
+        super().__init__()
+        self.seq = seq
+        self._bounds = (None, ())
+
+    def __missing__(self, alpha: Fraction) -> ThresholdStats:
+        st = self[alpha] = threshold_stats(self.seq, alpha)
+        return st
+
+    def bounds(self, spectrum: SpectrumSpec) -> Tuple[int, ...]:
+        if self._bounds[0] is not spectrum:
+            self._bounds = (spectrum, witness_bounds(_stats_for(self, spectrum), spectrum))
+        return self._bounds[1]
+
+
+_SHARED_STATS: ContextVar[Optional[_StatsTable]] = ContextVar("shared_stats", default=None)
+
+
+def _stats_table(seq: DiagonalSequence) -> _StatsTable:
+    """The table of the enclosing _sharing_stats(seq) block, else a fresh one."""
+    table = _SHARED_STATS.get()
+    return table if table is not None and table.seq is seq else _StatsTable(seq)
+
+
+@contextmanager
+def _sharing_stats(seq: DiagonalSequence) -> Iterator[_StatsTable]:
+    """Within the block, every decision on this very sequence object reads
+    its statistics from one table, so each abscissa is evaluated once."""
+    table = _stats_table(seq)
+    token = _SHARED_STATS.set(table)
+    try:
+        yield table
+    finally:
+        _SHARED_STATS.reset(token)
+
+
+def _stats_for(stats_at: _StatsTable, spectrum: SpectrumSpec) -> Tuple[ThresholdStats, ...]:
     """Statistics at B/2 and at each interior point, in that order (deduped)."""
     alphas = [spectrum.B / 2]
     for a in spectrum.interior:
         if a not in alphas:
             alphas.append(a)
-    return tuple(threshold_stats(seq, a) for a in alphas)
+    return tuple(stats_at[a] for a in alphas)
 
 
 def enumerate_witnesses(
@@ -98,17 +140,17 @@ def enumerate_witnesses(
     witness_bounds; ``workers`` is accepted and ignored.
     """
     _require_matching_b(seq, spectrum)
-    seq = normalize(seq)
     if spectrum.n == 0:
         raise DomainError("witness enumeration needs at least one interior spectrum point")
-    stats = _stats_for(seq, spectrum)
+    table = _stats_table(seq)
+    stats = _stats_for(table, spectrum)
     half = stats[0]
     if half.C is INF or half.D is INF:
         raise DomainError(
             "witness enumeration needs finite threshold statistics; divergent "
             "inputs are feasible without a witness"
         )
-    bounds = witness_bounds(stats, spectrum)
+    bounds = table.bounds(spectrum)
     if any(b < 1 for b in bounds):
         return []
     by_alpha = {st.alpha: st for st in stats}
@@ -159,14 +201,20 @@ def decide(seq: DiagonalSequence, spectrum: SpectrumSpec, workers: int = 1) -> D
     finite Σ d_i or finite Σ (B − d_i) are out of scope for the doubly
     infinite theorem; a divergent statistic at B/2 is feasible outright;
     otherwise feasibility is equivalent to a nonempty witness list.
+    Statistics and witness bounds are computed once per call, in a fresh
+    table or in the shared one of an enclosing _sharing_stats(seq) block;
+    ``workers`` is accepted and ignored.
     """
     _require_matching_b(seq, spectrum)
-    seq = normalize(seq)
+    with _sharing_stats(seq) as stats_at:
+        return _decide(seq, spectrum, stats_at)
+
+
+def _decide(seq: DiagonalSequence, spectrum: SpectrumSpec, stats_at: _StatsTable) -> Decision:
     if spectrum.n == 0:
         return decide_projection(seq)
-
     flags = divergence_flags(seq)
-    stats = _stats_for(seq, spectrum)
+    stats = _stats_for(stats_at, spectrum)
     if not (flags.sum_d_infinite and flags.sum_Bd_infinite):
         return Decision(
             Verdict.OUT_OF_SCOPE,
@@ -185,8 +233,8 @@ def decide(seq: DiagonalSequence, spectrum: SpectrumSpec, workers: int = 1) -> D
             stats=stats,
             note=f"{which} diverges; every interior multiplicity choice is realizable",
         )
-    witnesses = enumerate_witnesses(seq, spectrum, workers=workers)
-    bounds = witness_bounds(stats, spectrum)
+    witnesses = enumerate_witnesses(seq, spectrum)
+    bounds = stats_at.bounds(spectrum)
     if witnesses:
         return Decision(Verdict.FEASIBLE_CASE_II, tuple(witnesses), stats, bounds)
     return Decision(
@@ -203,10 +251,9 @@ def decide_projection(seq: DiagonalSequence, B=None) -> Decision:
     Feasible iff a statistic at B/2 diverges or C(B/2) − D(B/2) is an exact
     integer multiple of B.  Applies regardless of which sums converge.
     """
-    seq = normalize(seq)
     if B is not None and Fraction(B) != seq.B:
         raise DomainError(f"sequence endpoint B={seq.B} differs from requested {B}")
-    half = threshold_stats(seq, seq.B / 2)
+    half = _stats_table(seq)[seq.B / 2]
     stats = (half,)
     if half.C is INF or half.D is INF:
         which = "C(B/2)" if half.C is INF else "D(B/2)"

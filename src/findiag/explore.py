@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, List, Optional, Sequence, Union
 
-from .decide import decide
+from .decide import _sharing_stats, _stats_table, decide
 from .errors import DomainError
 from .scalars import INF, format_rational
 from .sequences import (
@@ -17,8 +17,6 @@ from .sequences import (
     GeometricTail,
     SpectrumSpec,
     divergence_flags,
-    normalize,
-    threshold_stats,
 )
 
 
@@ -63,10 +61,10 @@ def candidate_multiplicity_bound(seq: DiagonalSequence) -> int:
     factor-2 band, Ψ(2N) ≤ Ψ(N) + u0 + uB; scanning for the first N with
     N ≥ u0 + uB and Ψ(N) + u0 + uB ≤ N therefore bounds every feasible
     multiplicity (dyadic induction pushes Ψ(M) ≤ M to all larger M, and a
-    present tail makes the weight bound strict).
+    present tail makes the weight bound strict).  Ψ is monotone in N, so
+    each tail's count advances with N instead of being recounted.
     """
-    seq = normalize(seq)
-    half = threshold_stats(seq, seq.B / 2)
+    half = _stats_table(seq)[seq.B / 2]
     if half.C is INF or half.D is INF:
         raise DomainError("multiplicity bound needs finite threshold statistics")
     B = seq.B
@@ -89,14 +87,18 @@ def candidate_multiplicity_bound(seq: DiagonalSequence) -> int:
         base += 1 / (1 - bt.ratio)
         uB = _halving_steps(bt.ratio)
 
+    # T0(N) = t0 with x0 the zero-tail element after the counted ones, and
+    # SB(N) = tB with xB likewise; 0 stands for an absent tail
+    t0 = tB = 0
+    x0 = zt.first if zt is not None else 0
+    xB = bt.first if bt is not None else 0
     N = 1
     while True:
-        psi = base
-        if zt is not None:
-            psi += zt.count_at_least(g / N)
-        if bt is not None:
-            psi += bt.count_greater(gp / N)
-        if N >= u0 + uB and psi + u0 + uB <= N:
+        while x0 and x0 * N >= g:
+            t0, x0 = t0 + 1, x0 * zt.ratio
+        while xB and xB * N > gp:
+            tB, xB = tB + 1, xB * bt.ratio
+        if N >= u0 + uB and base + t0 + tB + u0 + uB <= N:
             return N
         N += 1
 
@@ -116,10 +118,12 @@ def _map_chunks(fn, head: tuple, items: list, workers: int) -> list:
 def _confirm_chunk(args) -> List[Fraction]:
     seq, candidates = args
     out = []
-    for a in candidates:
-        spectrum = SpectrumSpec((Fraction(0), a, seq.B))
-        if decide(seq, spectrum).feasible:
-            out.append(a)
+    with _sharing_stats(seq) as stats_at:
+        for a in candidates:
+            if decide(seq, SpectrumSpec((Fraction(0), a, seq.B))).feasible:
+                out.append(a)
+            if a != seq.B / 2:  # no other candidate repeats: keep the table at B/2
+                del stats_at[a]
     return out
 
 
@@ -132,45 +136,47 @@ def three_point_spectra(
     works).  Otherwise candidates A = (C − D − kB)/N for N up to the
     multiplicity cap are confirmed individually, so the returned set is
     exact — no tolerance, no sampling.  n_max overrides the scanned cap.
+    All decisions share one statistics table per process.
     """
-    seq = normalize(seq)
     flags = divergence_flags(seq)
     if not (flags.sum_d_infinite and flags.sum_Bd_infinite):
         raise DomainError(
             "three-point exploration needs Σ d_i and Σ (B − d_i) both infinite"
         )
-    half = threshold_stats(seq, seq.B / 2)
-    if half.C is INF or half.D is INF:
-        return AllOfInterval(seq.B)
-    B = seq.B
-    cmd = half.C - half.D
-    cap = n_max if n_max is not None else candidate_multiplicity_bound(seq)
-    if cap < 1:
-        raise DomainError(f"multiplicity cap must be ≥ 1, got {cap}")
+    with _sharing_stats(seq) as stats_at:
+        half = stats_at[seq.B / 2]
+        if half.C is INF or half.D is INF:
+            return AllOfInterval(seq.B)
+        B = seq.B
+        cmd = half.C - half.D
+        cap = n_max if n_max is not None else candidate_multiplicity_bound(seq)
+        if cap < 1:
+            raise DomainError(f"multiplicity cap must be ≥ 1, got {cap}")
 
-    candidates = set()
-    ratio = cmd / B
-    for N in range(1, cap + 1):
-        k_lo = math.floor(ratio - N) + 1
-        k_hi = math.ceil(ratio) - 1
-        for k in range(k_lo, k_hi + 1):
-            candidates.add((cmd - k * B) / N)
+        candidates = set()
+        ratio = cmd / B
+        for N in range(1, cap + 1):
+            k_lo = math.floor(ratio - N) + 1
+            k_hi = math.ceil(ratio) - 1
+            for k in range(k_lo, k_hi + 1):
+                candidates.add((cmd - k * B) / N)
 
-    return frozenset(_map_chunks(_confirm_chunk, (seq,), sorted(candidates), workers))
+        return frozenset(_map_chunks(_confirm_chunk, (seq,), sorted(candidates), workers))
 
 
 def _region_chunk(args) -> List[RegionSample]:
     seq, grid, ps = args
     B = seq.B
     out = []
-    for p in ps:
-        a1 = Fraction(p, grid) * B
-        for r in range(p + 1, grid):
-            a2 = Fraction(r, grid) * B
-            decision = decide(seq, SpectrumSpec((Fraction(0), a1, a2, B)))
-            out.append(
-                RegionSample(a1, a2, decision.feasible, len(decision.witnesses))
-            )
+    with _sharing_stats(seq):
+        for p in ps:
+            a1 = Fraction(p, grid) * B
+            for r in range(p + 1, grid):
+                a2 = Fraction(r, grid) * B
+                decision = decide(seq, SpectrumSpec((Fraction(0), a1, a2, B)))
+                out.append(
+                    RegionSample(a1, a2, decision.feasible, len(decision.witnesses))
+                )
     return out
 
 
@@ -178,10 +184,11 @@ def four_point_region(
     seq: DiagonalSequence, grid: int, workers: int = 1
 ) -> List[RegionSample]:
     """Decide every spectrum {0, p·B/q, r·B/q, B} with 0 < p < r < q on the
-    q-division grid, in lexicographic (p, r) order."""
+    q-division grid, in lexicographic (p, r) order.  The decisions of a
+    chunk share one statistics table, so B/2 and each abscissa p·B/q are
+    evaluated once per chunk."""
     if not isinstance(grid, int) or isinstance(grid, bool) or grid < 3:
         raise DomainError(f"grid must be an integer ≥ 3, got {grid!r}")
-    seq = normalize(seq)
     return _map_chunks(_region_chunk, (seq, grid), list(range(1, grid - 1)), workers)
 
 

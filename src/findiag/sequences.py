@@ -186,13 +186,6 @@ class DiagonalSequence:
         object.__setattr__(self, "b_count", b_count)
 
 
-def normalize(seq: DiagonalSequence) -> DiagonalSequence:
-    """Fold 0/B explicit values into counts and sort; a no-op on constructed values."""
-    return DiagonalSequence(
-        seq.B, seq.explicit, seq.zero_count, seq.b_count, seq.zero_tail, seq.b_tail
-    )
-
-
 def materialize_tails(seq: DiagonalSequence, low: Fraction, high: Fraction) -> DiagonalSequence:
     """Move every zero-tail element ≥ low and every b-tail element ≤ high into explicit.
 

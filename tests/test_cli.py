@@ -86,6 +86,38 @@ def test_decide_subset_spectra(capsys):
     assert subsets == [{"interior": [], "verdict": "Infeasible", "witnesses": []}]
 
 
+def test_decide_subset_spectra_match_separate_runs(capsys):
+    # the subsets share one statistics table; deciding each on its own must
+    # give the same bytes
+    spectrum = "0,1/4,1/3,1/2,3/4,1"
+    code, out, _ = run(
+        capsys, "decide", "--seq", DYADIC, "--spectrum", spectrum, "--subset-spectra"
+    )
+    main_code, main_out, _ = run(capsys, "decide", "--seq", DYADIC, "--spectrum", spectrum)
+    assert code == main_code
+    expected = json.loads(main_out)
+    expected["subset_results"] = []
+    interior = spectrum.split(",")[1:-1]
+    subsets = sorted(
+        ([p for i, p in enumerate(interior) if mask >> i & 1] for mask in range(2 ** len(interior) - 1)),
+        key=lambda s: (len(s), [Fraction(p) for p in s]),
+    )
+    for subset in subsets:
+        if subset:
+            _, sub_out, _ = run(
+                capsys, "decide", "--seq", DYADIC, "--spectrum", ",".join(["0", *subset, "1"])
+            )
+        else:
+            _, sub_out, _ = run(capsys, "project", "--seq", DYADIC)
+        sub = json.loads(sub_out)
+        expected["subset_results"].append(
+            {"interior": subset, "verdict": sub["verdict"], "witnesses": sub["witnesses"]}
+        )
+    assert len(expected["subset_results"]) == 15
+    assert any(r["witnesses"] for r in expected["subset_results"])
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
 def test_decide_translate(capsys, tmp_path):
     seq = write_seq(
         tmp_path,

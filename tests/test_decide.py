@@ -1,5 +1,6 @@
 """Feasibility decisions: the projection case, witness enumeration, routing."""
 
+import importlib
 from fractions import Fraction
 from random import Random
 
@@ -139,6 +140,33 @@ def test_decide_agrees_with_enumeration_randomized():
         assert (out.verdict is Verdict.FEASIBLE_CASE_II) == bool(
             enumerate_witnesses(seq, spec)
         )
+
+
+def test_decide_evaluates_bounds_and_stats_once(dyadic, monkeypatch):
+    mod = importlib.import_module("findiag.decide")
+    calls = {"bounds": 0, "stats": []}
+    real_bounds, real_stats = mod.witness_bounds, mod.threshold_stats
+
+    def counted_bounds(stats, spectrum):
+        calls["bounds"] += 1
+        return real_bounds(stats, spectrum)
+
+    def counted_stats(seq, alpha):
+        calls["stats"].append(alpha)
+        return real_stats(seq, alpha)
+
+    monkeypatch.setattr(mod, "witness_bounds", counted_bounds)
+    monkeypatch.setattr(mod, "threshold_stats", counted_stats)
+    for points, verdict in (
+        ((0, F(1, 2), 1), Verdict.FEASIBLE_CASE_II),
+        ((0, F(1, 4), F(3, 4), 1), Verdict.FEASIBLE_CASE_II),
+        ((0, F(1, 3), 1), Verdict.INFEASIBLE),
+    ):
+        calls["bounds"], calls["stats"] = 0, []
+        out = decide(dyadic, SpectrumSpec(points))
+        assert out.verdict is verdict
+        assert calls["bounds"] == 1
+        assert sorted(calls["stats"]) == sorted({F(1, 2), *points[1:-1]})
 
 
 def test_decide_finite_examples():

@@ -1,6 +1,11 @@
 """Spectrum exploration: 3-point enumeration, 4-point grids, region output."""
 
+import importlib
+import math
+import time
+from collections import Counter
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -20,6 +25,7 @@ from findiag import (
     enumerate_witnesses,
     four_point_region,
     reflect,
+    threshold_stats,
     three_point_spectra,
 )
 
@@ -28,6 +34,119 @@ F = Fraction
 
 def test_multiplicity_bound_dyadic(dyadic):
     assert candidate_multiplicity_bound(dyadic) == 13
+
+
+@pytest.mark.parametrize("ratio, cap", [(F(99, 100), 1679), (F(9, 10), 113)])
+def test_multiplicity_bound_slow_tails(ratio, cap):
+    seq = DiagonalSequence(
+        B=F(1),
+        explicit=(F(1, 2),),
+        zero_tail=GeometricTail(F(1, 4), ratio),
+        b_tail=GeometricTail(F(1, 4), ratio),
+    )
+    start = time.perf_counter()
+    assert candidate_multiplicity_bound(seq) == cap
+    assert time.perf_counter() - start < 1.0
+
+
+def _recounted_bound(seq):
+    """The multiplicity cap with Ψ(N) recounted from t = 0 at every N."""
+    half = threshold_stats(seq, seq.B / 2)
+    B, cmd = seq.B, half.C - half.D
+    g, gp = cmd % B or B, -cmd % B or B
+    tails = [t for t in (seq.zero_tail, seq.b_tail) if t is not None]
+    base = len(seq.explicit) + sum(1 / (1 - t.ratio) for t in tails)
+    u = sum(next(k for k in range(1, 999) if t.ratio**k <= F(1, 2)) for t in tails)
+    N = 1
+    while True:
+        psi = base
+        if seq.zero_tail is not None:
+            psi += seq.zero_tail.count_at_least(g / N)
+        if seq.b_tail is not None:
+            psi += seq.b_tail.count_greater(gp / N)
+        if N >= u and psi + u <= N:
+            return N
+        N += 1
+
+
+def test_multiplicity_bound_matches_recount():
+    # dyadic entries and ratios put tail elements exactly on the cuts g/N
+    rng = Random(3)
+    for _ in range(200):
+        B = rng.choice((F(1), F(2)))
+        seq = DiagonalSequence(
+            B=B,
+            explicit=tuple(B * F(rng.randint(1, 15), 16) for _ in range(rng.randint(0, 4))),
+            zero_tail=GeometricTail(B * F(rng.randint(1, 4), 16), rng.choice((F(1, 2), F(1, 3), F(2, 3)))),
+            b_tail=GeometricTail(B * F(rng.randint(1, 4), 16), rng.choice((F(1, 2), F(1, 4)))),
+        )
+        assert candidate_multiplicity_bound(seq) == _recounted_bound(seq)
+
+
+def _sharing_corpus(seed: int, count: int, q: int):
+    """Seeded sequences with tail ratios 1/3, 1/2, 2/3, 99/100 and 1–8
+    explicit entries, the last one moving C(B/2) − D(B/2) onto the B/q
+    lattice so that some grid spectra are feasible."""
+    rng = Random(seed)
+    ratios = (F(1, 3), F(1, 2), F(2, 3), F(99, 100))
+    for _ in range(count):
+        B = rng.choice((F(1), F(2), F(3, 2)))
+        explicit = [B * F(rng.randint(1, 31), 32) for _ in range(rng.randint(0, 7))]
+        tails = [GeometricTail(B * F(rng.randint(1, 8), 32), rng.choice(ratios)) for _ in "zb"]
+        seq = DiagonalSequence(B=B, explicit=tuple(explicit), zero_tail=tails[0], b_tail=tails[1])
+        half = threshold_stats(seq, B / 2)
+        explicit.append(B / q - (half.C - half.D) % (B / q))  # an entry below B/2 adds to C
+        yield DiagonalSequence(B=B, explicit=tuple(explicit), zero_tail=tails[0], b_tail=tails[1])
+
+
+def test_four_point_region_shared_stats_match_fresh_decide():
+    feasible = 0
+    for q in (5, 6, 7):
+        for seq in _sharing_corpus(q, 6, q):
+            rows = four_point_region(seq, q)
+            assert len(rows) == (q - 1) * (q - 2) // 2
+            for row in rows:
+                out = decide(seq, SpectrumSpec((F(0), row.A1, row.A2, seq.B)))
+                assert (row.feasible, row.witness_count) == (out.feasible, len(out.witnesses))
+                feasible += row.feasible
+    assert feasible >= 50
+
+
+def test_three_point_shared_stats_match_fresh_decide():
+    feasible = 0
+    for seq in _sharing_corpus(11, 16, 4):
+        half = threshold_stats(seq, seq.B / 2)
+        cmd, B = half.C - half.D, seq.B
+        candidates = {
+            (cmd - k * B) / N
+            for N in range(1, 7)
+            for k in range(math.floor(cmd / B) - N, math.ceil(cmd / B) + 1)
+            if 0 < (cmd - k * B) / N < B
+        }
+        expected = {
+            a for a in candidates if decide(seq, SpectrumSpec((F(0), a, B))).feasible
+        }
+        assert three_point_spectra(seq, n_max=6) == expected
+        feasible += len(expected)
+    assert feasible >= 50
+
+
+@pytest.mark.parametrize("q", [7, 8])
+def test_sweeps_evaluate_each_abscissa_once(dyadic, monkeypatch, q):
+    mod = importlib.import_module("findiag.decide")
+    seen = Counter()
+    real = mod.threshold_stats
+
+    def counted(seq, alpha):
+        seen[alpha] += 1
+        return real(seq, alpha)
+
+    monkeypatch.setattr(mod, "threshold_stats", counted)
+    four_point_region(dyadic, q)
+    assert seen == Counter({F(p, q) for p in range(1, q)} | {F(1, 2)})
+    seen.clear()
+    three_point_spectra(dyadic)
+    assert seen[F(1, 2)] == 1 and max(seen.values()) == 1
 
 
 def test_three_point_dyadic_frozen(dyadic):

@@ -16,7 +16,6 @@ from findiag import (
     count_range,
     divergence_flags,
     materialize_tails,
-    normalize,
     reflect,
     scale,
     threshold_stats,
@@ -103,10 +102,11 @@ def test_sequence_validation():
 
 def test_normalize_folds_endpoints_and_sorts():
     seq = DiagonalSequence(B=F(1), explicit=(F(3, 4), F(0), F(1), F(1, 4), F(1)))
-    out = normalize(seq)
-    assert out.explicit == (F(1, 4), F(3, 4))
-    assert out.zero_count == 1
-    assert out.b_count == 2
+    assert seq.explicit == (F(1, 4), F(3, 4))
+    assert seq.zero_count == 1
+    assert seq.b_count == 2
+    # folding is idempotent: rebuilding from the fields changes nothing
+    assert DiagonalSequence(seq.B, seq.explicit, seq.zero_count, seq.b_count) == seq
 
 
 def test_dyadic_stats_frozen(dyadic):
@@ -197,9 +197,9 @@ def test_reflect_involution_and_stats():
     rng = Random(5)
     for _ in range(60):
         seq = random_sequence(rng)
-        assert reflect(reflect(seq)) == normalize(seq)
+        assert reflect(reflect(seq)) == seq
         alpha = random_fraction(rng, seq.B / 16, seq.B - seq.B / 16, den=32)
-        eq = sum(1 for v in normalize(seq).explicit if v == alpha)
+        eq = sum(1 for v in seq.explicit if v == alpha)
         for tail, low_side in ((seq.zero_tail, True), (seq.b_tail, False)):
             if isinstance(tail, GeometricTail):
                 cut = alpha if low_side else seq.B - alpha
