@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .explore import emit_region, four_point_region, three_point_spectra, AllOfInterval, RegionSample
-from .majorize import Witness, canonical_shift, riemann_check
+from .majorize import Witness, canonical_shift, equivalent_form_check, riemann_check
 from .scalars import _RATIONAL_RE, format_rational, parse_rational
 from .sequences import DiagonalSequence, SpectrumSpec, divergence_flags, threshold_stats
 from .scalars import INF
@@ -228,8 +228,6 @@ def _cmd_realize(args) -> int:
     if flags.sum_d_infinite and flags.sum_Bd_infinite and spectrum.n >= 1:
         half = threshold_stats(seq, seq.B / 2)
         if half.C is not INF and half.D is not INF:
-            from .majorize import equivalent_form_check
-
             if not equivalent_form_check(seq, spectrum, witness):
                 print(
                     "error: witness fails the feasibility check for this sequence",

@@ -54,8 +54,9 @@ class GivensRotation:
 class SymmetricMatrix:
     """A real symmetric matrix with provenance and an exact diagonal record.
 
-    entries is float64 and bitwise symmetric; exact_diagonal, when present,
-    holds the rational values the float diagonal was assigned from.
+    entries is float64 and symmetric by value (0.0 may face -0.0);
+    exact_diagonal, when present, holds the rational values the float
+    diagonal was assigned from.
     """
 
     def __init__(
@@ -88,7 +89,7 @@ class SymmetricMatrix:
         return self._entries.copy()
 
     def rows(self) -> List[List[float]]:
-        return [[float(v) for v in row] for row in self._entries]
+        return self._entries.tolist()
 
     def text_grid(self) -> str:
         """Aligned fixed-point grid for human inspection."""

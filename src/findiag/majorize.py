@@ -119,11 +119,6 @@ class DeltaProfile:
         return min(d for _, d in self.checked_indices)
 
 
-def lambda_from_witness(spectrum: SpectrumSpec, witness: Witness) -> StepSequence:
-    """Instantiate the step sequence; multiplicity of A_r is N_r by construction."""
-    return StepSequence(spectrum, witness)
-
-
 # --------------------------------------------------------------------------
 # ℤ-indexed layout of a diagonal sequence
 # --------------------------------------------------------------------------
@@ -423,26 +418,19 @@ def check_finite_majorization(d: Sequence, lam: Sequence) -> bool:
     return run_d == run_l
 
 
-def check_finite_rank_tail(
-    seq: DiagonalSequence, lam: Sequence, nondecreasing: bool = False
-) -> bool:
+def check_finite_rank_tail(seq: DiagonalSequence, lam: Sequence) -> bool:
     """Majorization for a summable diagonal against finitely many positive
     eigenvalues.
 
     True iff the totals agree and, for every m < len(lam), the m largest
     diagonal entries sum to at most the m largest eigenvalues — the finite-
     rank analogue of the prefix condition, stated equivalently through tail
-    sums.  ``nondecreasing`` declares λ given in nondecreasing order (the
-    mirrored formulation); both orientations reduce to the same multiset
-    test, so the flag only documents the caller's convention.
+    sums.  Only the multiset of λ matters, not its order.
     """
     if seq.b_count != 0 or seq.b_tail is not None:
         raise DomainError("finite-rank test needs a sequence with no mass at B")
     if isinstance(seq.zero_tail, DivergentTail):
         raise DomainError("finite-rank test needs a summable diagonal")
-    lam = list(lam)
-    if nondecreasing:
-        lam = lam[::-1]
     ll = sorted((Fraction(x) for x in lam), reverse=True)
     if any(x <= 0 for x in ll):
         raise DomainError("eigenvalues must be positive")

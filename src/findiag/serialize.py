@@ -31,9 +31,71 @@ def load_json(text: str, path: str = "$"):
         raise SchemaError(f"invalid JSON: {exc}", path) from exc
 
 
+# Stands in for a matrix's rows while json.dumps renders the rest of a payload.
+# No payload string holds a NUL, so the quoted slot cannot occur by chance.
+_ROWS_SLOT = "\x00rows\x00"
+_QUOTED_ROWS_SLOT = json.dumps(_ROWS_SLOT)
+
+
 def dump_json(obj) -> str:
-    """Canonical rendering: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Canonical rendering: sorted keys, two-space indent, trailing newline.
+
+    A SymmetricMatrix value (the "rows" of dump_matrix) is written as its
+    rows, in the bytes json.dumps gives the list of float lists, straight
+    from the float64 entries; everything else goes through json.dumps.
+    """
+    matrices = []
+
+    def defer(o):
+        if not isinstance(o, SymmetricMatrix):
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        if not np.isfinite(o._entries).all():  # json spells these Infinity/NaN
+            return o.rows()
+        matrices.append(o)
+        return _ROWS_SLOT
+
+    text = json.dumps(obj, indent=2, sort_keys=True, default=defer)
+    if not matrices:
+        return text + "\n"
+    parts = text.split(_QUOTED_ROWS_SLOT)
+    if len(parts) != len(matrices) + 1:
+        raise ValueError("a payload string holds the matrix rows placeholder")
+    pieces = [parts[0]]
+    for matrix, after in zip(matrices, parts[1:]):
+        line = pieces[-1][pieces[-1].rfind("\n") + 1 :]
+        pieces += _rows_pieces(matrix._entries, " " * (len(line) - len(line.lstrip(" "))))
+        pieces.append(after)
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+def _rows_pieces(arr: np.ndarray, pad: str) -> List[str]:
+    """The json.dumps(indent=2) text of arr.tolist(), closing at indent pad,
+    as pieces: one per row plus the brackets between them.  Each entry is
+    formatted once with float.__repr__; where the matrix is bitwise
+    symmetric (0.0 opposite -0.0 is not), a lower entry reuses the string of
+    its mirrored upper entry."""
+    n = arr.shape[0]
+    if n == 0:
+        return ["[]"]
+    mirror = np.array_equal(arr.view(np.uint64), arr.view(np.uint64).T)
+    entry_sep = ",\n" + pad + "    "
+    row_sep = "\n" + pad + "  ],\n" + pad + "  [\n" + pad + "    "
+    pieces = ["[\n" + pad + "  [\n" + pad + "    "]
+    upper = []  # upper[j]: the strings of arr[j, j:]
+    for i in range(n):
+        if mirror:
+            right = list(map(float.__repr__, arr[i, i:].tolist()))
+            upper.append(right)
+            texts = [upper[j][i - j] for j in range(i)]
+            texts += right
+        else:
+            texts = map(float.__repr__, arr[i].tolist())
+        if i:
+            pieces.append(row_sep)
+        pieces.append(entry_sep.join(texts))
+    pieces.append("\n" + pad + "  ]\n" + pad + "]")
+    return pieces
 
 
 def _parse_scalar(value, path: str) -> Fraction:
@@ -207,6 +269,9 @@ def dump_profile(profile: DeltaProfile) -> Dict:
     }
 
 
+_NUMBER_TYPES = {float, int}
+
+
 def parse_matrix(obj, path: str = "$") -> SymmetricMatrix:
     _check_keys(obj, ("dim", "rows"), ("dim", "rows"), path)
     dim = obj["dim"]
@@ -215,22 +280,23 @@ def parse_matrix(obj, path: str = "$") -> SymmetricMatrix:
     rows = obj["rows"]
     if not isinstance(rows, list) or len(rows) != dim:
         raise SchemaError(f"rows must be an array of {dim} arrays", f"{path}.rows")
-    data = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise SchemaError(f"row must hold {dim} numbers", f"{path}.rows[{i}]")
+        if set(map(type, row)) <= _NUMBER_TYPES:
+            continue
         for j, v in enumerate(row):
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise SchemaError(f"expected a number, got {v!r}", f"{path}.rows[{i}][{j}]")
-        data.append([float(v) for v in row])
-    arr = np.array(data, dtype=float).reshape((dim, dim))
+    arr = np.array(rows, dtype=float).reshape((dim, dim))
     if not np.array_equal(arr, arr.T):
         raise SchemaError("matrix is not symmetric", f"{path}.rows")
     return SymmetricMatrix(arr)
 
 
 def dump_matrix(matrix: SymmetricMatrix) -> Dict:
-    return {"dim": matrix.dimension, "rows": matrix.rows()}
+    """{"dim", "rows"} for dump_json, which writes the matrix as its rows."""
+    return {"dim": matrix.dimension, "rows": matrix}
 
 
 def dump_report(report: RealizationReport) -> Dict:

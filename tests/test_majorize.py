@@ -10,13 +10,13 @@ from findiag import (
     DomainError,
     GeometricTail,
     SpectrumSpec,
+    StepSequence,
     Witness,
     canonical_shift,
     check_finite_majorization,
     check_finite_rank_tail,
     delta_range,
     equivalent_form_check,
-    lambda_from_witness,
     lebesgue_check,
     riemann_check,
 )
@@ -39,7 +39,7 @@ def test_witness_validation():
 
 def test_step_sequence_blocks():
     spec = SpectrumSpec((F(0), F(1, 4), F(1, 2), F(1)))
-    lam = lambda_from_witness(spec, Witness((2, 3), 0))
+    lam = StepSequence(spec, Witness((2, 3), 0))
     values = [lam.value(i) for i in range(1, 8)]
     assert values == [F(1, 4), F(1, 4), F(1, 2), F(1, 2), F(1, 2), F(1), F(1)]
     assert lam.value(0) == 0
@@ -226,7 +226,7 @@ def test_finite_rank_tail():
     # total diagonal mass is 1; candidate spectra must match it exactly
     assert check_finite_rank_tail(seq, [F(1, 2), F(1, 2)]) is True
     assert check_finite_rank_tail(seq, [F(3, 4), F(1, 4)]) is True
-    assert check_finite_rank_tail(seq, [F(1, 4), F(3, 4)], nondecreasing=True) is True
+    assert check_finite_rank_tail(seq, [F(1, 4), F(3, 4)]) is True
     assert check_finite_rank_tail(seq, [F(9, 20), F(9, 20), F(1, 10)]) is False
     assert check_finite_rank_tail(seq, [F(1)]) is True
     assert check_finite_rank_tail(seq, [F(2, 3), F(1, 2)]) is False  # totals differ

@@ -166,7 +166,7 @@ def test_witness_rejects_bad_multiplicities():
 def test_matrix_round_trip():
     arr = np.array([[1.0, 0.25], [0.25, 0.5]])
     m = SymmetricMatrix(arr, exact_diagonal=(F(1), F(1, 2)))
-    out = parse_matrix(dump_matrix(m))
+    out = parse_matrix(load_json(dump_json(dump_matrix(m))))
     assert np.array_equal(out.as_array(), arr)
 
 
@@ -174,6 +174,53 @@ def test_matrix_parse_rejects_asymmetry():
     with pytest.raises(SchemaError) as exc:
         parse_matrix({"dim": 2, "rows": [[0.0, 1.0], [0.5, 0.0]]})
     assert "symmetric" in str(exc.value)
+
+
+def test_matrix_parse_rejects_bool_entry_at_its_path():
+    with pytest.raises(SchemaError) as exc:
+        parse_matrix(load_json('{"dim": 2, "rows": [[0.0, 1], [1, true]]}'))
+    assert exc.value.path == "$.rows[1][1]"
+
+
+def _stdlib_text(payload):
+    """What dump_json must write: json.dumps with every matrix as float lists."""
+    def plain(o):
+        if isinstance(o, SymmetricMatrix):
+            return o.as_array().tolist()
+        raise TypeError(type(o).__name__)
+
+    return json.dumps(payload, indent=2, sort_keys=True, default=plain) + "\n"
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        np.zeros((0, 0)),
+        [[0.5]],
+        [[1.0, 0.25], [0.25, -3.0]],
+        [[-0.0, 5e-324, 1e16], [5e-324, 1e-5, -2.5], [1e16, -2.5, -1e-300]],
+        [[0.0, 0.0], [-0.0, 1.0]],  # 0.0 opposite -0.0: no string may be mirrored
+        [[np.inf, 1.0], [1.0, -np.inf]],
+    ],
+)
+def test_matrix_rows_match_stdlib_bytes(rows):
+    m = SymmetricMatrix(rows)
+    assert dump_json(dump_matrix(m)) == _stdlib_text(dump_matrix(m))
+
+
+def test_realize_shaped_payload_matches_stdlib_bytes():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((9, 9)) * 10.0 ** rng.integers(-8, 8, (9, 9))
+    m = SymmetricMatrix(np.triu(a) + np.triu(a, 1).T)
+    payload = {
+        "matrix": dump_matrix(m),
+        "diagonal_exact": ["1/2", "1/4"],
+        "report": {"eigenvalues": [0.5, -1e-17], "within_tolerance": True},
+        "translation": "1/4",
+        "pair": [dump_matrix(SymmetricMatrix([[2.0]])), {"rows": m}],
+    }
+    assert dump_json(payload) == _stdlib_text(payload)
+    assert dump_json(m) == _stdlib_text(m)
 
 
 def test_matrix_parse_rejects_bad_shape():
