@@ -21,7 +21,7 @@ from .construct import (
     realize_truncated,
     verify_realization,
 )
-from .decide import Verdict, _sharing_stats, decide, decide_projection, enumerate_witnesses, witness_bounds
+from .decide import Verdict, _sharing_stats, decide, decide_projection, lebesgue_check
 from .errors import (
     DomainError,
     SchemaError,
@@ -29,9 +29,9 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .explore import emit_region, four_point_region, three_point_spectra, AllOfInterval, RegionSample
-from .majorize import Witness, canonical_shift, equivalent_form_check, riemann_check
+from .majorize import Witness, canonical_shift, riemann_check
 from .scalars import _RATIONAL_RE, format_rational, parse_rational
-from .sequences import DiagonalSequence, SpectrumSpec, divergence_flags, threshold_stats
+from .sequences import DiagonalSequence, SpectrumSpec, divergence_flags
 from .scalars import INF
 from .serialize import (
     dump_decision,
@@ -39,7 +39,6 @@ from .serialize import (
     dump_matrix,
     dump_profile,
     dump_report,
-    dump_sequence,
     dump_witness,
     load_json,
     parse_matrix,
@@ -226,9 +225,9 @@ def _cmd_realize(args) -> int:
 
     flags = divergence_flags(seq)
     if flags.sum_d_infinite and flags.sum_Bd_infinite and spectrum.n >= 1:
-        half = threshold_stats(seq, seq.B / 2)
-        if half.C is not INF and half.D is not INF:
-            if not equivalent_form_check(seq, spectrum, witness):
+        with _sharing_stats(seq) as stats_at:
+            half = stats_at[seq.B / 2]
+            if half.C is not INF and half.D is not INF and not lebesgue_check(seq, spectrum, witness):
                 print(
                     "error: witness fails the feasibility check for this sequence",
                     file=sys.stderr,

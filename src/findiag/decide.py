@@ -56,23 +56,65 @@ def _require_matching_b(seq: DiagonalSequence, spectrum: SpectrumSpec) -> None:
         )
 
 
+def _require_finite(stats: Sequence[ThresholdStats]) -> None:
+    if any(st.C is INF or st.D is INF for st in stats):
+        raise DomainError(
+            "the threshold-statistic form needs finite threshold statistics; "
+            "divergent inputs are feasible without a witness"
+        )
+
+
+def _scaled_trace(half: ThresholdStats, spectrum: SpectrumSpec) -> Tuple[int, int, List[int]]:
+    """The trace equation C(B/2) − D(B/2) = Σ A_j N_j + kB in integers.
+
+    With B, the gap C(B/2) − D(B/2) and the A_j scaled by the lcm of their
+    denominators, N admits an integer k iff (qgap − Σ_j qa_j·N_j) % qB == 0.
+    The congruence holds at any threshold once it holds at one, since C − D
+    moves by exact multiples of B as the threshold crosses entries.
+    """
+    _require_finite((half,))
+    values = (spectrum.B, half.C - half.D, *spectrum.interior)
+    Q = math.lcm(*(x.denominator for x in values))
+    qB, qgap, *qa = (x.numerator * (Q // x.denominator) for x in values)
+    return qB, qgap, qa
+
+
+def _scaled_mass_bounds(
+    stats: Sequence[ThresholdStats], spectrum: SpectrumSpec
+) -> Tuple[List[List[int]], List[int]]:
+    """The mass bounds of the threshold-statistic form in integers.
+
+    For each r, N must satisfy
+      (B−A_r)·Σ_{j≤r} A_j N_j + A_r·Σ_{j>r} (B−A_j) N_j ≤ (B−A_r)·C(A_r) + A_r·D(A_r),
+    that is Σ_j qw[r][j]·N_j ≤ qcap[r], with B, the A_j and the statistics
+    at the interior points (looked up in stats by α) scaled by the lcm Q of
+    their denominators (each side by Q²).  Every qw[r][j] is positive.
+    """
+    by_alpha = {st.alpha: st for st in stats}
+    at = [by_alpha[a] for a in spectrum.interior]
+    _require_finite(at)
+    n = spectrum.n
+    values = (spectrum.B, *spectrum.interior, *(st.C for st in at), *(st.D for st in at))
+    Q = math.lcm(*(x.denominator for x in values))
+    qB, *scaled = (x.numerator * (Q // x.denominator) for x in values)
+    qa, qC, qD = scaled[:n], scaled[n : 2 * n], scaled[2 * n :]
+    qw = [
+        [(qB - ar) * aj if j <= r else ar * (qB - aj) for j, aj in enumerate(qa)]
+        for r, ar in enumerate(qa)
+    ]
+    qcap = [(qB - a) * c + a * d for a, c, d in zip(qa, qC, qD)]
+    return qw, qcap
+
+
 def witness_bounds(stats: Sequence[ThresholdStats], spectrum: SpectrumSpec) -> Tuple[int, ...]:
     """Per-coordinate caps on candidate multiplicities.
 
-    Dropping all but the j-th term from the r=j mass bound gives
-    N_j ≤ ((B−A_j)·C(A_j) + A_j·D(A_j)) / ((B−A_j)·A_j); any witness violating
-    this fails the mass bound at r=j.  Requires finite statistics.
+    Dropping all but the j-th term from the r=j mass bound (_scaled_mass_bounds)
+    gives N_j ≤ ((B−A_j)·C(A_j) + A_j·D(A_j)) / ((B−A_j)·A_j); any witness
+    violating this fails the mass bound at r=j.  Requires finite statistics.
     """
-    B = spectrum.B
-    by_alpha = {st.alpha: st for st in stats}
-    bounds = []
-    for a in spectrum.interior:
-        st = by_alpha[a]
-        if st.C is INF or st.D is INF:
-            raise DomainError("witness bounds need finite threshold statistics")
-        cap = ((B - a) * st.C + a * st.D) / ((B - a) * a)
-        bounds.append(math.floor(cap))
-    return tuple(bounds)
+    qw, qcap = _scaled_mass_bounds(stats, spectrum)
+    return tuple(cap // row[j] for j, (row, cap) in enumerate(zip(qw, qcap)))
 
 
 class _StatsTable(dict):
@@ -125,48 +167,50 @@ def _stats_for(stats_at: _StatsTable, spectrum: SpectrumSpec) -> Tuple[Threshold
     return tuple(stats_at[a] for a in alphas)
 
 
+def lebesgue_check(seq: DiagonalSequence, spectrum: SpectrumSpec, witness: Witness) -> bool:
+    """Decide interior majorization from threshold statistics alone.
+
+    True iff witness.N satisfies the trace congruence (_scaled_trace) and
+    every mass bound (_scaled_mass_bounds), the system that
+    enumerate_witnesses searches.  witness.k is ignored: k is determined by
+    the trace equation.  The partial-sum form is riemann_check.
+    """
+    _require_matching_b(seq, spectrum)
+    if len(witness.N) != spectrum.n:
+        raise DomainError("witness length does not match the spectrum")
+    N = witness.N
+    table = _stats_table(seq)
+    qB, qgap, qa = _scaled_trace(table[spectrum.B / 2], spectrum)
+    if (qgap - sum(a * nj for a, nj in zip(qa, N))) % qB:
+        return False
+    qw, qcap = _scaled_mass_bounds(_stats_for(table, spectrum), spectrum)
+    return all(sum(w * nj for w, nj in zip(row, N)) <= cap for row, cap in zip(qw, qcap))
+
+
 def enumerate_witnesses(
     seq: DiagonalSequence, spectrum: SpectrumSpec, workers: int = 1
 ) -> List[Witness]:
     """All witnesses within the multiplicity bounds, in lexicographic N order.
 
-    N is kept iff C(B/2) − D(B/2) − Σ A_j N_j = kB for an integer k and every
-    mass bound of equivalent_form_check holds.  The bounds have positive
-    coefficients, so a depth-first search over N_1, N_2, … stops each
-    coordinate at the largest value that still fits with all later N_j = 1
-    (Fincke–Pohst pruning); coordinates i.. can balance only multiples of
-    gcd(A_i, …, A_n, B), so each runs over one arithmetic progression.  The
-    search is exact in integers scaled once and exhaustive over the box of
-    witness_bounds; ``workers`` is accepted and ignored.
+    N is kept iff it passes the trace congruence and every mass bound of
+    lebesgue_check.  The bounds have positive coefficients, so a depth-first
+    search over N_1, N_2, … stops each coordinate at the largest value that
+    still fits with all later N_j = 1 (Fincke–Pohst pruning); coordinates
+    i.. can balance only multiples of gcd(A_i, …, A_n, B), so each runs over
+    one arithmetic progression.  The search is exact in integers scaled once
+    and exhaustive over the box of witness_bounds; ``workers`` is accepted
+    and ignored.
     """
     _require_matching_b(seq, spectrum)
     if spectrum.n == 0:
         raise DomainError("witness enumeration needs at least one interior spectrum point")
     table = _stats_table(seq)
-    stats = _stats_for(table, spectrum)
-    half = stats[0]
-    if half.C is INF or half.D is INF:
-        raise DomainError(
-            "witness enumeration needs finite threshold statistics; divergent "
-            "inputs are feasible without a witness"
-        )
+    qB, qgap, qa = _scaled_trace(table[spectrum.B / 2], spectrum)
     bounds = table.bounds(spectrum)
     if any(b < 1 for b in bounds):
         return []
-    by_alpha = {st.alpha: st for st in stats}
+    qw, qcap = _scaled_mass_bounds(_stats_for(table, spectrum), spectrum)
     n = spectrum.n
-    at = [by_alpha[a] for a in spectrum.interior]
-    values = (spectrum.B, half.C - half.D, *spectrum.interior)
-    values += tuple(st.C for st in at) + tuple(st.D for st in at)
-    Q = math.lcm(*(x.denominator for x in values))
-    qB, qgap, *scaled = (x.numerator * (Q // x.denominator) for x in values)
-    qa, qC, qD = scaled[:n], scaled[n : 2 * n], scaled[2 * n :]
-    # mass bound r, scaled by Q²: Σ_j qw[r][j]·N_j ≤ qcap[r]
-    qw = [
-        [(qB - ar) * aj if j <= r else ar * (qB - aj) for j, aj in enumerate(qa)]
-        for r, ar in enumerate(qa)
-    ]
-    qcap = [(qB - a) * c + a * d for a, c, d in zip(qa, qC, qD)]
 
     # coordinates i.. can balance exactly the multiples of g[i]
     g = [qB] * (n + 1)

@@ -1,19 +1,22 @@
 """Majorization predicates: finite Schur-Horn, finite-rank tails, and the
-two interior-majorization forms for doubly infinite diagonals.
+partial-sum form of interior majorization for doubly infinite diagonals.
 
-The interior forms compare a nondecreasing ℤ-indexed arrangement of the
-diagonal against a step sequence taking each spectrum value on a block of
-indices.  Both are decided in exact rational arithmetic: the limit condition
-reduces to a closed-form trace residual, and the partial-sum condition needs
-checking only on a finite index window.
+The partial-sum (Riemann) form compares a nondecreasing ℤ-indexed
+arrangement of the diagonal against a step sequence taking each spectrum
+value on a block of indices.  It is decided in exact rational arithmetic:
+the limit condition reduces to a closed-form trace residual, and the
+partial-sum condition needs checking only on a finite index window.  The
+threshold-statistic (Lebesgue) form is decide.lebesgue_check, written once
+in integers and shared with the witness search.  The two forms are written
+independently; riemann_check at canonical_shift agrees with it on every
+input.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 from .errors import DomainError
 from .scalars import INF
@@ -22,7 +25,6 @@ from .sequences import (
     DivergentTail,
     GeometricTail,
     SpectrumSpec,
-    count_range,
     threshold_stats,
 )
 
@@ -318,84 +320,6 @@ def canonical_shift(
         return None
     m_split = _ZLayout(seq).largest_index_below(alpha)
     return m_split - sum(N) - int(k0)
-
-
-# --------------------------------------------------------------------------
-# Interior majorization, threshold-statistics (Lebesgue) form
-# --------------------------------------------------------------------------
-
-def lebesgue_check(seq: DiagonalSequence, spectrum: SpectrumSpec, witness: Witness) -> bool:
-    """Decide interior majorization from threshold statistics alone.
-
-    Needs an integer k_0 with C(A_n) − D(A_n) = Σ A_j N_j + k_0 B, and for
-    each r the mass bound
-      C(A_r) ≥ Σ_{j≤r} A_j N_j + A_r·(k_0 − |{i : A_r ≤ d_i < A_n}| + Σ_{j>r} N_j).
-    witness.k is ignored: k_0 is determined by the trace equation.
-    """
-    if seq.B != spectrum.B:
-        raise DomainError(f"sequence B={seq.B} differs from spectrum B={spectrum.B}")
-    if len(witness.N) != spectrum.n:
-        raise DomainError("witness length does not match the spectrum")
-    alpha = _split_alpha(spectrum)
-    stats = _finite_stats(seq, alpha)
-    weighted = _weighted_sum(spectrum, witness.N)
-    k0 = (stats.C - stats.D - weighted) / seq.B
-    if k0.denominator != 1:
-        return False
-    n = spectrum.n
-    a_top = spectrum.points[-2] if n >= 1 else None
-    for r in range(1, n + 1):
-        a_r = spectrum.points[r]
-        c_r = _finite_stats(seq, a_r).C
-        inner = count_range(seq, a_r, a_top)
-        rhs = _weighted_sum(spectrum, witness.N[:r]) + a_r * (
-            k0 - inner + sum(witness.N[r:])
-        )
-        if c_r < rhs:
-            return False
-    return True
-
-
-def equivalent_form_check(
-    seq: DiagonalSequence, spectrum: SpectrumSpec, witness: Witness
-) -> bool:
-    """The same predicate in its threshold-symmetric form; agrees with
-    lebesgue_check on every input.
-
-    Trace: C(B/2) − D(B/2) ≡ Σ A_j N_j (mod B) — equivalent at any threshold
-    since C − D moves by exact multiples of B as the threshold crosses
-    entries.  Mass bounds, for each r:
-      (B−A_r)·C(A_r) + A_r·D(A_r) ≥ (B−A_r)·Σ_{j≤r} A_j N_j + A_r·Σ_{j>r} (B−A_j) N_j.
-    """
-    if seq.B != spectrum.B:
-        raise DomainError(f"sequence B={seq.B} differs from spectrum B={spectrum.B}")
-    if len(witness.N) != spectrum.n:
-        raise DomainError("witness length does not match the spectrum")
-    half = _finite_stats(seq, seq.B / 2)
-    stats_at = {
-        a: _finite_stats(seq, a) for a in spectrum.interior
-    }
-    return _equivalent_form(half, stats_at, spectrum, witness.N)
-
-
-def _equivalent_form(half_stats, stats_at, spectrum: SpectrumSpec, N: Sequence[int]) -> bool:
-    """Core of equivalent_form_check against precomputed statistics."""
-    B = spectrum.B
-    k = (half_stats.C - half_stats.D - _weighted_sum(spectrum, N)) / B
-    if k.denominator != 1:
-        return False
-    points = spectrum.points
-    for r in range(1, spectrum.n + 1):
-        a_r = points[r]
-        st = stats_at[a_r]
-        lhs = (B - a_r) * st.C + a_r * st.D
-        rhs = (B - a_r) * _weighted_sum(spectrum, N[:r]) + a_r * sum(
-            ((B - points[j]) * N[j - 1] for j in range(r + 1, spectrum.n + 1)),
-            Fraction(0),
-        )
-        if lhs < rhs:
-            return False
-    return True
 
 
 # --------------------------------------------------------------------------

@@ -6,12 +6,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .construct import RealizationReport, SymmetricMatrix
-from .decide import Decision, Verdict
+from .decide import Decision
 from .errors import DomainError, SchemaError
 from .majorize import DeltaProfile, Witness
 from .scalars import INF, format_rational, parse_rational
@@ -289,6 +289,9 @@ def parse_matrix(obj, path: str = "$") -> SymmetricMatrix:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise SchemaError(f"expected a number, got {v!r}", f"{path}.rows[{i}][{j}]")
     arr = np.array(rows, dtype=float).reshape((dim, dim))
+    if not np.isfinite(arr).all():
+        i, j = np.argwhere(~np.isfinite(arr))[0]
+        raise SchemaError(f"expected a finite number, got {rows[i][j]!r}", f"{path}.rows[{i}][{j}]")
     if not np.array_equal(arr, arr.T):
         raise SchemaError("matrix is not symmetric", f"{path}.rows")
     return SymmetricMatrix(arr)

@@ -200,6 +200,16 @@ def test_verify_failure_exits_one(capsys, tmp_path):
     assert json.loads(out)["within_tolerance"] is False
 
 
+@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
+def test_verify_non_finite_entry_exits_64(capsys, tmp_path, value):
+    mat = tmp_path / "m.json"
+    mat.write_text('{"dim": 2, "rows": [[%s, 0.0], [0.0, 1.0]]}' % value)
+    code, out, err = run(capsys, "verify", "--matrix", str(mat), "--spectrum", "0,1/2,1")
+    assert code == 64
+    assert out == ""
+    assert "--matrix.rows[0][0]" in err
+
+
 def test_verify_diag_override(capsys, tmp_path):
     mat = tmp_path / "m.json"
     mat.write_text(json.dumps({"dim": 2, "rows": [[0.5, 0.0], [0.0, 1.0]]}))

@@ -6,7 +6,9 @@ from random import Random
 import pytest
 
 from findiag import (
+    INF,
     DiagonalSequence,
+    DivergentTail,
     DomainError,
     GeometricTail,
     SpectrumSpec,
@@ -15,10 +17,11 @@ from findiag import (
     canonical_shift,
     check_finite_majorization,
     check_finite_rank_tail,
+    count_range,
     delta_range,
-    equivalent_form_check,
     lebesgue_check,
     riemann_check,
+    threshold_stats,
 )
 
 from conftest import random_sequence, random_spectrum, robin_hood_pair
@@ -62,6 +65,17 @@ def test_lebesgue_frozen_dyadic(dyadic):
     assert lebesgue_check(dyadic, spec, Witness((3,), 0)) is True  # equality case
     assert lebesgue_check(dyadic, spec, Witness((5,), 0)) is False
     assert lebesgue_check(dyadic, spec, Witness((2,), 0)) is False  # k0 not an integer
+
+
+def test_lebesgue_rejects_malformed_input(dyadic):
+    spec = SpectrumSpec((F(0), F(1, 2), F(1)))
+    with pytest.raises(DomainError):  # spectrum endpoint B differs from the sequence's
+        lebesgue_check(dyadic, SpectrumSpec((F(0), F(1, 2), F(2))), Witness((1,), 0))
+    with pytest.raises(DomainError):  # two multiplicities for one interior point
+        lebesgue_check(dyadic, spec, Witness((1, 1), 0))
+    divergent = DiagonalSequence(B=F(1), explicit=(F(1, 2),), zero_tail=DivergentTail(), b_count=INF)
+    with pytest.raises(DomainError):  # C is infinite at every threshold
+        lebesgue_check(divergent, spec, Witness((1,), 0))
 
 
 def test_canonical_shift_frozen(dyadic):
@@ -111,8 +125,6 @@ def test_delta_range_wide_window(dyadic):
 def _planted_instance(rng: Random):
     """A feasible (seq, spec, N) built by Robin-Hood-perturbing the step
     arrangement itself, so the partial-sum test is known to pass."""
-    from findiag import INF
-
     B = rng.choice([F(1), F(2), F(3, 2)])
     spec = random_spectrum(rng, B)
     N = tuple(rng.randint(1, 3) for _ in spec.interior)
@@ -147,8 +159,6 @@ def test_riemann_window_reduction_is_sound():
 def test_anti_transfer_breaks_majorization():
     """Moving any mass from a smaller entry to a larger one in the pure step
     arrangement drives some partial sum negative."""
-    from findiag import INF
-
     rng = Random(32)
     for _ in range(60):
         B = rng.choice([F(1), F(2)])
@@ -190,14 +200,45 @@ def test_riemann_equals_lebesgue_randomized():
             assert ok == leb, f"trial {trial}: riemann {ok} != lebesgue {leb}"
 
 
+def anchored_lebesgue(seq, spec, N):
+    """Test-only oracle: the threshold-statistic form anchored at A_n.
+
+    Needs an integer k_0 with C(A_n) − D(A_n) = Σ A_j N_j + k_0 B, and for
+    each r the mass bound
+      C(A_r) ≥ Σ_{j≤r} A_j N_j + A_r·(k_0 − |{i : A_r ≤ d_i < A_n}| + Σ_{j>r} N_j).
+    """
+    pts, a_top = spec.points, spec.points[-2]
+    top = threshold_stats(seq, a_top)
+    k0 = (top.C - top.D - sum(a * nj for a, nj in zip(spec.interior, N))) / spec.B
+    if k0.denominator != 1:
+        return False
+    for r in range(1, spec.n + 1):
+        a_r = pts[r]
+        lower = sum(a * nj for a, nj in zip(spec.interior[:r], N))
+        rhs = lower + a_r * (k0 - count_range(seq, a_r, a_top) + sum(N[r:]))
+        if threshold_stats(seq, a_r).C < rhs:
+            return False
+    return True
+
+
 def test_equivalent_form_matches_lebesgue():
+    """lebesgue_check (trace at B/2, symmetric mass bounds) agrees with the
+    form anchored at A_n, on random sequences and on feasible and
+    near-feasible planted instances."""
     rng = Random(91)
-    for _ in range(200):
-        seq = random_sequence(rng)
-        spec = random_spectrum(rng, seq.B)
-        N = tuple(rng.randint(1, 4) for _ in spec.interior)
-        w = Witness(N, 0)
-        assert equivalent_form_check(seq, spec, w) == lebesgue_check(seq, spec, w)
+    verdicts = []
+    for trial in range(300):
+        if trial % 3:
+            seq = random_sequence(rng)
+            spec = random_spectrum(rng, seq.B)
+            N = tuple(rng.randint(1, 4) for _ in spec.interior)
+        else:
+            seq, spec, N = _planted_instance(rng)
+            N = tuple(nj + rng.choice((0, 0, 1)) for nj in N)
+        got = lebesgue_check(seq, spec, Witness(N, 0))
+        assert got == anchored_lebesgue(seq, spec, N), (seq, spec, N)
+        verdicts.append(got)
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
 
 
 def test_finite_majorization_examples():
@@ -233,8 +274,6 @@ def test_finite_rank_tail():
 
 
 def test_finite_rank_tail_rejects_divergent_side():
-    from findiag import INF
-
     seq = DiagonalSequence(B=F(1), explicit=(F(1, 2),), b_count=INF)
     with pytest.raises(DomainError):
         check_finite_rank_tail(seq, [F(1, 2)])

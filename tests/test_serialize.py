@@ -182,6 +182,20 @@ def test_matrix_parse_rejects_bool_entry_at_its_path():
     assert exc.value.path == "$.rows[1][1]"
 
 
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        ('[[Infinity, 0.0], [0.0, 1.0]]', "$.rows[0][0]"),
+        ('[[0.0, -Infinity], [-Infinity, 1.0]]', "$.rows[0][1]"),
+        ('[[0.0, 0.0], [0.0, NaN]]', "$.rows[1][1]"),
+    ],
+)
+def test_matrix_parse_rejects_non_finite_entry_at_its_path(text, path):
+    with pytest.raises(SchemaError) as exc:
+        parse_matrix(load_json('{"dim": 2, "rows": %s}' % text))
+    assert exc.value.path == path
+
+
 def _stdlib_text(payload):
     """What dump_json must write: json.dumps with every matrix as float lists."""
     def plain(o):

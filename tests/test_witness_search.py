@@ -1,10 +1,11 @@
 """The witness search against a box-scan oracle, on a seeded corpus with planted witnesses.
 
 The oracle tests every point of the witness_bounds box with exact Fraction
-arithmetic: the trace equation through _weighted_sum and the mass bounds
-through _equivalent_form.  Randomly drawn instances are feasible only rarely,
-so most of the corpus plants a witness N* by adding one explicit entry that
-moves C(B/2) − D(B/2) onto Σ A_j N*_j modulo B.
+arithmetic: the trace equation and the mass bounds (mass_bound_holds) are
+written out here, independently of the package.  Randomly drawn instances
+are feasible only rarely, so most of the corpus plants a witness N* by
+adding one explicit entry that moves C(B/2) − D(B/2) onto Σ A_j N*_j
+modulo B.
 """
 
 import math
@@ -20,7 +21,6 @@ from findiag import (
     threshold_stats,
     witness_bounds,
 )
-from findiag.majorize import _equivalent_form, _weighted_sum
 
 from conftest import random_fraction, random_spectrum
 
@@ -28,31 +28,44 @@ F = Fraction
 MAX_BOX = 2500
 
 
+def weighted(spectrum, N):
+    """Σ A_j N_j over the first len(N) interior points."""
+    return sum((a * nj for a, nj in zip(spectrum.interior, N)), F(0))
+
+
+def interior_stats(seq, spectrum):
+    return {a: threshold_stats(seq, a) for a in spectrum.interior}
+
+
+def mass_bound_holds(stats_at, spectrum, N, r):
+    """Mass bound r (1-based) of the threshold form, for any N, from the
+    statistics at the interior points."""
+    B, pts = spectrum.B, spectrum.points
+    a_r = pts[r]
+    st = stats_at[a_r]
+    lhs = (B - a_r) * st.C + a_r * st.D
+    rhs = (B - a_r) * weighted(spectrum, N[:r]) + a_r * sum(
+        ((B - pts[j]) * N[j - 1] for j in range(r + 1, spectrum.n + 1)), F(0)
+    )
+    return rhs <= lhs
+
+
 def box_scan(seq, spectrum):
     """Every N in the witness_bounds box that passes the trace equation and
     the mass bounds, in lexicographic order."""
     B = spectrum.B
     half = threshold_stats(seq, B / 2)
-    stats_at = {a: threshold_stats(seq, a) for a in spectrum.interior}
+    gap = half.C - half.D
+    stats_at = interior_stats(seq, spectrum)
     bounds = witness_bounds(list(stats_at.values()), spectrum)
     out = []
     for N in product(*(range(1, b + 1) for b in bounds)):
-        k = (half.C - half.D - _weighted_sum(spectrum, N)) / B
-        if k.denominator == 1 and _equivalent_form(half, stats_at, spectrum, N):
+        k = (gap - weighted(spectrum, N)) / B
+        if k.denominator == 1 and all(
+            mass_bound_holds(stats_at, spectrum, N, r) for r in range(1, spectrum.n + 1)
+        ):
             out.append(Witness(N, int(k)))
     return out
-
-
-def mass_bound_holds(seq, spectrum, N, r):
-    """Mass bound r (1-based) of the threshold form, for any N."""
-    B, pts = spectrum.B, spectrum.points
-    a_r = pts[r]
-    st = threshold_stats(seq, a_r)
-    lhs = (B - a_r) * st.C + a_r * st.D
-    rhs = (B - a_r) * _weighted_sum(spectrum, N[:r]) + a_r * sum(
-        (B - pts[j]) * N[j - 1] for j in range(r + 1, spectrum.n + 1)
-    )
-    return rhs <= lhs
 
 
 def _instance(rng, n, kind):
@@ -77,7 +90,7 @@ def _instance(rng, n, kind):
         return seq, spectrum, planted
     if kind == "planted":
         planted = tuple(rng.randint(1, 2) for _ in range(n))
-        target = _weighted_sum(spectrum, planted)
+        target = weighted(spectrum, planted)
     else:
         target = B / 97
     v = (target - (half.C - half.D)) % B
@@ -116,8 +129,9 @@ def test_lattice_search_matches_box_scan():
         if kind == "off":
             assert got == []
             off += 1
+        stats_at = interior_stats(seq, spectrum)
         if planted is not None and all(
-            mass_bound_holds(seq, spectrum, planted, r) for r in range(1, spectrum.n + 1)
+            mass_bound_holds(stats_at, spectrum, planted, r) for r in range(1, spectrum.n + 1)
         ):
             assert planted in [w.N for w in got]
     assert sum(nonempty.values()) >= 50
@@ -130,13 +144,13 @@ def test_bounds_are_sound():
     witness lies outside the box."""
     checked = 0
     for seq, spectrum, _, _ in _corpus(seed=7, per_n=12):
-        stats = [threshold_stats(seq, a) for a in spectrum.interior]
-        bounds = witness_bounds(stats, spectrum)
+        stats_at = interior_stats(seq, spectrum)
+        bounds = witness_bounds(list(stats_at.values()), spectrum)
         if min(bounds) < 1:
             continue
         for j in range(spectrum.n):
             N = bounds[:j] + (bounds[j] + 1,) + bounds[j + 1 :]
-            assert not mass_bound_holds(seq, spectrum, N, j + 1)
+            assert not mass_bound_holds(stats_at, spectrum, N, j + 1)
             checked += 1
     assert checked >= 30
 
