@@ -8,6 +8,7 @@ rejected by the feasibility check before realization, 70 other errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -374,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="shift a spectrum not starting at 0 (and the sequence) to [0, B]",
             )
-        p.add_argument("--workers", type=_worker_count, default=1, help="explore worker processes")
+        p.add_argument("--workers", type=_worker_count, default=1, help="accepted and ignored")
 
     p = sub.add_parser("decide", help="full feasibility decision")
     common(p)
@@ -433,9 +434,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process; parsing leaves a parser unchanged."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SchemaError as exc:

@@ -82,14 +82,9 @@ def _scaled_trace(half: ThresholdStats, spectrum: SpectrumSpec) -> Tuple[int, in
 def _scaled_mass_bounds(
     stats: Sequence[ThresholdStats], spectrum: SpectrumSpec
 ) -> Tuple[List[List[int]], List[int]]:
-    """The mass bounds of the threshold-statistic form in integers.
-
-    For each r, N must satisfy
-      (B−A_r)·Σ_{j≤r} A_j N_j + A_r·Σ_{j>r} (B−A_j) N_j ≤ (B−A_r)·C(A_r) + A_r·D(A_r),
-    that is Σ_j qw[r][j]·N_j ≤ qcap[r], with B, the A_j and the statistics
-    at the interior points (looked up in stats by α) scaled by the lcm Q of
-    their denominators (each side by Q²).  Every qw[r][j] is positive.
-    """
+    """The mass bounds of the threshold-statistic form in integers (_mass_bounds),
+    with B, the A_j and the statistics at the interior points (looked up in
+    stats by α) scaled by the lcm of their denominators."""
     by_alpha = {st.alpha: st for st in stats}
     at = [by_alpha[a] for a in spectrum.interior]
     _require_finite(at)
@@ -97,7 +92,18 @@ def _scaled_mass_bounds(
     values = (spectrum.B, *spectrum.interior, *(st.C for st in at), *(st.D for st in at))
     Q = math.lcm(*(x.denominator for x in values))
     qB, *scaled = (x.numerator * (Q // x.denominator) for x in values)
-    qa, qC, qD = scaled[:n], scaled[n : 2 * n], scaled[2 * n :]
+    return _mass_bounds(qB, scaled[:n], scaled[n : 2 * n], scaled[2 * n :])
+
+
+def _mass_bounds(
+    qB: int, qa: Sequence[int], qC: Sequence[int], qD: Sequence[int]
+) -> Tuple[List[List[int]], List[int]]:
+    """For each r, N must satisfy
+      (B−A_r)·Σ_{j≤r} A_j N_j + A_r·Σ_{j>r} (B−A_j) N_j ≤ (B−A_r)·C(A_r) + A_r·D(A_r),
+    that is Σ_j qw[r][j]·N_j ≤ qcap[r], given B, the A_j and C, D at the A_j
+    as integers in one scale Q (each side then scales by Q²).  Every
+    qw[r][j] is positive.
+    """
     qw = [
         [(qB - ar) * aj if j <= r else ar * (qB - aj) for j, aj in enumerate(qa)]
         for r, ar in enumerate(qa)
@@ -106,15 +112,19 @@ def _scaled_mass_bounds(
     return qw, qcap
 
 
+def _box(qw: List[List[int]], qcap: List[int]) -> Tuple[int, ...]:
+    """Per-coordinate caps: the r=j mass bound with every other N_i dropped."""
+    return tuple(cap // row[j] for j, (row, cap) in enumerate(zip(qw, qcap)))
+
+
 def witness_bounds(stats: Sequence[ThresholdStats], spectrum: SpectrumSpec) -> Tuple[int, ...]:
     """Per-coordinate caps on candidate multiplicities.
 
-    Dropping all but the j-th term from the r=j mass bound (_scaled_mass_bounds)
+    Dropping all but the j-th term from the r=j mass bound (_mass_bounds)
     gives N_j ≤ ((B−A_j)·C(A_j) + A_j·D(A_j)) / ((B−A_j)·A_j); any witness
     violating this fails the mass bound at r=j.  Requires finite statistics.
     """
-    qw, qcap = _scaled_mass_bounds(stats, spectrum)
-    return tuple(cap // row[j] for j, (row, cap) in enumerate(zip(qw, qcap)))
+    return _box(*_scaled_mass_bounds(stats, spectrum))
 
 
 class _StatsTable(dict):
@@ -193,13 +203,8 @@ def enumerate_witnesses(
     """All witnesses within the multiplicity bounds, in lexicographic N order.
 
     N is kept iff it passes the trace congruence and every mass bound of
-    lebesgue_check.  The bounds have positive coefficients, so a depth-first
-    search over N_1, N_2, … stops each coordinate at the largest value that
-    still fits with all later N_j = 1 (Fincke–Pohst pruning); coordinates
-    i.. can balance only multiples of gcd(A_i, …, A_n, B), so each runs over
-    one arithmetic progression.  The search is exact in integers scaled once
-    and exhaustive over the box of witness_bounds; ``workers`` is accepted
-    and ignored.
+    lebesgue_check; the search is _lattice_search over the box of
+    witness_bounds.  ``workers`` is accepted and ignored.
     """
     _require_matching_b(seq, spectrum)
     if spectrum.n == 0:
@@ -210,8 +215,24 @@ def enumerate_witnesses(
     if any(b < 1 for b in bounds):
         return []
     qw, qcap = _scaled_mass_bounds(_stats_for(table, spectrum), spectrum)
-    n = spectrum.n
+    return _lattice_search(qB, qgap, qa, qw, qcap, bounds)
 
+
+def _lattice_search(
+    qB: int, qgap: int, qa: Sequence[int], qw: List[List[int]], qcap: List[int], bounds: Sequence[int]
+) -> List[Witness]:
+    """Every N ≥ 1 inside bounds with (qgap − Σ_j qa_j·N_j) % qB == 0 and
+    Σ_j qw[r][j]·N_j ≤ qcap[r] for every r, as Witness(N, k) with k the
+    quotient, in lexicographic N order.  The trace and the mass bounds may
+    be scaled by different factors.
+
+    The bounds have positive coefficients, so a depth-first search over N_1,
+    N_2, … stops each coordinate at the largest value that still fits with
+    all later N_j = 1 (Fincke–Pohst pruning); coordinates i.. can balance
+    only multiples of gcd(A_i, …, A_n, B), so each runs over one arithmetic
+    progression.
+    """
+    n = len(qa)
     # coordinates i.. can balance exactly the multiples of g[i]
     g = [qB] * (n + 1)
     for i in reversed(range(n)):

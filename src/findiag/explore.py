@@ -4,19 +4,18 @@ fixed diagonal sequence and map out the feasible region."""
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, List, Optional, Sequence, Union
+from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from .decide import _sharing_stats, _stats_table, decide
+from .decide import _box, _lattice_search, _mass_bounds, _sharing_stats, _stats_table
 from .errors import DomainError
 from .scalars import INF, format_rational
 from .sequences import (
     DiagonalSequence,
     GeometricTail,
-    SpectrumSpec,
     divergence_flags,
+    materialize_tails,
 )
 
 
@@ -103,40 +102,21 @@ def candidate_multiplicity_bound(seq: DiagonalSequence) -> int:
         N += 1
 
 
-def _map_chunks(fn, head: tuple, items: list, workers: int) -> list:
-    """fn((*head, chunk)) over contiguous chunks of items, concatenated in
-    order: in this process for one worker, else one chunk per process."""
-    workers = max(1, min(workers, len(items)))
-    if workers == 1:
-        return fn((*head, items))
-    step = -(-len(items) // workers)
-    chunks = [(*head, items[i : i + step]) for i in range(0, len(items), step)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [row for part in pool.map(fn, chunks) for row in part]
-
-
-def _confirm_chunk(args) -> List[Fraction]:
-    seq, candidates = args
-    out = []
-    with _sharing_stats(seq) as stats_at:
-        for a in candidates:
-            if decide(seq, SpectrumSpec((Fraction(0), a, seq.B))).feasible:
-                out.append(a)
-            if a != seq.B / 2:  # no other candidate repeats: keep the table at B/2
-                del stats_at[a]
-    return out
-
-
 def three_point_spectra(
     seq: DiagonalSequence, n_max: Optional[int] = None, workers: int = 1
 ) -> Union[AllOfInterval, FrozenSet[Fraction]]:
     """The exact set of interior points A making {0, A, B} feasible.
 
     Returns AllOfInterval when a statistic at B/2 diverges (then every A
-    works).  Otherwise candidates A = (C − D − kB)/N for N up to the
-    multiplicity cap are confirmed individually, so the returned set is
-    exact — no tolerance, no sampling.  n_max overrides the scanned cap.
-    All decisions share one statistics table per process.
+    works).  Otherwise the candidates are A = (C − D − kB)/N for N up to the
+    multiplicity cap (n_max overrides it), so the returned set is exact: no
+    tolerance, no sampling.  For {0, A, B} the system has one congruence,
+    N·A ≡ C(B/2) − D(B/2) (mod B), and one mass bound,
+    N·A·(B−A) ≤ (B−A)·C(A) + A·D(A), which grows with N; so A is feasible
+    iff the smallest N in its congruence class, the first N that produces
+    A, meets the bound.  One sorted sweep over the candidates carries C(A)
+    and D(A) as running sums past the explicit entries, and every test is
+    an integer comparison.  ``workers`` is accepted and ignored.
     """
     flags = divergence_flags(seq)
     if not (flags.sum_d_infinite and flags.sum_Bd_infinite):
@@ -147,49 +127,106 @@ def three_point_spectra(
         half = stats_at[seq.B / 2]
         if half.C is INF or half.D is INF:
             return AllOfInterval(seq.B)
-        B = seq.B
-        cmd = half.C - half.D
         cap = n_max if n_max is not None else candidate_multiplicity_bound(seq)
-        if cap < 1:
-            raise DomainError(f"multiplicity cap must be ≥ 1, got {cap}")
+    if cap < 1:
+        raise DomainError(f"multiplicity cap must be ≥ 1, got {cap}")
 
-        candidates = set()
-        ratio = cmd / B
-        for N in range(1, cap + 1):
-            k_lo = math.floor(ratio - N) + 1
-            k_hi = math.ceil(ratio) - 1
-            for k in range(k_lo, k_hi + 1):
-                candidates.add((cmd - k * B) / N)
-
-        return frozenset(_map_chunks(_confirm_chunk, (seq,), sorted(candidates), workers))
-
-
-def _region_chunk(args) -> List[RegionSample]:
-    seq, grid, ps = args
     B = seq.B
-    out = []
-    with _sharing_stats(seq):
-        for p in ps:
-            a1 = Fraction(p, grid) * B
-            for r in range(p + 1, grid):
-                a2 = Fraction(r, grid) * B
-                decision = decide(seq, SpectrumSpec((Fraction(0), a1, a2, B)))
-                out.append(
-                    RegionSample(a1, a2, decision.feasible, len(decision.witnesses))
-                )
-    return out
+    cmd = half.C - half.D
+    Q = math.lcm(B.denominator, cmd.denominator)
+    qB, qgap = B.numerator * (Q // B.denominator), cmd.numerator * (Q // cmd.denominator)
+    # A·Q = m/N with m ≡ qgap (mod qB) and 0 < m < N·qB.  The key
+    # A·Q·L = m·(L/N), L = lcm(1, …, cap), is an exact integer: equal
+    # abscissae share a key and keys sort as the abscissae do.
+    L = math.lcm(*range(1, cap + 1))
+    m0 = qgap % qB or qB
+    first = {}
+    for N in range(1, cap + 1):
+        per = L // N
+        for m in range(m0, N * qB, qB):
+            key = m * per
+            if key not in first:
+                first[key] = (N, m)
+    if not first:
+        return frozenset()
+    keys = sorted(first)
+    (n_lo, m_lo), (n_hi, m_hi) = first[keys[0]], first[keys[-1]]
+    # every tail element left behind lies below (zero side) or above (B side)
+    # all candidates
+    mat = materialize_tails(seq, Fraction(m_lo, n_lo * Q), Fraction(m_hi, n_hi * Q))
+    below = mat.zero_tail.total() if mat.zero_tail is not None else Fraction(0)
+    above = mat.b_tail.total() if mat.b_tail is not None else Fraction(0)
+    R = math.lcm(*(x.denominator for x in (B, below, above, *mat.explicit)))
+
+    def r(x: Fraction) -> int:
+        return x.numerator * (R // x.denominator)
+
+    rB, entries = r(B), [r(d) for d in mat.explicit]
+    # R·C(A) and R·D(A) left of every entry
+    C, D = r(below), r(above) + sum(rB - e for e in entries)
+    # d < A ⟺ ⌊d·Q·L⌋ < key, since the key is an integer
+    cuts = [e * Q * L // R for e in entries]
+    i, feasible = 0, []
+    for key in keys:
+        while i < len(cuts) and cuts[i] < key:
+            C, D, i = C + entries[i], D - (rB - entries[i]), i + 1
+        N, m = first[key]
+        # the mass bound at A = m/(N·Q), times N·Q²·R
+        t = N * qB - m
+        if m * t * R <= Q * (t * C + m * D):
+            feasible.append(Fraction(m, N * Q))
+    return frozenset(feasible)
 
 
 def four_point_region(
     seq: DiagonalSequence, grid: int, workers: int = 1
 ) -> List[RegionSample]:
     """Decide every spectrum {0, p·B/q, r·B/q, B} with 0 < p < r < q on the
-    q-division grid, in lexicographic (p, r) order.  The decisions of a
-    chunk share one statistics table, so B/2 and each abscissa p·B/q are
-    evaluated once per chunk."""
+    q-division grid, in lexicographic (p, r) order, with the verdict and
+    witness count that decide gives.
+
+    Out-of-scope sequences give infeasible rows and a divergent statistic
+    at B/2 feasible rows, without witnesses.  Otherwise B/2 and each
+    abscissa p·B/q are evaluated once, everything is scaled to integers by
+    one lcm, and each cell runs the witness search of enumerate_witnesses
+    on its two rows of the table.  ``workers`` is accepted and ignored.
+    """
     if not isinstance(grid, int) or isinstance(grid, bool) or grid < 3:
         raise DomainError(f"grid must be an integer ≥ 3, got {grid!r}")
-    return _map_chunks(_region_chunk, (seq, grid), list(range(1, grid - 1)), workers)
+    B = seq.B
+    abscissae = [Fraction(p, grid) * B for p in range(grid)]
+    cells = [(p, r) for p in range(1, grid - 1) for r in range(p + 1, grid)]
+
+    def rows(verdict) -> List[RegionSample]:
+        return [RegionSample(abscissae[p], abscissae[r], *verdict(p, r)) for p, r in cells]
+
+    flags = divergence_flags(seq)
+    if not (flags.sum_d_infinite and flags.sum_Bd_infinite):
+        return rows(lambda p, r: (False, 0))
+    stats_at = _stats_table(seq)
+    half = stats_at[B / 2]
+    if half.C is INF or half.D is INF:
+        return rows(lambda p, r: (True, 0))
+    at = {p: stats_at[abscissae[p]] for p in range(1, grid)}
+    gap = half.C - half.D
+    Q = math.lcm(
+        B.denominator * grid, gap.denominator, *(x.denominator for st in at.values() for x in (st.C, st.D))
+    )
+
+    def q(x: Fraction) -> int:
+        return x.numerator * (Q // x.denominator)
+
+    qB, qgap = q(B), q(gap)
+    # (A, C(A), D(A)) at A = p·B/q, scaled by Q
+    table = {p: (q(abscissae[p]), q(st.C), q(st.D)) for p, st in at.items()}
+
+    def cell(p: int, r: int) -> Tuple[bool, int]:
+        qa, qC, qD = zip(table[p], table[r])
+        qw, qcap = _mass_bounds(qB, qa, qC, qD)
+        count = len(_lattice_search(qB, qgap, qa, qw, qcap, _box(qw, qcap)))
+        return count > 0, count
+
+    return rows(cell)
 
 
 # --------------------------------------------------------------------------

@@ -63,7 +63,7 @@ class Infinite:
     __radd__ = __add__
 
     def __reduce__(self):
-        # Keeps the singleton property across pickling (process pools).
+        # Keeps the singleton property across pickling and copying.
         return (Infinite, ())
 
 

@@ -27,7 +27,7 @@ from .sequences import (
 def load_json(text: str, path: str = "$"):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
         raise SchemaError(f"invalid JSON: {exc}", path) from exc
 
 
@@ -288,7 +288,16 @@ def parse_matrix(obj, path: str = "$") -> SymmetricMatrix:
         for j, v in enumerate(row):
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise SchemaError(f"expected a number, got {v!r}", f"{path}.rows[{i}][{j}]")
-    arr = np.array(rows, dtype=float).reshape((dim, dim))
+    try:
+        arr = np.array(rows, dtype=float).reshape((dim, dim))
+    except OverflowError:  # an int beyond the float range: find it to name its path
+        for i, row in enumerate(rows):
+            for j, v in enumerate(row):
+                try:
+                    float(v)
+                except OverflowError:
+                    raise SchemaError("integer too large for a float", f"{path}.rows[{i}][{j}]") from None
+        raise
     if not np.isfinite(arr).all():
         i, j = np.argwhere(~np.isfinite(arr))[0]
         raise SchemaError(f"expected a finite number, got {rows[i][j]!r}", f"{path}.rows[{i}][{j}]")

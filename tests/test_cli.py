@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from findiag import ConstructionError
+from findiag import ConstructionError, cli
 from findiag.cli import build_parser, main
 
 F = Fraction
@@ -210,6 +210,17 @@ def test_verify_non_finite_entry_exits_64(capsys, tmp_path, value):
     assert "--matrix.rows[0][0]" in err
 
 
+@pytest.mark.parametrize("zeros, where", [(400, "--matrix.rows[1][1]"), (5000, "--matrix: invalid JSON")])
+def test_verify_integer_beyond_float_range_exits_64(capsys, tmp_path, zeros, where):
+    # 5000 digits pass the float range and also the interpreter's int parsing limit
+    mat = tmp_path / "m.json"
+    mat.write_text('{"dim": 2, "rows": [[0.5, 0.0], [0.0, -1%s]]}' % ("0" * zeros))
+    code, out, err = run(capsys, "verify", "--matrix", str(mat), "--spectrum", "0,1/2,1")
+    assert code == 64
+    assert out == ""
+    assert where in err
+
+
 def test_verify_diag_override(capsys, tmp_path):
     mat = tmp_path / "m.json"
     mat.write_text(json.dumps({"dim": 2, "rows": [[0.5, 0.0], [0.0, 1.0]]}))
@@ -298,6 +309,36 @@ def test_non_integer_workers_exits_64(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["explore3", "--seq", DYADIC, "--workers", "many"])
     assert exc.value.code == 64
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_successive_calls_match_fresh_parsers(capsys):
+    calls = [
+        ["decide", "--seq", DYADIC, "--spectrum", "0,1/2,1", "--frobnicate"],
+        ["decide", "--seq", DYADIC, "--spectrum", "0,1/2,1"],
+        ["explore3", "--seq", DYADIC, "--n-max", "4"],
+        ["witnesses", "--seq", DYADIC, "--spectrum", "0,1/4,1/2,1", "--explain"],
+        ["explore4", "--seq", DYADIC, "--grid", "5", "--workers", "2"],
+        ["explore3", "--seq", DYADIC],
+        ["project", "--seq", DYADIC],
+        ["witnesses", "--seq", DYADIC, "--spectrum", "0,1/2,1"],
+    ]
+    assert cli._parser() is cli._parser()
+    shared = [_outcome(capsys, argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [64, 0, 0, 0, 0, 0, 1, 0]
 
 
 def test_construction_error_exits_70(capsys, monkeypatch):

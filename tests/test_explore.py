@@ -131,6 +131,86 @@ def test_three_point_shared_stats_match_fresh_decide():
     assert feasible >= 50
 
 
+def _fresh_three_point(seq, n_max):
+    """The candidates A = (C − D − kB)/N with N ≤ n_max that a fresh
+    per-candidate decide finds feasible."""
+    half = threshold_stats(seq, seq.B / 2)
+    cmd, B = half.C - half.D, seq.B
+    candidates = {
+        (cmd - k * B) / N
+        for N in range(1, n_max + 1)
+        for k in range(math.floor(cmd / B) - N, math.ceil(cmd / B) + 1)
+        if 0 < (cmd - k * B) / N < B
+    }
+    return {a for a in candidates if decide(seq, SpectrumSpec((F(0), a, B))).feasible}
+
+
+def _on_abscissae(seed: int, count: int, ratios):
+    """Seeded sequences with entries and tail elements exactly on candidate
+    abscissae, the cuts between C(A) = Σ_{d<A} d and D(A) = Σ_{d≥A} (B−d)
+    that the sweep's running sums must cross at the right candidate.
+
+    An entry e adds e to C(B/2) − D(B/2) modulo B on either side of B/2, so
+    e ≡ x − (C − D) makes a tail element x the N = 1 candidate; a pair of
+    entries A, B − A leaves C − D unchanged modulo B, so it puts two entries
+    on candidates (C − D − kB)/N without moving them.  (At A itself an entry
+    at A adds A·(B−A) to the mass bound on either side of the cut.)"""
+    rng = Random(seed)
+    for _ in range(count):
+        B = rng.choice((F(1), F(2), F(3, 2)))
+        zt, bt = (GeometricTail(B * F(rng.randint(1, 8), 32), rng.choice(ratios)) for _ in "zb")
+        explicit = [B * F(rng.randint(1, 31), 32) for _ in range(rng.randint(0, 3))]
+        half = threshold_stats(DiagonalSequence(B, tuple(explicit), zero_tail=zt, b_tail=bt), B / 2)
+        x = rng.choice((zt.element(rng.randint(0, 2)), B - bt.element(rng.randint(0, 2))))
+        e = (x - (half.C - half.D)) % B
+        explicit += [e] if e else []
+        cmd = half.C - half.D + e
+        N = rng.randint(2, 4)
+        a = (cmd - (math.ceil(cmd / B) - rng.randint(1, N)) * B) / N
+        explicit += [a, B - a]
+        yield DiagonalSequence(B, tuple(explicit), zero_tail=zt, b_tail=bt), {x, a, B - a}
+
+
+def test_three_point_sweep_matches_fresh_decide_on_abscissae():
+    feasible = hits = 0
+    for seq, placed in _on_abscissae(5, 40, (F(1, 3), F(1, 2), F(2, 3), F(9, 10), F(99, 100))):
+        expected = _fresh_three_point(seq, 5)
+        assert three_point_spectra(seq, n_max=5) == expected
+        feasible += len(expected)
+        hits += len(placed & expected)
+    assert feasible >= 300 and hits >= 40
+
+
+def test_three_point_n_max_one_and_above_the_cap():
+    for seq, _ in _on_abscissae(9, 12, (F(1, 3), F(1, 2), F(2, 3))):
+        one = three_point_spectra(seq, n_max=1)
+        assert one == _fresh_three_point(seq, 1) and len(one) <= 1
+        cap = candidate_multiplicity_bound(seq)
+        full = three_point_spectra(seq)
+        assert three_point_spectra(seq, n_max=cap + 4) == full == _fresh_three_point(seq, cap + 4)
+        assert one <= full
+
+
+@pytest.mark.parametrize(
+    "seq, feasible",
+    [
+        # Case I: a divergent tail makes a statistic at B/2 infinite
+        (DiagonalSequence(B=F(1), explicit=(F(1, 3),), zero_tail=DivergentTail(),
+                          b_tail=GeometricTail(F(1, 4), F(1, 2))), True),
+        (DiagonalSequence(B=F(2), zero_tail=GeometricTail(F(1, 4), F(2, 3)), b_tail=DivergentTail()), True),
+        # out of scope: Σ d_i or Σ (B − d_i) is finite
+        (DiagonalSequence(B=F(1), explicit=(F(1, 2),), zero_tail=GeometricTail(F(1, 4), F(1, 2))), False),
+        (DiagonalSequence(B=F(1), explicit=(F(1, 3), F(2, 3))), False),
+    ],
+)
+def test_four_point_region_outright_rows_match_decide(seq, feasible):
+    rows = four_point_region(seq, 6)
+    assert len(rows) == 10 and {row.feasible for row in rows} == {feasible}
+    for row in rows:
+        out = decide(seq, SpectrumSpec((F(0), row.A1, row.A2, seq.B)))
+        assert (row.feasible, row.witness_count) == (out.feasible, len(out.witnesses)) == (feasible, 0)
+
+
 @pytest.mark.parametrize("q", [7, 8])
 def test_sweeps_evaluate_each_abscissa_once(dyadic, monkeypatch, q):
     mod = importlib.import_module("findiag.decide")

@@ -15,3 +15,22 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_package_starts_no_process_pools():
+    """Every computation runs in the calling process; `--workers` is ignored."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno}"
+                for module in modules
+                if module.split(".")[0] in ("concurrent", "multiprocessing")
+            ]
+    assert found == []
