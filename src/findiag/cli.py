@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import os
 import sys
 from fractions import Fraction
@@ -22,7 +23,7 @@ from .construct import (
     realize_truncated,
     verify_realization,
 )
-from .decide import Verdict, _sharing_stats, decide, decide_projection, lebesgue_check
+from .decide import Verdict, _case, _sharing_stats, decide, decide_projection, lebesgue_check
 from .errors import (
     DomainError,
     SchemaError,
@@ -32,8 +33,7 @@ from .errors import (
 from .explore import emit_region, four_point_region, three_point_spectra, AllOfInterval, RegionSample
 from .majorize import Witness, canonical_shift, riemann_check
 from .scalars import _RATIONAL_RE, format_rational, parse_rational
-from .sequences import DiagonalSequence, SpectrumSpec, divergence_flags
-from .scalars import INF
+from .sequences import DiagonalSequence, SpectrumSpec
 from .serialize import (
     dump_decision,
     dump_json,
@@ -130,14 +130,8 @@ def _verdict_exit(verdict: Verdict) -> int:
 
 def _interior_subsets(points):
     """Proper subsets of the interior (including empty), by size then order."""
-    interior = list(points[1:-1])
-    n = len(interior)
-    subsets = []
-    for mask in range(2**n - 1):
-        chosen = [interior[i] for i in range(n) if mask >> i & 1]
-        subsets.append(chosen)
-    subsets.sort(key=lambda s: (len(s), s))
-    return subsets
+    interior = points[1:-1]
+    return [s for r in range(len(interior)) for s in itertools.combinations(interior, r)]
 
 
 def _explain_payload(seq: DiagonalSequence, spectrum: SpectrumSpec, witnesses):
@@ -224,16 +218,10 @@ def _cmd_realize(args) -> int:
     seq = _shift_sequence(_load_sequence(args.seq), shift)
     witness = parse_witness(load_json(args.witness, "--witness"), "--witness")
 
-    flags = divergence_flags(seq)
-    if flags.sum_d_infinite and flags.sum_Bd_infinite and spectrum.n >= 1:
-        with _sharing_stats(seq) as stats_at:
-            half = stats_at[seq.B / 2]
-            if half.C is not INF and half.D is not INF and not lebesgue_check(seq, spectrum, witness):
-                print(
-                    "error: witness fails the feasibility check for this sequence",
-                    file=sys.stderr,
-                )
-                return 65
+    # only Case II has a witness system to check
+    if spectrum.n >= 1 and _case(seq) is None and not lebesgue_check(seq, spectrum, witness):
+        print("error: witness fails the feasibility check for this sequence", file=sys.stderr)
+        return 65
 
     matrix = realize_truncated(seq, spectrum, witness, args.trunc)
     report = verify_realization(
@@ -447,10 +435,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64
-    except TruncationTooSmallError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 70
-    except (DomainError, UnsupportedOperationError) as exc:
+    except (DomainError, TruncationTooSmallError, UnsupportedOperationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 70
     except Exception as exc:  # keep exit codes meaningful even on surprises

@@ -17,6 +17,7 @@ undone by explicit 2x2 rotations mixing the finished blocks.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -126,14 +127,6 @@ def _apply_rotation(arr: np.ndarray, p: int, q: int, c: float, s: float) -> None
     arr[q, p] = arr[p, q]
 
 
-def _insort_desc(active: List[Tuple[Fraction, int]], item: Tuple[Fraction, int]) -> None:
-    key = (-item[0], item[1])
-    idx = 0
-    while idx < len(active) and (-active[idx][0], active[idx][1]) < key:
-        idx += 1
-    active.insert(idx, item)
-
-
 def horn_construct(lam: Sequence, d: Sequence) -> SymmetricMatrix:
     """A symmetric matrix with eigenvalues lam and diagonal exactly d.
 
@@ -185,7 +178,7 @@ def horn_construct(lam: Sequence, d: Sequence) -> SymmetricMatrix:
         rotations.append(GivensRotation(pa, pb, c, s))
         active.pop(below)
         active.pop(below - 1)
-        _insort_desc(active, (merged, pb))
+        bisect.insort(active, (merged, pb), key=lambda t: (-t[0], t[1]))
         coord_of_position[pos] = pa
     _require(not active, "working multiset should be exhausted")
 

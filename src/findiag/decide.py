@@ -64,6 +64,12 @@ def _require_finite(stats: Sequence[ThresholdStats]) -> None:
         )
 
 
+def _scaled(*values: Fraction) -> Tuple[int, List[int]]:
+    """Q, the lcm of the denominators, and each value times Q as an integer."""
+    Q = math.lcm(*(x.denominator for x in values))
+    return Q, [x.numerator * (Q // x.denominator) for x in values]
+
+
 def _scaled_trace(half: ThresholdStats, spectrum: SpectrumSpec) -> Tuple[int, int, List[int]]:
     """The trace equation C(B/2) − D(B/2) = Σ A_j N_j + kB in integers.
 
@@ -73,9 +79,7 @@ def _scaled_trace(half: ThresholdStats, spectrum: SpectrumSpec) -> Tuple[int, in
     moves by exact multiples of B as the threshold crosses entries.
     """
     _require_finite((half,))
-    values = (spectrum.B, half.C - half.D, *spectrum.interior)
-    Q = math.lcm(*(x.denominator for x in values))
-    qB, qgap, *qa = (x.numerator * (Q // x.denominator) for x in values)
+    _, (qB, qgap, *qa) = _scaled(spectrum.B, half.C - half.D, *spectrum.interior)
     return qB, qgap, qa
 
 
@@ -89,9 +93,7 @@ def _scaled_mass_bounds(
     at = [by_alpha[a] for a in spectrum.interior]
     _require_finite(at)
     n = spectrum.n
-    values = (spectrum.B, *spectrum.interior, *(st.C for st in at), *(st.D for st in at))
-    Q = math.lcm(*(x.denominator for x in values))
-    qB, *scaled = (x.numerator * (Q // x.denominator) for x in values)
+    _, (qB, *scaled) = _scaled(spectrum.B, *spectrum.interior, *(st.C for st in at), *(st.D for st in at))
     return _mass_bounds(qB, scaled[:n], scaled[n : 2 * n], scaled[2 * n :])
 
 
@@ -112,11 +114,6 @@ def _mass_bounds(
     return qw, qcap
 
 
-def _box(qw: List[List[int]], qcap: List[int]) -> Tuple[int, ...]:
-    """Per-coordinate caps: the r=j mass bound with every other N_i dropped."""
-    return tuple(cap // row[j] for j, (row, cap) in enumerate(zip(qw, qcap)))
-
-
 def witness_bounds(stats: Sequence[ThresholdStats], spectrum: SpectrumSpec) -> Tuple[int, ...]:
     """Per-coordinate caps on candidate multiplicities.
 
@@ -124,7 +121,8 @@ def witness_bounds(stats: Sequence[ThresholdStats], spectrum: SpectrumSpec) -> T
     gives N_j ≤ ((B−A_j)·C(A_j) + A_j·D(A_j)) / ((B−A_j)·A_j); any witness
     violating this fails the mass bound at r=j.  Requires finite statistics.
     """
-    return _box(*_scaled_mass_bounds(stats, spectrum))
+    qw, qcap = _scaled_mass_bounds(stats, spectrum)
+    return tuple(cap // row[j] for j, (row, cap) in enumerate(zip(qw, qcap)))
 
 
 class _StatsTable(dict):
@@ -203,25 +201,24 @@ def enumerate_witnesses(
     """All witnesses within the multiplicity bounds, in lexicographic N order.
 
     N is kept iff it passes the trace congruence and every mass bound of
-    lebesgue_check; the search is _lattice_search over the box of
-    witness_bounds.  ``workers`` is accepted and ignored.
+    lebesgue_check; the search is _lattice_search, which stays inside the
+    box of witness_bounds.  ``workers`` is accepted and ignored.
     """
     _require_matching_b(seq, spectrum)
     if spectrum.n == 0:
         raise DomainError("witness enumeration needs at least one interior spectrum point")
     table = _stats_table(seq)
     qB, qgap, qa = _scaled_trace(table[spectrum.B / 2], spectrum)
-    bounds = table.bounds(spectrum)
-    if any(b < 1 for b in bounds):
+    if any(b < 1 for b in table.bounds(spectrum)):
         return []
     qw, qcap = _scaled_mass_bounds(_stats_for(table, spectrum), spectrum)
-    return _lattice_search(qB, qgap, qa, qw, qcap, bounds)
+    return _lattice_search(qB, qgap, qa, qw, qcap)
 
 
 def _lattice_search(
-    qB: int, qgap: int, qa: Sequence[int], qw: List[List[int]], qcap: List[int], bounds: Sequence[int]
+    qB: int, qgap: int, qa: Sequence[int], qw: List[List[int]], qcap: List[int]
 ) -> List[Witness]:
-    """Every N ≥ 1 inside bounds with (qgap − Σ_j qa_j·N_j) % qB == 0 and
+    """Every N ≥ 1 with (qgap − Σ_j qa_j·N_j) % qB == 0 and
     Σ_j qw[r][j]·N_j ≤ qcap[r] for every r, as Witness(N, k) with k the
     quotient, in lexicographic N order.  The trace and the mass bounds may
     be scaled by different factors.
@@ -247,7 +244,7 @@ def _lattice_search(
     found: List[Witness] = []
 
     def search(i: int, N: Tuple[int, ...], used: List[int], res: int) -> None:
-        hi = min(bounds[i], *((qcap[r] - used[r] - rest[i + 1][r]) // qw[r][i] for r in range(n)))
+        hi = min((qcap[r] - used[r] - rest[i + 1][r]) // qw[r][i] for r in range(n))
         for v in range((res // g[i]) * inv[i] % step[i] or step[i], hi + 1, step[i]):
             left = res - qa[i] * v
             if i == n - 1:
@@ -259,30 +256,38 @@ def _lattice_search(
     return found
 
 
+def _case(seq: DiagonalSequence) -> Optional[Verdict]:
+    """The theorem's case split: OUT_OF_SCOPE unless Σ d_i and Σ (B − d_i)
+    both diverge, FEASIBLE_CASE_I when C(B/2) or D(B/2) diverges, and None
+    for Case II, where the trace congruence and mass bounds decide."""
+    flags = divergence_flags(seq)
+    if not (flags.sum_d_infinite and flags.sum_Bd_infinite):
+        return Verdict.OUT_OF_SCOPE
+    half = _stats_table(seq)[seq.B / 2]
+    return Verdict.FEASIBLE_CASE_I if half.C is INF or half.D is INF else None
+
+
 def decide(seq: DiagonalSequence, spectrum: SpectrumSpec, workers: int = 1) -> Decision:
     """Full feasibility decision for a diagonal against a finite spectrum set.
 
-    Routing: two-point spectra go to the projection criterion; sequences with
-    finite Σ d_i or finite Σ (B − d_i) are out of scope for the doubly
-    infinite theorem; a divergent statistic at B/2 is feasible outright;
-    otherwise feasibility is equivalent to a nonempty witness list.
-    Statistics and witness bounds are computed once per call, in a fresh
-    table or in the shared one of an enclosing _sharing_stats(seq) block;
-    ``workers`` is accepted and ignored.
+    Routing: two-point spectra go to the projection criterion; the rest
+    follow _case, and in Case II feasibility is equivalent to a nonempty
+    witness list.  Statistics and witness bounds are computed once per
+    call, in a fresh table or in the shared one of an enclosing
+    _sharing_stats(seq) block; ``workers`` is accepted and ignored.
     """
     _require_matching_b(seq, spectrum)
-    with _sharing_stats(seq) as stats_at:
-        return _decide(seq, spectrum, stats_at)
-
-
-def _decide(seq: DiagonalSequence, spectrum: SpectrumSpec, stats_at: _StatsTable) -> Decision:
     if spectrum.n == 0:
         return decide_projection(seq)
-    flags = divergence_flags(seq)
-    stats = _stats_for(stats_at, spectrum)
-    if not (flags.sum_d_infinite and flags.sum_Bd_infinite):
+    with _sharing_stats(seq) as stats_at:
+        case = _case(seq)
+        stats = _stats_for(stats_at, spectrum)
+        if case is None:
+            witnesses = enumerate_witnesses(seq, spectrum)
+            bounds = stats_at.bounds(spectrum)
+    if case is Verdict.OUT_OF_SCOPE:
         return Decision(
-            Verdict.OUT_OF_SCOPE,
+            case,
             stats=stats,
             note=(
                 "requires infinite mass on both sides: Σ d_i and Σ (B − d_i) "
@@ -290,16 +295,13 @@ def _decide(seq: DiagonalSequence, spectrum: SpectrumSpec, stats_at: _StatsTable
                 "or check_finite_rank_tail"
             ),
         )
-    half = stats[0]
-    if half.C is INF or half.D is INF:
-        which = "C(B/2)" if half.C is INF else "D(B/2)"
+    if case is Verdict.FEASIBLE_CASE_I:
+        which = "C(B/2)" if stats[0].C is INF else "D(B/2)"
         return Decision(
-            Verdict.FEASIBLE_CASE_I,
+            case,
             stats=stats,
             note=f"{which} diverges; every interior multiplicity choice is realizable",
         )
-    witnesses = enumerate_witnesses(seq, spectrum)
-    bounds = stats_at.bounds(spectrum)
     if witnesses:
         return Decision(Verdict.FEASIBLE_CASE_II, tuple(witnesses), stats, bounds)
     return Decision(

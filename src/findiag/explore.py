@@ -8,15 +8,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from .decide import _box, _lattice_search, _mass_bounds, _sharing_stats, _stats_table
+from .decide import Verdict, _case, _lattice_search, _mass_bounds, _scaled, _sharing_stats, _stats_table
 from .errors import DomainError
 from .scalars import INF, format_rational
-from .sequences import (
-    DiagonalSequence,
-    GeometricTail,
-    divergence_flags,
-    materialize_tails,
-)
+from .sequences import DiagonalSequence, GeometricTail, materialize_tails
 
 
 @dataclass(frozen=True)
@@ -118,23 +113,19 @@ def three_point_spectra(
     and D(A) as running sums past the explicit entries, and every test is
     an integer comparison.  ``workers`` is accepted and ignored.
     """
-    flags = divergence_flags(seq)
-    if not (flags.sum_d_infinite and flags.sum_Bd_infinite):
-        raise DomainError(
-            "three-point exploration needs Σ d_i and Σ (B − d_i) both infinite"
-        )
     with _sharing_stats(seq) as stats_at:
-        half = stats_at[seq.B / 2]
-        if half.C is INF or half.D is INF:
+        case = _case(seq)
+        if case is Verdict.OUT_OF_SCOPE:
+            raise DomainError("three-point exploration needs Σ d_i and Σ (B − d_i) both infinite")
+        if case is Verdict.FEASIBLE_CASE_I:
             return AllOfInterval(seq.B)
+        half = stats_at[seq.B / 2]
         cap = n_max if n_max is not None else candidate_multiplicity_bound(seq)
     if cap < 1:
         raise DomainError(f"multiplicity cap must be ≥ 1, got {cap}")
 
     B = seq.B
-    cmd = half.C - half.D
-    Q = math.lcm(B.denominator, cmd.denominator)
-    qB, qgap = B.numerator * (Q // B.denominator), cmd.numerator * (Q // cmd.denominator)
+    Q, (qB, qgap) = _scaled(B, half.C - half.D)
     # A·Q = m/N with m ≡ qgap (mod qB) and 0 < m < N·qB.  The key
     # A·Q·L = m·(L/N), L = lcm(1, …, cap), is an exact integer: equal
     # abscissae share a key and keys sort as the abscissae do.
@@ -156,14 +147,9 @@ def three_point_spectra(
     mat = materialize_tails(seq, Fraction(m_lo, n_lo * Q), Fraction(m_hi, n_hi * Q))
     below = mat.zero_tail.total() if mat.zero_tail is not None else Fraction(0)
     above = mat.b_tail.total() if mat.b_tail is not None else Fraction(0)
-    R = math.lcm(*(x.denominator for x in (B, below, above, *mat.explicit)))
-
-    def r(x: Fraction) -> int:
-        return x.numerator * (R // x.denominator)
-
-    rB, entries = r(B), [r(d) for d in mat.explicit]
+    R, (rB, rbelow, rabove, *entries) = _scaled(B, below, above, *mat.explicit)
     # R·C(A) and R·D(A) left of every entry
-    C, D = r(below), r(above) + sum(rB - e for e in entries)
+    C, D = rbelow, rabove + sum(rB - e for e in entries)
     # d < A ⟺ ⌊d·Q·L⌋ < key, since the key is an integer
     cuts = [e * Q * L // R for e in entries]
     i, feasible = 0, []
@@ -200,30 +186,22 @@ def four_point_region(
     def rows(verdict) -> List[RegionSample]:
         return [RegionSample(abscissae[p], abscissae[r], *verdict(p, r)) for p, r in cells]
 
-    flags = divergence_flags(seq)
-    if not (flags.sum_d_infinite and flags.sum_Bd_infinite):
-        return rows(lambda p, r: (False, 0))
-    stats_at = _stats_table(seq)
-    half = stats_at[B / 2]
-    if half.C is INF or half.D is INF:
-        return rows(lambda p, r: (True, 0))
-    at = {p: stats_at[abscissae[p]] for p in range(1, grid)}
-    gap = half.C - half.D
-    Q = math.lcm(
-        B.denominator * grid, gap.denominator, *(x.denominator for st in at.values() for x in (st.C, st.D))
+    with _sharing_stats(seq) as stats_at:
+        case = _case(seq)
+        if case is not None:
+            return rows(lambda p, r: (case is Verdict.FEASIBLE_CASE_I, 0))
+        half = stats_at[B / 2]
+        at = [stats_at[a] for a in abscissae[1:]]
+    _, (qB, qgap, *scaled) = _scaled(
+        B, half.C - half.D, *abscissae[1:], *(st.C for st in at), *(st.D for st in at)
     )
-
-    def q(x: Fraction) -> int:
-        return x.numerator * (Q // x.denominator)
-
-    qB, qgap = q(B), q(gap)
-    # (A, C(A), D(A)) at A = p·B/q, scaled by Q
-    table = {p: (q(abscissae[p]), q(st.C), q(st.D)) for p, st in at.items()}
+    m = grid - 1
+    # (A, C(A), D(A)) at A = p·B/q, scaled by one Q
+    table = dict(enumerate(zip(scaled[:m], scaled[m : 2 * m], scaled[2 * m :]), 1))
 
     def cell(p: int, r: int) -> Tuple[bool, int]:
         qa, qC, qD = zip(table[p], table[r])
-        qw, qcap = _mass_bounds(qB, qa, qC, qD)
-        count = len(_lattice_search(qB, qgap, qa, qw, qcap, _box(qw, qcap)))
+        count = len(_lattice_search(qB, qgap, qa, *_mass_bounds(qB, qa, qC, qD)))
         return count > 0, count
 
     return rows(cell)

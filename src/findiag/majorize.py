@@ -184,16 +184,6 @@ class _ZLayout:
                 "infinitely many exact Bs (with no tail) to index over ℤ"
             )
 
-    def element(self, i: int) -> Fraction:
-        if i <= 0:
-            return self.left.element(-i) if self.left is not None else Fraction(0)
-        M = len(self.mid)
-        if i <= M:
-            return self.mid[i - 1]
-        if self.right is not None:
-            return self.B - self.right.element(i - M - 1)
-        return self.B
-
     def prefix(self, m: int) -> Fraction:
         """Σ_{i≤m} d_i, exact; the zero side contributes a closed-form remainder."""
         if m <= 0:

@@ -27,7 +27,8 @@ from .sequences import (
 def load_json(text: str, path: str = "$"):
     try:
         return json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
+    # a JSONDecodeError, an int past the digit limit, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"invalid JSON: {exc}", path) from exc
 
 

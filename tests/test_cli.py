@@ -280,11 +280,54 @@ def test_realize_truncation_too_small_exits_70(capsys, tmp_path):
     assert "1" in err  # reports the minimal working truncation
 
 
+def test_realize_case_one_skips_the_witness_check(capsys, tmp_path):
+    # C(B/2) diverges: the witness gate must not run the threshold-statistic
+    # check, and the construction then refuses the divergent tail
+    seq = write_seq(
+        tmp_path,
+        {
+            "B": "1",
+            "explicit": ["1/2"],
+            "zero_tail": {"kind": "divergent"},
+            "b_tail": {"kind": "geometric", "first": "1/4", "ratio": "1/2"},
+        },
+    )
+    code, out, err = run(
+        capsys,
+        "realize",
+        "--seq",
+        seq,
+        "--spectrum",
+        "0,1/2,1",
+        "--witness",
+        '{"N": [1], "k": 0}',
+        "--trunc",
+        "4",
+    )
+    assert code == 70
+    assert out == ""
+    assert "divergent tails admit no finite truncation" in err
+
+
 def test_malformed_sequence_exits_64(capsys, tmp_path):
     p = tmp_path / "garbage.json"
     p.write_text("not json")
     code, _, err = run(capsys, "decide", "--seq", str(p), "--spectrum", "0,1/2,1")
     assert code == 64
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("verify", "--matrix"), ("decide", "--seq")],
+)
+def test_deeply_nested_json_exits_64(capsys, tmp_path, command, flag):
+    # nesting past the interpreter's recursion limit is malformed input too
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 200_000)
+    code, out, err = run(capsys, command, flag, str(p), "--spectrum", "0,1/2,1")
+    assert code == 64
+    assert out == ""
+    assert f"{flag}: invalid JSON" in err
 
 
 def test_unknown_flag_exits_64(capsys):
