@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import os
 import sys
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -162,7 +161,7 @@ def _cmd_decide(args) -> int:
     spectrum, shift = _load_spectrum(args)
     seq = _shift_sequence(_load_sequence(args.seq), shift)
     with _sharing_stats(seq):
-        decision = decide(seq, spectrum, workers=args.workers)
+        decision = decide(seq, spectrum)
         payload = dump_decision(decision)
         if shift:
             payload["translation"] = format_rational(shift)
@@ -171,11 +170,7 @@ def _cmd_decide(args) -> int:
         if args.subset_spectra:
             results = []
             for subset in _interior_subsets(spectrum.points):
-                if subset:
-                    sub = SpectrumSpec((Fraction(0), *subset, spectrum.B))
-                    d = decide(seq, sub, workers=args.workers)
-                else:
-                    d = decide_projection(seq)
+                d = decide(seq, SpectrumSpec((0, *subset, spectrum.B)))
                 results.append(
                     {
                         "interior": [format_rational(p) for p in subset],
@@ -191,7 +186,7 @@ def _cmd_decide(args) -> int:
 def _cmd_witnesses(args) -> int:
     spectrum, shift = _load_spectrum(args)
     seq = _shift_sequence(_load_sequence(args.seq), shift)
-    decision = decide(seq, spectrum, workers=args.workers)
+    decision = decide(seq, spectrum)
     if decision.verdict is Verdict.OUT_OF_SCOPE:
         _print(dump_decision(decision))
         return 2
@@ -310,7 +305,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_explore3(args) -> int:
     seq = _load_sequence(args.seq)
-    result = three_point_spectra(seq, n_max=args.n_max, workers=args.workers)
+    result = three_point_spectra(seq, n_max=args.n_max)
     if isinstance(result, AllOfInterval):
         _print({"all_of_interval": {"B": format_rational(result.B)}})
         return 0
@@ -325,7 +320,7 @@ def _cmd_explore3(args) -> int:
 
 def _cmd_explore4(args) -> int:
     seq = _load_sequence(args.seq)
-    rows = four_point_region(seq, args.grid, workers=args.workers)
+    rows = four_point_region(seq, args.grid)
     csv = emit_region(rows, "csv")
     if args.out:
         with open(args.out, "wb") as fh:
@@ -337,11 +332,6 @@ def _cmd_explore4(args) -> int:
         with open(args.svg, "wb") as fh:
             fh.write(emit_region(rows, "svg", B=seq.B))
     return 0
-
-
-def _worker_count(text: str) -> int:
-    """--workers: values below 1 mean 1, values above the CPU count mean the CPU count."""
-    return max(1, min(int(text), os.cpu_count() or 1))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -363,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="shift a spectrum not starting at 0 (and the sequence) to [0, B]",
             )
-        p.add_argument("--workers", type=_worker_count, default=1, help="accepted and ignored")
+        p.add_argument("--workers", type=int, default=1, help="accepted and ignored")
 
     p = sub.add_parser("decide", help="full feasibility decision")
     common(p)

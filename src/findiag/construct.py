@@ -539,14 +539,11 @@ def verify_realization(
         diag_ok = diag_ok and tuple(expected) == matrix.exact_diagonal
 
     eigs = np.linalg.eigvalsh(arr) if matrix.dimension else np.zeros(0)
-    pts = [float(p) for p in spectrum.points]
-    mult = [0] * len(pts)
-    dist = 0.0
-    for e in eigs:
-        gaps = [abs(float(e) - p) for p in pts]
-        j = min(range(len(pts)), key=lambda idx: (gaps[idx], idx))
-        mult[j] += 1
-        dist = max(dist, gaps[j])
+    pts = np.array([float(p) for p in spectrum.points])
+    # nearest point per eigenvalue; argmin sends a tie to the lower point
+    gaps = np.abs(eigs[:, None] - pts)
+    mult = np.bincount(gaps.argmin(axis=1), minlength=len(pts)).tolist()
+    dist = gaps.min(axis=1).max(initial=0.0)
 
     witness_ok = None
     if witness is not None:

@@ -195,14 +195,12 @@ def lebesgue_check(seq: DiagonalSequence, spectrum: SpectrumSpec, witness: Witne
     return all(sum(w * nj for w, nj in zip(row, N)) <= cap for row, cap in zip(qw, qcap))
 
 
-def enumerate_witnesses(
-    seq: DiagonalSequence, spectrum: SpectrumSpec, workers: int = 1
-) -> List[Witness]:
+def enumerate_witnesses(seq: DiagonalSequence, spectrum: SpectrumSpec) -> List[Witness]:
     """All witnesses within the multiplicity bounds, in lexicographic N order.
 
     N is kept iff it passes the trace congruence and every mass bound of
     lebesgue_check; the search is _lattice_search, which stays inside the
-    box of witness_bounds.  ``workers`` is accepted and ignored.
+    box of witness_bounds.
     """
     _require_matching_b(seq, spectrum)
     if spectrum.n == 0:
@@ -257,24 +255,24 @@ def _lattice_search(
 
 
 def _case(seq: DiagonalSequence) -> Optional[Verdict]:
-    """The theorem's case split: OUT_OF_SCOPE unless Σ d_i and Σ (B − d_i)
-    both diverge, FEASIBLE_CASE_I when C(B/2) or D(B/2) diverges, and None
-    for Case II, where the trace congruence and mass bounds decide."""
+    """The theorem's case split, read from divergence_flags with no statistic
+    evaluated: OUT_OF_SCOPE unless Σ d_i and Σ (B − d_i) both diverge,
+    FEASIBLE_CASE_I when C(B/2) or D(B/2) diverges, and None for Case II,
+    where the trace congruence and mass bounds decide."""
     flags = divergence_flags(seq)
     if not (flags.sum_d_infinite and flags.sum_Bd_infinite):
         return Verdict.OUT_OF_SCOPE
-    half = _stats_table(seq)[seq.B / 2]
-    return Verdict.FEASIBLE_CASE_I if half.C is INF or half.D is INF else None
+    return Verdict.FEASIBLE_CASE_I if flags.C_half_infinite or flags.D_half_infinite else None
 
 
-def decide(seq: DiagonalSequence, spectrum: SpectrumSpec, workers: int = 1) -> Decision:
+def decide(seq: DiagonalSequence, spectrum: SpectrumSpec) -> Decision:
     """Full feasibility decision for a diagonal against a finite spectrum set.
 
     Routing: two-point spectra go to the projection criterion; the rest
     follow _case, and in Case II feasibility is equivalent to a nonempty
     witness list.  Statistics and witness bounds are computed once per
     call, in a fresh table or in the shared one of an enclosing
-    _sharing_stats(seq) block; ``workers`` is accepted and ignored.
+    _sharing_stats(seq) block.
     """
     _require_matching_b(seq, spectrum)
     if spectrum.n == 0:
@@ -312,14 +310,12 @@ def decide(seq: DiagonalSequence, spectrum: SpectrumSpec, workers: int = 1) -> D
     )
 
 
-def decide_projection(seq: DiagonalSequence, B=None) -> Decision:
+def decide_projection(seq: DiagonalSequence) -> Decision:
     """Feasibility for the two-point spectrum {0, B} (diagonals of projections).
 
     Feasible iff a statistic at B/2 diverges or C(B/2) − D(B/2) is an exact
     integer multiple of B.  Applies regardless of which sums converge.
     """
-    if B is not None and Fraction(B) != seq.B:
-        raise DomainError(f"sequence endpoint B={seq.B} differs from requested {B}")
     half = _stats_table(seq)[seq.B / 2]
     stats = (half,)
     if half.C is INF or half.D is INF:

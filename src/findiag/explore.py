@@ -98,7 +98,7 @@ def candidate_multiplicity_bound(seq: DiagonalSequence) -> int:
 
 
 def three_point_spectra(
-    seq: DiagonalSequence, n_max: Optional[int] = None, workers: int = 1
+    seq: DiagonalSequence, n_max: Optional[int] = None
 ) -> Union[AllOfInterval, FrozenSet[Fraction]]:
     """The exact set of interior points A making {0, A, B} feasible.
 
@@ -111,7 +111,7 @@ def three_point_spectra(
     iff the smallest N in its congruence class, the first N that produces
     A, meets the bound.  One sorted sweep over the candidates carries C(A)
     and D(A) as running sums past the explicit entries, and every test is
-    an integer comparison.  ``workers`` is accepted and ignored.
+    an integer comparison.
     """
     with _sharing_stats(seq) as stats_at:
         case = _case(seq)
@@ -164,9 +164,7 @@ def three_point_spectra(
     return frozenset(feasible)
 
 
-def four_point_region(
-    seq: DiagonalSequence, grid: int, workers: int = 1
-) -> List[RegionSample]:
+def four_point_region(seq: DiagonalSequence, grid: int) -> List[RegionSample]:
     """Decide every spectrum {0, p·B/q, r·B/q, B} with 0 < p < r < q on the
     q-division grid, in lexicographic (p, r) order, with the verdict and
     witness count that decide gives.
@@ -175,7 +173,7 @@ def four_point_region(
     at B/2 feasible rows, without witnesses.  Otherwise B/2 and each
     abscissa p·B/q are evaluated once, everything is scaled to integers by
     one lcm, and each cell runs the witness search of enumerate_witnesses
-    on its two rows of the table.  ``workers`` is accepted and ignored.
+    on its two rows of the table.
     """
     if not isinstance(grid, int) or isinstance(grid, bool) or grid < 3:
         raise DomainError(f"grid must be an integer ≥ 3, got {grid!r}")

@@ -10,6 +10,7 @@ infinite.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
@@ -212,35 +213,31 @@ def materialize_tails(seq: DiagonalSequence, low: Fraction, high: Fraction) -> D
 
 
 def threshold_stats(seq: DiagonalSequence, alpha: Fraction) -> ThresholdStats:
-    """Exact C(α) and D(α); geometric tails contribute closed-form partial sums."""
+    """Exact C(α) and D(α) in one pass: the sorted explicit entries split once
+    at α, and each geometric tail is counted once for closed-form partial sums."""
     alpha = Fraction(alpha)
     B = seq.B
     if not (0 < alpha < B):
         raise DomainError(f"alpha must lie in (0, B), got {alpha}")
 
-    if isinstance(seq.zero_tail, DivergentTail):
-        C: Union[Fraction, Infinite] = INF
-    else:
-        C = sum((v for v in seq.explicit if v < alpha), Fraction(0))
-        if isinstance(seq.zero_tail, GeometricTail):
-            # elements first·ratio^t < alpha are exactly t ≥ count_at_least(alpha)
-            C += seq.zero_tail.tail_sum_from(seq.zero_tail.count_at_least(alpha))
-        if isinstance(seq.b_tail, GeometricTail):
-            # elements B − first·ratio^t < alpha ⟺ first·ratio^t > B − alpha
-            c = seq.b_tail.count_greater(B - alpha)
-            C += c * B - seq.b_tail.head_sum(c)
-
-    if isinstance(seq.b_tail, DivergentTail):
-        D: Union[Fraction, Infinite] = INF
-    else:
-        D = sum((B - v for v in seq.explicit if v >= alpha), Fraction(0))
-        if isinstance(seq.b_tail, GeometricTail):
-            c = seq.b_tail.count_greater(B - alpha)
-            D += seq.b_tail.tail_sum_from(c)
-        if isinstance(seq.zero_tail, GeometricTail):
-            c = seq.zero_tail.count_at_least(alpha)
-            D += c * B - seq.zero_tail.head_sum(c)
-
+    i = bisect_left(seq.explicit, alpha)  # explicit[:i] < α ≤ explicit[i:]
+    C: Union[Fraction, Infinite] = sum(seq.explicit[:i], Fraction(0))
+    D: Union[Fraction, Infinite] = sum((B - v for v in seq.explicit[i:]), Fraction(0))
+    zt, bt = seq.zero_tail, seq.b_tail
+    if isinstance(zt, GeometricTail):
+        # elements first·ratio^t < alpha are exactly t ≥ count_at_least(alpha)
+        c = zt.count_at_least(alpha)
+        C += zt.tail_sum_from(c)
+        D += c * B - zt.head_sum(c)
+    if isinstance(bt, GeometricTail):
+        # elements B − first·ratio^t < alpha ⟺ first·ratio^t > B − alpha
+        c = bt.count_greater(B - alpha)
+        C += c * B - bt.head_sum(c)
+        D += bt.tail_sum_from(c)
+    if isinstance(zt, DivergentTail):
+        C = INF
+    if isinstance(bt, DivergentTail):
+        D = INF
     return ThresholdStats(alpha, C, D)
 
 

@@ -1,14 +1,15 @@
 """Command-line interface: exit codes, payload shapes, file round-trips."""
 
+import importlib
 import json
-import os
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from findiag import ConstructionError, cli
-from findiag.cli import build_parser, main
+from findiag.cli import main
 
 F = Fraction
 
@@ -280,6 +281,23 @@ def test_realize_truncation_too_small_exits_70(capsys, tmp_path):
     assert "1" in err  # reports the minimal working truncation
 
 
+def test_realize_evaluates_half_once(monkeypatch, tmp_path):
+    # the Case II witness gate reads the case from the divergence flags, so
+    # C(B/2) and D(B/2) are evaluated once, by the threshold-statistic check
+    mod = importlib.import_module("findiag.decide")
+    seen = Counter()
+    real = mod.threshold_stats
+
+    def counted(seq, alpha):
+        seen[alpha] += 1
+        return real(seq, alpha)
+
+    monkeypatch.setattr(mod, "threshold_stats", counted)
+    argv = ["realize", "--seq", DYADIC, "--spectrum", "0,1/2,1", "--witness", '{"N":[1],"k":-1}']
+    assert main(argv + ["--trunc", "8", "--out", str(tmp_path / "real.json")]) == 0
+    assert seen == Counter({F(1, 2): 1})
+
+
 def test_realize_case_one_skips_the_witness_check(capsys, tmp_path):
     # C(B/2) diverges: the witness gate must not run the threshold-statistic
     # check, and the construction then refuses the divergent tail
@@ -334,18 +352,6 @@ def test_unknown_flag_exits_64(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["decide", "--seq", DYADIC, "--spectrum", "0,1/2,1", "--frobnicate"])
     assert exc.value.code == 64
-
-
-def test_workers_clamped_to_cpu_count(monkeypatch):
-    # the parsed value only: no process is started
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    parser = build_parser()
-    base = ["explore4", "--seq", DYADIC, "--grid", "4"]
-    assert parser.parse_args(base).workers == 1
-    for given, want in (("2", 2), ("3", 3), ("1000000", 3), ("0", 1), ("-5", 1)):
-        assert parser.parse_args(base + [f"--workers={given}"]).workers == want
-    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown CPU count
-    assert parser.parse_args(base + ["--workers=8"]).workers == 1
 
 
 def test_non_integer_workers_exits_64(capsys):

@@ -49,11 +49,6 @@ def test_projection_divergent_half_stat():
     assert out.witnesses == ()
 
 
-def test_projection_b_mismatch(dyadic):
-    with pytest.raises(DomainError):
-        decide_projection(dyadic, B=F(2))
-
-
 def test_witness_bounds_frozen(dyadic):
     spec = SpectrumSpec((F(0), F(1, 2), F(1)))
     stats = [threshold_stats(dyadic, F(1, 2))]
@@ -64,11 +59,6 @@ def test_enumerate_witnesses_frozen(dyadic):
     spec = SpectrumSpec((F(0), F(1, 2), F(1)))
     ws = enumerate_witnesses(dyadic, spec)
     assert ws == [Witness((1,), -1), Witness((3,), -2)]
-
-
-def test_enumerate_witnesses_worker_invariance(dyadic):
-    spec = SpectrumSpec((F(0), F(1, 2), F(1)))
-    assert enumerate_witnesses(dyadic, spec, workers=2) == enumerate_witnesses(dyadic, spec)
 
 
 def test_enumerate_witnesses_needs_interior(dyadic):

@@ -242,10 +242,6 @@ def test_three_point_results_are_certified(dyadic):
         assert out.feasible
 
 
-def test_three_point_worker_invariance(dyadic):
-    assert three_point_spectra(dyadic, workers=2) == three_point_spectra(dyadic)
-
-
 def test_three_point_cap_override(dyadic):
     pts = three_point_spectra(dyadic, n_max=3)
     assert pts == frozenset({F(1, 6), F(1, 4), F(1, 2), F(3, 4), F(5, 6)})
@@ -297,10 +293,6 @@ def test_four_point_region_reflection_symmetry(dyadic):
     table = {(r.A1, r.A2): r.feasible for r in rows}
     for (a1, a2), feas in table.items():
         assert table[(1 - a2, 1 - a1)] == feas
-
-
-def test_four_point_region_worker_invariance(dyadic):
-    assert four_point_region(dyadic, 6, workers=2) == four_point_region(dyadic, 6)
 
 
 def test_four_point_region_grid_validation(dyadic):

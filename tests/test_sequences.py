@@ -140,6 +140,20 @@ def test_stats_divergent_tails():
     assert st.D == F(1, 2)
     flags = divergence_flags(seq)
     assert flags.C_half_infinite and not flags.D_half_infinite
+    # mirrored: D diverges, and C still takes the zero-tail remainder 1/8 + 1/16 + …
+    seq = DiagonalSequence(B=F(1), zero_tail=GeometricTail(F(1, 4), F(1, 2)), b_tail=DivergentTail())
+    st = threshold_stats(seq, F(1, 4))
+    assert st.C == F(1, 4)
+    assert st.D is INF
+    flags = divergence_flags(seq)
+    assert flags.D_half_infinite and not flags.C_half_infinite
+
+
+def test_stats_explicit_entry_at_alpha():
+    # explicit entries equal to α count in D (d ≥ α), not in C (strict <)
+    seq = DiagonalSequence(B=F(1), explicit=(F(1, 3), F(1, 2), F(1, 2), F(2, 3)), zero_count=INF, b_count=INF)
+    assert threshold_stats(seq, F(1, 2)) == (F(1, 2), F(1, 3), F(1, 2) + F(1, 2) + F(1, 3))
+    assert threshold_stats(seq, F(1, 3)) == (F(1, 3), F(0), F(2))
 
 
 def test_stats_alpha_domain(dyadic):
