@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import math
 import sys
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -51,6 +52,23 @@ from .serialize import (
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems are malformed input
         self.exit(64, f"{self.prog}: error: {message}\n")
+
+
+def _number(convert, low):
+    """An argparse type: convert(text) (int or float), refused unless finite
+    and ≥ low, so an out-of-range argument is a usage error (exit 64)."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not low <= value < math.inf:
+            what = "an integer" if convert is int else "a finite number"
+            raise argparse.ArgumentTypeError(f"expected {what} ≥ {low}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _read_text(path: str, label: str) -> str:
@@ -377,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("realize", help="build a truncated realization matrix")
     common(p)
     p.add_argument("--witness", required=True, help='witness JSON, e.g. {"N": [1], "k": -1}')
-    p.add_argument("--trunc", type=int, required=True, help="tail truncation level T ≥ 0")
+    p.add_argument("--trunc", type=_number(int, 0), required=True, help="tail truncation level T ≥ 0")
     p.add_argument("--out", help="write the JSON payload to a file instead of stdout")
     p.add_argument("--pretty", action="store_true", help="print an aligned text grid instead of JSON")
     p.set_defaults(func=_cmd_realize)
@@ -392,19 +410,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--translate", action="store_true", help="shift a spectrum not starting at 0")
     p.add_argument("--diag", help="expected diagonal: comma-separated rationals or JSON array path")
     p.add_argument("--witness", help="witness JSON to check interior multiplicities against")
-    p.add_argument("--tol", type=float, default=1e-8, help="eigenvalue distance tolerance")
+    p.add_argument("--tol", type=_number(float, 0), default=1e-8, help="eigenvalue distance tolerance")
     p.add_argument("--pretty", action="store_true", help="print an aligned text grid instead of JSON")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("explore3", help="exact feasible set of single interior points")
     common(p, spectrum=False, translate=False)
-    p.add_argument("--n-max", type=int, help="override the scanned multiplicity cap")
+    p.add_argument("--n-max", type=_number(int, 1), help="override the scanned multiplicity cap")
     p.add_argument("--svg", help="also write an SVG scatter to this path")
     p.set_defaults(func=_cmd_explore3)
 
     p = sub.add_parser("explore4", help="feasible region over interior point pairs")
     common(p, spectrum=False, translate=False)
-    p.add_argument("--grid", type=int, required=True, help="grid divisions q ≥ 3")
+    p.add_argument("--grid", type=_number(int, 3), required=True, help="grid divisions q ≥ 3")
     p.add_argument("--svg", help="also write an SVG scatter to this path")
     p.add_argument("--out", help="write the CSV to a file instead of stdout")
     p.set_defaults(func=_cmd_explore4)

@@ -33,6 +33,7 @@ from .sequences import (
     DivergentTail,
     GeometricTail,
     SpectrumSpec,
+    _trace_residue,
 )
 
 
@@ -326,6 +327,14 @@ class _FiniteProblem:
     deltas: List[Fraction]     # deltas[m] = sum_{i<=m} (G_i - Lam_i), m = 0..L
 
 
+def _pack(tail: GeometricTail, T: int, cap: Fraction) -> List[Fraction]:
+    """Distances from the tail's endpoint: its first T elements, then the
+    remaining mass split evenly over the fewest entries of at most cap."""
+    rem = tail.tail_sum_from(T)
+    count = -(-rem // cap)  # ceil
+    return [tail.element(t) for t in range(T)] + [rem / count] * count
+
+
 def _build_problem(
     seq: DiagonalSequence,
     spectrum: SpectrumSpec,
@@ -333,43 +342,21 @@ def _build_problem(
     T: int,
     lowcut: Fraction,
     highcut: Fraction,
-):
-    """Assemble the exact finite majorization problem at truncation level T.
-
-    Returns a _FiniteProblem, or "retry" when a larger T is needed (tail
-    element at or above the packing cutoff, or a negative partial-sum gap),
-    or "imbalance" when the trace equation has no integer solution at any T.
+) -> Optional[_FiniteProblem]:
+    """Assemble the exact finite majorization problem at truncation level T,
+    for a witness that balances the trace and a level at which every tail
+    element left out lies below the packing cutoff (lowcut from 0, B −
+    highcut from B).  Returns None when a partial-sum gap is negative.
     """
     B = seq.B
     sigma = witness.sigma_total
-    mid: List[Fraction] = list(seq.explicit)
-    packed: List[Fraction] = []
-
+    Y: List[Fraction] = list(seq.explicit)
     if isinstance(seq.zero_tail, GeometricTail):
-        tail = seq.zero_tail
-        if tail.element(T) >= lowcut:
-            return "retry"
-        mid.extend(tail.element(t) for t in range(T))
-        rem = tail.tail_sum_from(T)
-        cap = lowcut / 2
-        count = -(-rem // cap)  # ceil; each packed entry lands in (0, lowcut/2]
-        packed.extend([rem / count] * int(count))
+        Y += _pack(seq.zero_tail, T, lowcut / 2)
     if isinstance(seq.b_tail, GeometricTail):
-        tail = seq.b_tail
-        if tail.element(T) >= B - highcut:
-            return "retry"
-        mid.extend(B - tail.element(t) for t in range(T))
-        rem = tail.tail_sum_from(T)
-        cap = (B - highcut) / 2
-        count = -(-rem // cap)
-        packed.extend([B - rem / count] * int(count))
-
-    Y = sorted(mid + packed)
-    total = sum(Y, Fraction(0))
-    kappa = (total - _weighted_sum(spectrum, witness.N)) / B
-    if kappa.denominator != 1:
-        return "imbalance"
-    kappa = int(kappa)
+        Y += [B - v for v in _pack(seq.b_tail, T, (B - highcut) / 2)]
+    Y.sort()
+    kappa = (sum(Y, Fraction(0)) - _weighted_sum(spectrum, witness.N)) // B
 
     zmin = seq.zero_count if seq.zero_count is not INF else 0
     wmin = seq.b_count if seq.b_count is not INF else 0
@@ -395,7 +382,7 @@ def _build_problem(
         deltas.append(run)
     _require(deltas[L] == 0, "totals must balance by construction")
     if any(dm < 0 for dm in deltas):
-        return "retry"
+        return None
     return _FiniteProblem(B, G, Lam, M0, sigma, deltas)
 
 
@@ -479,6 +466,8 @@ def realize_truncated(
     Raises TruncationTooSmallError when level T does not suffice; its
     ``minimal`` attribute carries the smallest workable level within T+256,
     or None when no level can work (trace imbalance, which is T-independent).
+    Levels whose first left-out tail element reaches the packing cutoff are
+    skipped in closed form; the rest are built in turn.
     """
     if seq.B != spectrum.B:
         raise DomainError(
@@ -494,28 +483,30 @@ def realize_truncated(
     lowcut = spectrum.points[1] if spectrum.n >= 1 else spectrum.B / 2
     highcut = spectrum.points[-2] if spectrum.n >= 1 else spectrum.B / 2
 
-    prob = _build_problem(seq, spectrum, witness, T, lowcut, highcut)
-    if prob == "imbalance":
+    if (_trace_residue(seq) - _weighted_sum(spectrum, witness.N)) % seq.B:
         raise TruncationTooSmallError(
             "the trace equation has no integer solution for this sequence and "
             "witness; no truncation level can balance it",
             minimal=None,
         )
-    if prob == "retry":
-        minimal = None
-        for T2 in range(T + 1, T + 257):
-            p2 = _build_problem(seq, spectrum, witness, T2, lowcut, highcut)
-            if p2 == "imbalance":  # T-independent: no level can work
-                break
-            if not isinstance(p2, str):
-                minimal = T2
-                break
-        raise TruncationTooSmallError(
-            f"truncation level T={T} is too small for an exact realization"
-            + (f"; the smallest sufficient level is T={minimal}" if minimal is not None else ""),
-            minimal=minimal,
-        )
-    return _assemble(prob)
+    first = T
+    if isinstance(seq.zero_tail, GeometricTail):
+        first = max(first, seq.zero_tail.count_at_least(lowcut))
+    if isinstance(seq.b_tail, GeometricTail):
+        first = max(first, seq.b_tail.count_at_least(seq.B - highcut))
+    minimal = None
+    for level in range(first, T + 257):
+        prob = _build_problem(seq, spectrum, witness, level, lowcut, highcut)
+        if prob is not None:
+            if level == T:
+                return _assemble(prob)
+            minimal = level
+            break
+    raise TruncationTooSmallError(
+        f"truncation level T={T} is too small for an exact realization"
+        + (f"; the smallest sufficient level is T={minimal}" if minimal is not None else ""),
+        minimal=minimal,
+    )
 
 
 def verify_realization(

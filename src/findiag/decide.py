@@ -24,6 +24,7 @@ from .sequences import (
     DiagonalSequence,
     SpectrumSpec,
     ThresholdStats,
+    _trace_residue,
     divergence_flags,
     threshold_stats,
 )
@@ -56,30 +57,22 @@ def _require_matching_b(seq: DiagonalSequence, spectrum: SpectrumSpec) -> None:
         )
 
 
-def _require_finite(stats: Sequence[ThresholdStats]) -> None:
-    if any(st.C is INF or st.D is INF for st in stats):
-        raise DomainError(
-            "the threshold-statistic form needs finite threshold statistics; "
-            "divergent inputs are feasible without a witness"
-        )
-
-
 def _scaled(*values: Fraction) -> Tuple[int, List[int]]:
     """Q, the lcm of the denominators, and each value times Q as an integer."""
     Q = math.lcm(*(x.denominator for x in values))
     return Q, [x.numerator * (Q // x.denominator) for x in values]
 
 
-def _scaled_trace(half: ThresholdStats, spectrum: SpectrumSpec) -> Tuple[int, int, List[int]]:
-    """The trace equation C(B/2) − D(B/2) = Σ A_j N_j + kB in integers.
+def _scaled_trace(gap: Fraction, spectrum: SpectrumSpec) -> Tuple[int, int, List[int]]:
+    """The trace equation gap = Σ A_j N_j + kB in integers.
 
-    With B, the gap C(B/2) − D(B/2) and the A_j scaled by the lcm of their
-    denominators, N admits an integer k iff (qgap − Σ_j qa_j·N_j) % qB == 0.
-    The congruence holds at any threshold once it holds at one, since C − D
-    moves by exact multiples of B as the threshold crosses entries.
+    With B, the gap and the A_j scaled by the lcm of their denominators, N
+    admits an integer k iff (qgap − Σ_j qa_j·N_j) % qB == 0.  The gap is
+    C(B/2) − D(B/2) when k matters, else the trace residue: C − D moves by
+    exact multiples of B as the threshold crosses entries, so every gap
+    C(α) − D(α) gives the same congruence.
     """
-    _require_finite((half,))
-    _, (qB, qgap, *qa) = _scaled(spectrum.B, half.C - half.D, *spectrum.interior)
+    _, (qB, qgap, *qa) = _scaled(spectrum.B, gap, *spectrum.interior)
     return qB, qgap, qa
 
 
@@ -91,7 +84,11 @@ def _scaled_mass_bounds(
     stats by α) scaled by the lcm of their denominators."""
     by_alpha = {st.alpha: st for st in stats}
     at = [by_alpha[a] for a in spectrum.interior]
-    _require_finite(at)
+    if any(st.C is INF or st.D is INF for st in at):
+        raise DomainError(
+            "the threshold-statistic form needs finite threshold statistics; "
+            "divergent inputs are feasible without a witness"
+        )
     n = spectrum.n
     _, (qB, *scaled) = _scaled(spectrum.B, *spectrum.interior, *(st.C for st in at), *(st.D for st in at))
     return _mass_bounds(qB, scaled[:n], scaled[n : 2 * n], scaled[2 * n :])
@@ -178,20 +175,21 @@ def _stats_for(stats_at: _StatsTable, spectrum: SpectrumSpec) -> Tuple[Threshold
 def lebesgue_check(seq: DiagonalSequence, spectrum: SpectrumSpec, witness: Witness) -> bool:
     """Decide interior majorization from threshold statistics alone.
 
-    True iff witness.N satisfies the trace congruence (_scaled_trace) and
-    every mass bound (_scaled_mass_bounds), the system that
-    enumerate_witnesses searches.  witness.k is ignored: k is determined by
-    the trace equation.  The partial-sum form is riemann_check.
+    True iff witness.N satisfies the trace congruence (_scaled_trace of the
+    trace residue) and every mass bound (_scaled_mass_bounds, on the
+    statistics at the interior points), the system that enumerate_witnesses
+    searches.  witness.k is ignored: k is determined by the trace equation.
+    The partial-sum form is riemann_check.
     """
     _require_matching_b(seq, spectrum)
     if len(witness.N) != spectrum.n:
         raise DomainError("witness length does not match the spectrum")
     N = witness.N
-    table = _stats_table(seq)
-    qB, qgap, qa = _scaled_trace(table[spectrum.B / 2], spectrum)
-    if (qgap - sum(a * nj for a, nj in zip(qa, N))) % qB:
+    qB, qres, qa = _scaled_trace(_trace_residue(seq), spectrum)
+    if (qres - sum(a * nj for a, nj in zip(qa, N))) % qB:
         return False
-    qw, qcap = _scaled_mass_bounds(_stats_for(table, spectrum), spectrum)
+    table = _stats_table(seq)
+    qw, qcap = _scaled_mass_bounds([table[a] for a in spectrum.interior], spectrum)
     return all(sum(w * nj for w, nj in zip(row, N)) <= cap for row, cap in zip(qw, qcap))
 
 
@@ -206,9 +204,10 @@ def enumerate_witnesses(seq: DiagonalSequence, spectrum: SpectrumSpec) -> List[W
     if spectrum.n == 0:
         raise DomainError("witness enumeration needs at least one interior spectrum point")
     table = _stats_table(seq)
-    qB, qgap, qa = _scaled_trace(table[spectrum.B / 2], spectrum)
     if any(b < 1 for b in table.bounds(spectrum)):
         return []
+    half = table[spectrum.B / 2]
+    qB, qgap, qa = _scaled_trace(half.C - half.D, spectrum)
     qw, qcap = _scaled_mass_bounds(_stats_for(table, spectrum), spectrum)
     return _lattice_search(qB, qgap, qa, qw, qcap)
 

@@ -8,10 +8,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from .decide import Verdict, _case, _lattice_search, _mass_bounds, _scaled, _sharing_stats, _stats_table
+from .decide import Verdict, _case, _lattice_search, _mass_bounds, _scaled
 from .errors import DomainError
-from .scalars import INF, format_rational
-from .sequences import DiagonalSequence, GeometricTail, materialize_tails
+from .scalars import format_rational
+from .sequences import DiagonalSequence, GeometricTail, _trace_residue, materialize_tails, threshold_stats
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,11 @@ def candidate_multiplicity_bound(seq: DiagonalSequence) -> int:
 
     For a witness at point A with multiplicity N, the trace equation forces
     N·A ≡ C(B/2) − D(B/2) (mod B), so A ≥ g/N and B − A ≥ g'/N with g, g'
-    the positive residues of ±(C − D) mod B.  The r=1 mass bound gives
-    N ≤ C(A)/A + D(A)/(B−A), where every entry weighs in at most 1; entries
-    below g/N (a geometric-tail suffix) weigh < 1/(1−ρ0) in total, entries
-    within g'/N of B weigh ≤ 1/(1−ρB), and what remains is counted by
+    the positive residues of ±(C − D) mod B, read from the trace residue.
+    The r=1 mass bound gives N ≤ C(A)/A + D(A)/(B−A), where every entry
+    weighs in at most 1; entries below g/N (a geometric-tail suffix) weigh
+    < 1/(1−ρ0) in total, entries within g'/N of B weigh ≤ 1/(1−ρB), and
+    what remains is counted by
     Ψ(N) = m_explicit + 1/(1−ρ0) + 1/(1−ρB) + T0(N) + SB(N)
     with T0/SB the per-tail counts of elements at least g/N (resp. above
     g'/N).  Since a tail has at most u (= halving steps) elements per
@@ -58,17 +59,9 @@ def candidate_multiplicity_bound(seq: DiagonalSequence) -> int:
     present tail makes the weight bound strict).  Ψ is monotone in N, so
     each tail's count advances with N instead of being recounted.
     """
-    half = _stats_table(seq)[seq.B / 2]
-    if half.C is INF or half.D is INF:
-        raise DomainError("multiplicity bound needs finite threshold statistics")
     B = seq.B
-    cmd = half.C - half.D
-    g = cmd % B
-    if g == 0:
-        g = B
-    gp = (-cmd) % B
-    if gp == 0:
-        gp = B
+    res = _trace_residue(seq)
+    g, gp = res or B, B - res
 
     base = Fraction(len(seq.explicit))
     u0 = uB = 0
@@ -106,31 +99,29 @@ def three_point_spectra(
     works).  Otherwise the candidates are A = (C − D − kB)/N for N up to the
     multiplicity cap (n_max overrides it), so the returned set is exact: no
     tolerance, no sampling.  For {0, A, B} the system has one congruence,
-    N·A ≡ C(B/2) − D(B/2) (mod B), and one mass bound,
+    N·A ≡ C − D (mod B), read from the trace residue, and one mass bound,
     N·A·(B−A) ≤ (B−A)·C(A) + A·D(A), which grows with N; so A is feasible
     iff the smallest N in its congruence class, the first N that produces
     A, meets the bound.  One sorted sweep over the candidates carries C(A)
     and D(A) as running sums past the explicit entries, and every test is
     an integer comparison.
     """
-    with _sharing_stats(seq) as stats_at:
-        case = _case(seq)
-        if case is Verdict.OUT_OF_SCOPE:
-            raise DomainError("three-point exploration needs Σ d_i and Σ (B − d_i) both infinite")
-        if case is Verdict.FEASIBLE_CASE_I:
-            return AllOfInterval(seq.B)
-        half = stats_at[seq.B / 2]
-        cap = n_max if n_max is not None else candidate_multiplicity_bound(seq)
+    case = _case(seq)
+    if case is Verdict.OUT_OF_SCOPE:
+        raise DomainError("three-point exploration needs Σ d_i and Σ (B − d_i) both infinite")
+    if case is Verdict.FEASIBLE_CASE_I:
+        return AllOfInterval(seq.B)
+    cap = n_max if n_max is not None else candidate_multiplicity_bound(seq)
     if cap < 1:
         raise DomainError(f"multiplicity cap must be ≥ 1, got {cap}")
 
     B = seq.B
-    Q, (qB, qgap) = _scaled(B, half.C - half.D)
-    # A·Q = m/N with m ≡ qgap (mod qB) and 0 < m < N·qB.  The key
+    Q, (qB, qres) = _scaled(B, _trace_residue(seq))
+    # A·Q = m/N with m ≡ qres (mod qB) and 0 < m < N·qB.  The key
     # A·Q·L = m·(L/N), L = lcm(1, …, cap), is an exact integer: equal
     # abscissae share a key and keys sort as the abscissae do.
     L = math.lcm(*range(1, cap + 1))
-    m0 = qgap % qB or qB
+    m0 = qres or qB
     first = {}
     for N in range(1, cap + 1):
         per = L // N
@@ -170,10 +161,11 @@ def four_point_region(seq: DiagonalSequence, grid: int) -> List[RegionSample]:
     witness count that decide gives.
 
     Out-of-scope sequences give infeasible rows and a divergent statistic
-    at B/2 feasible rows, without witnesses.  Otherwise B/2 and each
-    abscissa p·B/q are evaluated once, everything is scaled to integers by
-    one lcm, and each cell runs the witness search of enumerate_witnesses
-    on its two rows of the table.
+    at B/2 feasible rows, without witnesses.  Otherwise each abscissa p·B/q
+    is evaluated once, everything is scaled to integers by one lcm, and
+    each cell runs the witness search of enumerate_witnesses on its two
+    rows of the table, with the trace residue in place of C(B/2) − D(B/2):
+    that moves only the k of each witness, and only the count is kept.
     """
     if not isinstance(grid, int) or isinstance(grid, bool) or grid < 3:
         raise DomainError(f"grid must be an integer ≥ 3, got {grid!r}")
@@ -184,14 +176,12 @@ def four_point_region(seq: DiagonalSequence, grid: int) -> List[RegionSample]:
     def rows(verdict) -> List[RegionSample]:
         return [RegionSample(abscissae[p], abscissae[r], *verdict(p, r)) for p, r in cells]
 
-    with _sharing_stats(seq) as stats_at:
-        case = _case(seq)
-        if case is not None:
-            return rows(lambda p, r: (case is Verdict.FEASIBLE_CASE_I, 0))
-        half = stats_at[B / 2]
-        at = [stats_at[a] for a in abscissae[1:]]
-    _, (qB, qgap, *scaled) = _scaled(
-        B, half.C - half.D, *abscissae[1:], *(st.C for st in at), *(st.D for st in at)
+    case = _case(seq)
+    if case is not None:
+        return rows(lambda p, r: (case is Verdict.FEASIBLE_CASE_I, 0))
+    at = [threshold_stats(seq, a) for a in abscissae[1:]]
+    _, (qB, qres, *scaled) = _scaled(
+        B, _trace_residue(seq), *abscissae[1:], *(st.C for st in at), *(st.D for st in at)
     )
     m = grid - 1
     # (A, C(A), D(A)) at A = p·B/q, scaled by one Q
@@ -199,7 +189,7 @@ def four_point_region(seq: DiagonalSequence, grid: int) -> List[RegionSample]:
 
     def cell(p: int, r: int) -> Tuple[bool, int]:
         qa, qC, qD = zip(table[p], table[r])
-        count = len(_lattice_search(qB, qgap, qa, *_mass_bounds(qB, qa, qC, qD)))
+        count = len(_lattice_search(qB, qres, qa, *_mass_bounds(qB, qa, qC, qD)))
         return count > 0, count
 
     return rows(cell)

@@ -241,6 +241,20 @@ def threshold_stats(seq: DiagonalSequence, alpha: Fraction) -> ThresholdStats:
     return ThresholdStats(alpha, C, D)
 
 
+def _trace_residue(seq: DiagonalSequence) -> Fraction:
+    """(C(α) − D(α)) mod B, the same at every α: each entry adds d_i to C − D
+    modulo B on either side of α, so exact 0s and Bs add nothing and a tail
+    adds its distance mass (negated on the B side).  Raises DomainError on a
+    divergent tail, exactly when a statistic is infinite."""
+    zt, bt = seq.zero_tail, seq.b_tail
+    if isinstance(zt, DivergentTail) or isinstance(bt, DivergentTail):
+        raise DomainError("the trace residue needs finite threshold statistics")
+    total = sum(seq.explicit, Fraction(0))
+    total += zt.total() if zt is not None else 0
+    total -= bt.total() if bt is not None else 0
+    return total % seq.B
+
+
 def count_range(seq: DiagonalSequence, a: Fraction, b: Fraction):
     """Exact |{i : a ≤ d_i < b}|, possibly Infinite.
 

@@ -360,6 +360,28 @@ def test_non_integer_workers_exits_64(capsys):
     assert exc.value.code == 64
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--grid", "2"), ("--n-max", "0"), ("--trunc", "-1"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf")],
+)
+def test_out_of_range_argument_exits_64(capsys, tmp_path, flag, value):
+    # the calls are otherwise valid, so only the argument check can refuse them
+    mat = tmp_path / "m.json"
+    mat.write_text(json.dumps({"dim": 2, "rows": [[0.0, 0.0], [0.0, 1.0]]}))
+    argv = {
+        "--grid": ["explore4", "--seq", DYADIC],
+        "--n-max": ["explore3", "--seq", DYADIC],
+        "--trunc": ["realize", "--seq", DYADIC, "--spectrum", "0,1/2,1", "--witness", '{"N":[1],"k":-1}'],
+        "--tol": ["verify", "--matrix", str(mat), "--spectrum", "0,1"],
+    }[flag]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 64
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument {flag}: expected" in out.err
+
+
 def _outcome(capsys, argv):
     try:
         code = main(argv)

@@ -1,5 +1,6 @@
 """Matrix constructions: Schur-Horn assembly, mass moves, truncations."""
 
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -16,12 +17,15 @@ from findiag import (
     TruncationTooSmallError,
     Witness,
     horn_construct,
+    lebesgue_check,
     move_mass,
     realize_truncated,
     verify_realization,
 )
+from findiag.cli import main
+from findiag.sequences import _trace_residue
 
-from conftest import robin_hood_pair
+from conftest import random_fraction, random_spectrum, robin_hood_pair
 
 F = Fraction
 
@@ -217,6 +221,83 @@ def test_realize_trace_imbalance_has_no_minimal(dyadic):
     with pytest.raises(TruncationTooSmallError) as exc:
         realize_truncated(dyadic, spec, Witness((2,), -1), 4)
     assert exc.value.minimal is None
+
+
+def _planted_cases(seed: int, count: int):
+    """(sequence, spectrum, witness) with N passing the threshold-statistic
+    check: one explicit entry is chosen so the trace residue matches Σ A_j N_j.
+    Each side has a geometric tail (ratio up to 9/10, leading element up to
+    B/2, often past the packing cutoff) or infinitely many exact endpoints."""
+    rng = Random(seed)
+    found = []
+    while len(found) < count:
+        B = rng.choice([F(1), F(2), F(3, 2)])
+        spec = random_spectrum(rng, B, rng.randint(1, 3))
+        N = tuple(rng.randint(1, 2) for _ in spec.interior)
+        sides = {}
+        for tail, ends in (("zero_tail", "zero_count"), ("b_tail", "b_count")):
+            if rng.random() < 0.25:
+                sides[ends] = INF
+            else:
+                ratio = rng.choice([F(1, 3), F(1, 2), F(2, 3), F(4, 5), F(9, 10)])
+                sides[tail] = GeometricTail(random_fraction(rng, B / 64, B / 2), ratio)
+        explicit = tuple(random_fraction(rng, B / 8, B - B / 8, den=32) for _ in range(rng.randint(0, 3)))
+        seq = DiagonalSequence(B, explicit, **sides)
+        fix = (sum(a * n for a, n in zip(spec.interior, N)) - _trace_residue(seq)) % B
+        seq = DiagonalSequence(B, explicit + (fix,), **sides)
+        witness = Witness(N, 0)  # k plays no part in a realization
+        if lebesgue_check(seq, spec, witness):
+            found.append((seq, spec, witness))
+    return found
+
+
+def _holds_tail_heads(m: SymmetricMatrix, seq: DiagonalSequence, T: int) -> bool:
+    heads = Counter()
+    if isinstance(seq.zero_tail, GeometricTail):
+        heads.update(seq.zero_tail.element(t) for t in range(T))
+    if isinstance(seq.b_tail, GeometricTail):
+        heads.update(seq.B - seq.b_tail.element(t) for t in range(T))
+    return not heads - Counter(m.exact_diagonal)
+
+
+def test_realize_level_search_reports_the_smallest_sufficient_level():
+    outcomes = Counter()
+    for seq, spec, w in _planted_cases(seed=909, count=40):
+        for T in (0, 1, 4, 16):
+            try:
+                m, level = realize_truncated(seq, spec, w, T), T
+                outcomes["returned"] += 1
+            except TruncationTooSmallError as exc:
+                level = exc.minimal
+                assert level is not None and T < level <= T + 256
+                for below in range(T + 1, level):
+                    with pytest.raises(TruncationTooSmallError):
+                        realize_truncated(seq, spec, w, below)
+                m = realize_truncated(seq, spec, w, level)
+                outcomes["raised"] += 1
+            assert _holds_tail_heads(m, seq, level)
+            rep = verify_realization(m, spec, m.exact_diagonal, w)
+            assert rep.diagonal_exact_match and rep.within_tolerance and rep.witness_multiplicities_ok
+    assert outcomes["raised"] >= 10 and outcomes["returned"] >= 10
+
+
+def test_realize_trace_imbalance_is_reported_before_any_level(tmp_path, capsys):
+    # Σ d_i is finite (nothing at B), and the zero tail reaches past the
+    # packing cutoff 1/16 up to level 14; no level can balance the trace
+    seq = DiagonalSequence(B=F(1), explicit=(F(1, 2),), zero_tail=GeometricTail(F(1, 4), F(9, 10)))
+    spec = SpectrumSpec((F(0), F(1, 16), F(1)))
+    with pytest.raises(TruncationTooSmallError) as exc:
+        realize_truncated(seq, spec, Witness((1,), 0), 2)
+    assert exc.value.minimal is None
+    assert "no integer solution" in str(exc.value)
+    path = tmp_path / "seq.json"
+    path.write_text(
+        '{"B": "1", "explicit": ["1/2"], "zero_tail": {"kind": "geometric", "first": "1/4", "ratio": "9/10"}}'
+    )
+    argv = ["realize", "--seq", str(path), "--spectrum", "0,1/16,1", "--witness", '{"N":[1],"k":0}']
+    assert main(argv + ["--trunc", "2"]) == 70
+    err = capsys.readouterr().err
+    assert "no integer solution" in err and "too small" not in err
 
 
 def test_verify_trivial_diagonal():

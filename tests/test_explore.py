@@ -213,20 +213,22 @@ def test_four_point_region_outright_rows_match_decide(seq, feasible):
 
 @pytest.mark.parametrize("q", [7, 8])
 def test_sweeps_evaluate_each_abscissa_once(dyadic, monkeypatch, q):
-    mod = importlib.import_module("findiag.decide")
+    # the trace congruence comes from the closed-form residue, so B/2 is
+    # evaluated only when it is a grid abscissa, and explore3 evaluates none
     seen = Counter()
-    real = mod.threshold_stats
+    real = threshold_stats
 
     def counted(seq, alpha):
         seen[alpha] += 1
         return real(seq, alpha)
 
-    monkeypatch.setattr(mod, "threshold_stats", counted)
+    for name in ("findiag.decide", "findiag.explore"):
+        monkeypatch.setattr(importlib.import_module(name), "threshold_stats", counted)
     four_point_region(dyadic, q)
-    assert seen == Counter({F(p, q) for p in range(1, q)} | {F(1, 2)})
+    assert seen == Counter({F(p, q) for p in range(1, q)})
     seen.clear()
     three_point_spectra(dyadic)
-    assert seen[F(1, 2)] == 1 and max(seen.values()) == 1
+    assert seen == Counter()
 
 
 def test_three_point_dyadic_frozen(dyadic):

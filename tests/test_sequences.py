@@ -20,6 +20,7 @@ from findiag import (
     scale,
     threshold_stats,
 )
+from findiag.sequences import _trace_residue
 
 from conftest import random_fraction, random_sequence
 
@@ -124,6 +125,34 @@ def test_threshold_stats_match_oracle():
         C, D = oracle_stats(seq, alpha)
         assert st.C == C
         assert st.D == D
+
+
+def test_trace_residue_matches_stats_at_every_alpha():
+    # C(α) − D(α) moves by whole multiples of B as α crosses entries, and
+    # exact 0s and Bs add nothing to it
+    rng = Random(909)
+    for _ in range(200):
+        seq = random_sequence(rng)
+        ends = tuple(rng.choice([F(0), seq.B]) for _ in range(rng.randint(0, 3)))
+        seq = DiagonalSequence(
+            seq.B, seq.explicit + ends, seq.zero_count, seq.b_count, seq.zero_tail, seq.b_tail
+        )
+        residue = _trace_residue(seq)
+        assert 0 <= residue < seq.B
+        for _ in range(4):
+            alpha = random_fraction(rng, seq.B / 64, seq.B - seq.B / 64, den=96)
+            st = threshold_stats(seq, alpha)
+            assert residue == (st.C - st.D) % seq.B
+
+
+@pytest.mark.parametrize("side", ["zero_tail", "b_tail"])
+def test_trace_residue_refuses_a_divergent_tail(side):
+    tails = {"zero_tail": GeometricTail(F(1, 4), F(1, 2)), "b_tail": GeometricTail(F(1, 3), F(1, 3))}
+    tails[side] = DivergentTail()
+    seq = DiagonalSequence(B=F(1), explicit=(F(1, 2),), **tails)
+    assert threshold_stats(seq, F(1, 2))[1 if side == "zero_tail" else 2] is INF
+    with pytest.raises(DomainError):
+        _trace_residue(seq)
 
 
 def test_stats_strictness_at_a_present_value(dyadic):
