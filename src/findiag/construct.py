@@ -3,10 +3,12 @@ diagonal.
 
 The finite engine is the classical Givens-rotation construction (Chan-Li):
 repeatedly rotate a 2x2 block so one coordinate lands exactly on its target
-diagonal value.  All diagonal bookkeeping is exact rational; floats enter
-only through rotation cosines, and every finished diagonal entry is assigned
-from its exact value, so diagonals of constructed matrices match their
-targets bit for bit.
+diagonal value.  All diagonal bookkeeping is exact integers over one common
+denominator Q per finite problem, and every float is one correctly rounded
+int division (v / Q), so it equals the float of the same rational.  Floats
+enter only through rotation cosines, and every finished diagonal entry is
+assigned from its exact value, so diagonals of constructed matrices match
+their targets bit for bit.
 
 Truncated realizations of doubly infinite diagonals materialize tail
 prefixes, pack the remaining tail mass into interior-safe entries, balance
@@ -21,13 +23,13 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 from .errors import ConstructionError, DomainError, TruncationTooSmallError
 from .majorize import Witness, _weighted_sum, check_finite_majorization
-from .scalars import INF
+from .scalars import INF, _scaled
 from .sequences import (
     DiagonalSequence,
     DivergentTail,
@@ -143,12 +145,21 @@ def horn_construct(lam: Sequence, d: Sequence) -> SymmetricMatrix:
     d = [Fraction(x) for x in d]
     if not check_finite_majorization(d, lam):
         raise DomainError("eigenvalues do not majorize the requested diagonal")
+    Q, scaled = _scaled(*lam, *d)
+    entries, rotations = _horn(scaled[: len(lam)], scaled[len(lam) :], Q)
+    return SymmetricMatrix(entries, tuple(rotations), tuple(d))
+
+
+def _horn(lam: Sequence[int], d: Sequence[int], Q: int) -> Tuple[np.ndarray, List[GivensRotation]]:
+    """horn_construct on eigenvalues and targets given as integers over Q:
+    the entries and the rotations.  Every float is one int division, so it
+    equals the float of the same rational."""
     size = len(d)
     work = sorted(lam, reverse=True)
     entries = np.zeros((size, size))
     for coord, v in enumerate(work):
-        entries[coord, coord] = float(v)
-    active: List[Tuple[Fraction, int]] = [(v, coord) for coord, v in enumerate(work)]
+        entries[coord, coord] = v / Q
+    active: List[Tuple[int, int]] = [(v, coord) for coord, v in enumerate(work)]
     order = sorted(range(size), key=lambda i: d[i], reverse=True)
     rotations: List[GivensRotation] = []
     coord_of_position = [0] * size
@@ -166,14 +177,14 @@ def horn_construct(lam: Sequence, d: Sequence) -> SymmetricMatrix:
         _require(below is not None and below >= 1, "majorization invariant violated")
         alpha, pa = active[below - 1]
         beta, pb = active[below]
-        c2 = (target - beta) / (alpha - beta)
-        c = math.sqrt(float(c2))
-        s = math.sqrt(float(1 - c2))
+        # c² = (τ − β)/(α − β), s² = 1 − c², and the coupling c·s·(α − β)
+        c = math.sqrt((target - beta) / (alpha - beta))
+        s = math.sqrt((alpha - target) / (alpha - beta))
         _apply_rotation(entries, pa, pb, c, s)
         merged = alpha + beta - target
-        entries[pa, pa] = float(target)
-        entries[pb, pb] = float(merged)
-        off = math.sqrt(float(c2 * (1 - c2) * (alpha - beta) * (alpha - beta)))
+        entries[pa, pa] = target / Q
+        entries[pb, pb] = merged / Q
+        off = math.sqrt((target - beta) * (alpha - target) / (Q * Q))
         entries[pa, pb] = off
         entries[pb, pa] = off
         rotations.append(GivensRotation(pa, pb, c, s))
@@ -184,38 +195,39 @@ def horn_construct(lam: Sequence, d: Sequence) -> SymmetricMatrix:
     _require(not active, "working multiset should be exhausted")
 
     perm = np.array(coord_of_position, dtype=int)
-    out = entries[np.ix_(perm, perm)]
-    out_index = {int(coord): i for i, coord in enumerate(perm)}
-    remapped = tuple(
-        GivensRotation(out_index[r.p], out_index[r.q], r.c, r.s) for r in rotations
-    )
-    return SymmetricMatrix(out, remapped, tuple(d))
+    out_index = {coord: i for i, coord in enumerate(coord_of_position)}
+    remapped = [GivensRotation(out_index[r.p], out_index[r.q], r.c, r.s) for r in rotations]
+    return entries[np.ix_(perm, perm)], remapped
 
 
 # --------------------------------------------------------------------------
 # Water-fill mass moves
 # --------------------------------------------------------------------------
 
+Exact = TypeVar("Exact", int, Fraction)
+
+
 def _water_fill(
-    values: Sequence[Fraction],
-    B: Fraction,
+    values: Sequence[Exact],
+    B: Exact,
     donors: Sequence[int],
     recipients: Sequence[int],
-    eta: Fraction,
-) -> Tuple[List[Fraction], List[Tuple[int, int, Fraction]]]:
+    eta: Exact,
+) -> Tuple[List[Exact], List[Tuple[int, int, Exact]]]:
     """Move total mass eta out of donor positions (taken in the given order,
     each emptied to 0 before the next) into recipient positions (each filled
     to B before the next).  Returns the new values and the transfer list
-    [(donor, recipient, amount)] in event order."""
+    [(donor, recipient, amount)] in event order.  Runs on rationals for
+    move_mass and on integers over one denominator for the assembly."""
     new = list(values)
-    transfers: List[Tuple[int, int, Fraction]] = []
+    transfers: List[Tuple[int, int, Exact]] = []
     if eta < 0:
         raise DomainError("mass to move must be nonnegative")
     if eta == 0:
         return new, transfers
-    if eta > sum((new[i] for i in donors), Fraction(0)):
+    if eta > sum(new[i] for i in donors):
         raise DomainError("donor entries cannot supply the requested mass")
-    if eta > sum((B - new[j] for j in recipients), Fraction(0)):
+    if eta > sum(B - new[j] for j in recipients):
         raise DomainError("recipient entries cannot absorb the requested mass")
     remaining = eta
     di, ri = 0, 0
@@ -272,44 +284,44 @@ def _steer(
     arr: np.ndarray,
     p: int,
     q: int,
-    x: Fraction,
-    y: Fraction,
-    target: Fraction,
+    x: int,
+    y: int,
+    target: int,
+    Q: int,
 ) -> GivensRotation:
     """Rotate coordinates (p, q) so the (p, p) entry becomes target and the
     (q, q) entry becomes x + y − target, with x, y the current exact diagonal
-    values.  Unlike the fresh-pair case, the (p, q) coupling beta may be
-    nonzero; the rotation parameter solves t²(y−τ) − 2βt + (x−τ) = 0, whose
-    discriminant β² − (y−τ)(x−τ) is nonnegative whenever x ≤ τ ≤ y (clipped
-    at 0 against float dust).  Both new diagonal entries are assigned exactly.
+    values, all integers over Q.  Unlike the fresh-pair case, the (p, q)
+    coupling β = bn/bd (the float's exact ratio) may be nonzero; the rotation
+    parameter solves t²(y−τ) − 2βt + (x−τ) = 0, whose discriminant
+    β² − (y−τ)(x−τ) = (bn²Q² − a·b·bd²)/(bd²Q²) is nonnegative whenever
+    x ≤ τ ≤ y (clipped at 0 against float dust).  Both new diagonal entries
+    are assigned exactly.
     """
-    beta = Fraction(float(arr[p, q]))
+    bn, bd = arr[p, q].as_integer_ratio()
     a = y - target
     b = x - target
     if a == 0:
-        if beta == 0:
+        if bn == 0:
             if b == 0:
                 c, s = 1.0, 0.0
             else:
                 c, s = 0.0, 1.0  # plain swap of the two coordinates
         else:
-            t = float(b / (2 * beta))
+            t = b * bd / (2 * bn * Q)
             c = 1.0 / math.sqrt(1.0 + t * t)
             s = t * c
     else:
-        disc = beta * beta - a * b
-        if disc < 0:
-            disc = Fraction(0)
-        root = math.sqrt(float(disc))
-        af, bf = float(a), float(beta)
+        root = math.sqrt(max(bn * bn * Q * Q - a * b * bd * bd, 0) / (bd * bd * Q * Q))
+        af, bf = a / Q, bn / bd
         t1 = (bf + root) / af
         t2 = (bf - root) / af
         t = t1 if abs(t1) <= abs(t2) else t2
         c = 1.0 / math.sqrt(1.0 + t * t)
         s = t * c
     _apply_rotation(arr, p, q, c, s)
-    arr[p, p] = float(target)
-    arr[q, q] = float(x + y - target)
+    arr[p, p] = target / Q
+    arr[q, q] = (x + y - target) / Q
     return GivensRotation(p, q, c, s)
 
 
@@ -319,12 +331,14 @@ def _steer(
 
 @dataclass
 class _FiniteProblem:
-    B: Fraction
-    G: List[Fraction]          # target diagonal, ascending, exact
-    Lam: List[Fraction]        # eigenvalue list, ascending, exact
+    Q: int                     # common denominator of B, G, Lam and deltas
+    B: int                     # B·Q
+    G: List[int]               # target diagonal ·Q, ascending
+    Lam: List[int]             # eigenvalue list ·Q, ascending
     M0: int                    # zero-block length in Lam
     sigma: int                 # total interior multiplicity
-    deltas: List[Fraction]     # deltas[m] = sum_{i<=m} (G_i - Lam_i), m = 0..L
+    deltas: List[int]          # deltas[m] = sum_{i<=m} (G_i - Lam_i), m = 0..L
+    exact: Tuple[Fraction, ...] = ()  # G/Q as rationals, the record of the matrix
 
 
 def _pack(tail: GeometricTail, T: int, cap: Fraction) -> List[Fraction]:
@@ -346,7 +360,9 @@ def _build_problem(
     """Assemble the exact finite majorization problem at truncation level T,
     for a witness that balances the trace and a level at which every tail
     element left out lies below the packing cutoff (lowcut from 0, B −
-    highcut from B).  Returns None when a partial-sum gap is negative.
+    highcut from B), scaled to integers by the lcm Q of the denominators of
+    B, the spectrum points and the packed diagonal.  Returns None when a
+    partial-sum gap is negative.
     """
     B = seq.B
     sigma = witness.sigma_total
@@ -355,8 +371,10 @@ def _build_problem(
         Y += _pack(seq.zero_tail, T, lowcut / 2)
     if isinstance(seq.b_tail, GeometricTail):
         Y += [B - v for v in _pack(seq.b_tail, T, (B - highcut) / 2)]
-    Y.sort()
-    kappa = (sum(Y, Fraction(0)) - _weighted_sum(spectrum, witness.N)) // B
+    Q, (qB, *scaled) = _scaled(B, *spectrum.interior, *Y)
+    qa, qY = scaled[: spectrum.n], scaled[spectrum.n :]
+    order = sorted(range(len(Y)), key=qY.__getitem__)
+    kappa = (sum(qY) - sum(a * nj for a, nj in zip(qa, witness.N))) // qB
 
     zmin = seq.zero_count if seq.zero_count is not INF else 0
     wmin = seq.b_count if seq.b_count is not INF else 0
@@ -366,56 +384,51 @@ def _build_problem(
     M_top = w + kappa
     _require(M0 >= 1 and M_top >= 1, "both endpoint blocks must be nonempty")
 
-    G = [Fraction(0)] * z + Y + [B] * w
-    Lam = (
-        [Fraction(0)] * M0
-        + [spectrum.points[r] for r in range(1, spectrum.n + 1) for _ in range(witness.N[r - 1])]
-        + [B] * M_top
-    )
+    G = [0] * z + [qY[i] for i in order] + [qB] * w
+    Lam = [0] * M0 + [a for a, nj in zip(qa, witness.N) for _ in range(nj)] + [qB] * M_top
     L = len(G)
     _require(len(Lam) == L, "eigenvalue list must match the diagonal length")
 
-    deltas = [Fraction(0)]
-    run = Fraction(0)
+    deltas = [0]
+    run = 0
     for g, l in zip(G, Lam):
         run += g - l
         deltas.append(run)
     _require(deltas[L] == 0, "totals must balance by construction")
     if any(dm < 0 for dm in deltas):
         return None
-    return _FiniteProblem(B, G, Lam, M0, sigma, deltas)
+    exact = (Fraction(0),) * z + tuple(Y[i] for i in order) + (B,) * w
+    return _FiniteProblem(Q, qB, G, Lam, M0, sigma, deltas, exact)
 
 
-def _assemble_split(prob: _FiniteProblem, m0: int) -> SymmetricMatrix:
+def _assemble_split(prob: _FiniteProblem, m0: int) -> Tuple[np.ndarray, List[GivensRotation]]:
     """Window minimum at m0: drain delta_{m0} from the bottom into the top,
     split into two finite constructions at m0, undo the move.  At the right
     end m0 = M0 + sigma the top block fills to exact Bs, so it is B·I."""
     L = len(prob.G)
+    Q = prob.Q
     split = prob.M0 + prob.sigma
     donors = list(range(prob.M0))
     recipients = list(range(L - 1, split - 1, -1))
     newG, transfers = _water_fill(prob.G, prob.B, donors, recipients, prob.deltas[m0])
 
-    blockA = horn_construct(prob.Lam[:m0], newG[:m0])
     entries = np.zeros((L, L))
-    entries[:m0, :m0] = blockA.as_array()
-    rotations = list(blockA.provenance)
+    entries[:m0, :m0], rotations = _horn(prob.Lam[:m0], newG[:m0], Q)
     if m0 == split:
         _require(all(v == prob.B for v in newG[split:]), "top block must fill exactly")
         for i in range(split, L):
-            entries[i, i] = float(prob.B)
+            entries[i, i] = prob.B / Q
     else:
-        blockB = horn_construct(prob.Lam[m0:], newG[m0:])
-        entries[m0:, m0:] = blockB.as_array()
-        rotations += [GivensRotation(r.p + m0, r.q + m0, r.c, r.s) for r in blockB.provenance]
+        entries[m0:, m0:], upper = _horn(prob.Lam[m0:], newG[m0:], Q)
+        rotations += [GivensRotation(r.p + m0, r.q + m0, r.c, r.s) for r in upper]
     exact = list(newG)
     for i, j, amt in reversed(transfers):
         x, y = exact[i], exact[j]
-        rotations.append(_steer(entries, i, j, x, y, x + amt))
+        rotations.append(_steer(entries, i, j, x, y, x + amt, Q))
         exact[i] = x + amt
         exact[j] = y - amt
     _require(exact == prob.G, "undoing the transfers must restore the diagonal")
-    return SymmetricMatrix(entries, tuple(rotations), tuple(prob.G))
+    return entries, rotations
 
 
 def _assemble(prob: _FiniteProblem) -> SymmetricMatrix:
@@ -423,13 +436,14 @@ def _assemble(prob: _FiniteProblem) -> SymmetricMatrix:
     m0_off = min(range(len(window)), key=lambda i: (window[i], i))
     m0 = prob.M0 + m0_off
     if prob.deltas[m0] == prob.deltas[prob.M0 + prob.sigma]:
-        return _assemble_split(prob, prob.M0 + prob.sigma)
-    if m0 == prob.M0:
+        entries, rotations = _assemble_split(prob, prob.M0 + prob.sigma)
+    elif m0 == prob.M0:
         # minimum at the left end only: reflect d_i -> B - d_{-i}, which sends
         # delta_m to delta_{L-m} and the left end to the right end, solve at
         # the right end, and pull back through M -> B·I − M.
         L = len(prob.G)
         refl = _FiniteProblem(
+            Q=prob.Q,
             B=prob.B,
             G=[prob.B - g for g in reversed(prob.G)],
             Lam=[prob.B - l for l in reversed(prob.Lam)],
@@ -442,16 +456,15 @@ def _assemble(prob: _FiniteProblem) -> SymmetricMatrix:
             refl.deltas[refl.M0 + refl.sigma] == min(rwindow),
             "the reflected window minimum must sit at its right end",
         )
-        mirrored = _assemble_split(refl, refl.M0 + refl.sigma)
+        mirrored, reflected = _assemble_split(refl, refl.M0 + refl.sigma)
         rev = np.arange(L - 1, -1, -1)
-        entries = (float(prob.B) * np.eye(L) - mirrored.as_array())[np.ix_(rev, rev)]
+        entries = (prob.B / prob.Q * np.eye(L) - mirrored)[np.ix_(rev, rev)]
         for i, g in enumerate(prob.G):
-            entries[i, i] = float(g)
-        rotations = tuple(
-            GivensRotation(L - 1 - r.p, L - 1 - r.q, r.c, r.s) for r in mirrored.provenance
-        )
-        return SymmetricMatrix(entries, rotations, tuple(prob.G))
-    return _assemble_split(prob, m0)
+            entries[i, i] = g / prob.Q
+        rotations = [GivensRotation(L - 1 - r.p, L - 1 - r.q, r.c, r.s) for r in reflected]
+    else:
+        entries, rotations = _assemble_split(prob, m0)
+    return SymmetricMatrix(entries, tuple(rotations), prob.exact)
 
 
 def realize_truncated(

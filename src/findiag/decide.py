@@ -19,7 +19,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
 from .majorize import Witness, check_finite_majorization
-from .scalars import INF
+from .scalars import INF, _scaled
 from .sequences import (
     DiagonalSequence,
     SpectrumSpec,
@@ -55,12 +55,6 @@ def _require_matching_b(seq: DiagonalSequence, spectrum: SpectrumSpec) -> None:
         raise DomainError(
             f"sequence endpoint B={seq.B} differs from spectrum endpoint {spectrum.B}"
         )
-
-
-def _scaled(*values: Fraction) -> Tuple[int, List[int]]:
-    """Q, the lcm of the denominators, and each value times Q as an integer."""
-    Q = math.lcm(*(x.denominator for x in values))
-    return Q, [x.numerator * (Q // x.denominator) for x in values]
 
 
 def _scaled_trace(gap: Fraction, spectrum: SpectrumSpec) -> Tuple[int, int, List[int]]:

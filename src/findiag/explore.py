@@ -8,9 +8,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from .decide import Verdict, _case, _lattice_search, _mass_bounds, _scaled
+from .decide import Verdict, _case, _lattice_search, _mass_bounds
 from .errors import DomainError
-from .scalars import format_rational
+from .scalars import _scaled, format_rational
 from .sequences import DiagonalSequence, GeometricTail, _trace_residue, materialize_tails, threshold_stats
 
 

@@ -7,9 +7,10 @@ All sequence data and threshold statistics are exact rationals
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
-from typing import Union
+from typing import List, Tuple, Union
 
 from .errors import SchemaError
 
@@ -91,3 +92,9 @@ def parse_rational(text: str, path: str = "$") -> Fraction:
 def format_rational(x: Fraction) -> str:
     """Inverse of parse_rational; '3', '-1/2', etc."""
     return str(Fraction(x))
+
+
+def _scaled(*values: Fraction) -> Tuple[int, List[int]]:
+    """Q, the lcm of the denominators, and each value times Q as an integer."""
+    Q = math.lcm(*(x.denominator for x in values))
+    return Q, [x.numerator * (Q // x.denominator) for x in values]

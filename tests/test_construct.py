@@ -1,5 +1,7 @@
 """Matrix constructions: Schur-Horn assembly, mass moves, truncations."""
 
+import bisect
+import math
 from collections import Counter
 from fractions import Fraction
 from random import Random
@@ -12,6 +14,7 @@ from findiag import (
     DiagonalSequence,
     DomainError,
     GeometricTail,
+    GivensRotation,
     SpectrumSpec,
     SymmetricMatrix,
     TruncationTooSmallError,
@@ -23,6 +26,8 @@ from findiag import (
     verify_realization,
 )
 from findiag.cli import main
+from findiag.construct import _apply_rotation, _steer, _water_fill
+from findiag.scalars import _scaled
 from findiag.sequences import _trace_residue
 
 from conftest import random_fraction, random_spectrum, robin_hood_pair
@@ -96,6 +101,180 @@ def test_horn_order_of_targets_is_respected():
     d = [F(3, 4), F(1, 4), F(1, 2)]
     m = horn_construct([F(0), F(1, 2), F(1)], d)
     assert m.exact_diagonal == tuple(d)
+
+
+# The rational construction the integer one replaced, kept as the oracle for
+# it: the same steps with every quantity a Fraction and every float taken
+# through float(Fraction).
+
+
+def rational_horn(lam, d):
+    """horn_construct in Fraction arithmetic: the entries and the rotations."""
+    lam = [F(x) for x in lam]
+    d = [F(x) for x in d]
+    size = len(d)
+    work = sorted(lam, reverse=True)
+    entries = np.zeros((size, size))
+    for coord, v in enumerate(work):
+        entries[coord, coord] = float(v)
+    active = [(v, coord) for coord, v in enumerate(work)]
+    order = sorted(range(size), key=lambda i: d[i], reverse=True)
+    rotations = []
+    coord_of_position = [0] * size
+    for pos in order:
+        target = d[pos]
+        hit = next((idx for idx, (v, _) in enumerate(active) if v == target), None)
+        if hit is not None:
+            _, coord = active.pop(hit)
+            coord_of_position[pos] = coord
+            continue
+        below = next(idx for idx, (v, _) in enumerate(active) if v < target)
+        alpha, pa = active[below - 1]
+        beta, pb = active[below]
+        c2 = (target - beta) / (alpha - beta)
+        c = math.sqrt(float(c2))
+        s = math.sqrt(float(1 - c2))
+        _apply_rotation(entries, pa, pb, c, s)
+        merged = alpha + beta - target
+        entries[pa, pa] = float(target)
+        entries[pb, pb] = float(merged)
+        off = math.sqrt(float(c2 * (1 - c2) * (alpha - beta) * (alpha - beta)))
+        entries[pa, pb] = off
+        entries[pb, pa] = off
+        rotations.append(GivensRotation(pa, pb, c, s))
+        active.pop(below)
+        active.pop(below - 1)
+        bisect.insort(active, (merged, pb), key=lambda t: (-t[0], t[1]))
+        coord_of_position[pos] = pa
+    perm = np.array(coord_of_position, dtype=int)
+    out_index = {int(coord): i for i, coord in enumerate(perm)}
+    remapped = [GivensRotation(out_index[r.p], out_index[r.q], r.c, r.s) for r in rotations]
+    return entries[np.ix_(perm, perm)], remapped
+
+
+def rational_steer(arr, p, q, x, y, target):
+    """_steer in Fraction arithmetic, with the coupling read as Fraction(float)."""
+    beta = Fraction(float(arr[p, q]))
+    a = y - target
+    b = x - target
+    if a == 0:
+        if beta == 0:
+            c, s = (1.0, 0.0) if b == 0 else (0.0, 1.0)
+        else:
+            t = float(b / (2 * beta))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = t * c
+    else:
+        disc = max(beta * beta - a * b, Fraction(0))
+        root = math.sqrt(float(disc))
+        af, bf = float(a), float(beta)
+        t1 = (bf + root) / af
+        t2 = (bf - root) / af
+        t = t1 if abs(t1) <= abs(t2) else t2
+        c = 1.0 / math.sqrt(1.0 + t * t)
+        s = t * c
+    _apply_rotation(arr, p, q, c, s)
+    arr[p, p] = float(target)
+    arr[q, q] = float(x + y - target)
+    return GivensRotation(p, q, c, s)
+
+
+def _bits(rotations):
+    return [(r.p, r.q, r.c.hex(), r.s.hex()) for r in rotations]
+
+
+def _majorization_pairs(seed: int, count: int):
+    """(lam, d) with lam majorizing d, in the caller's order: sizes 0 and 1,
+    denominators 64·10^t and 4^t, and transfers of whole gaps, which leave
+    targets that hit a working value exactly."""
+    rng = Random(seed)
+    pairs = [([], []), ([F(3, 7)], [F(3, 7)])]
+    while len(pairs) < count:
+        n = rng.randint(1, 9)
+        den = rng.choice([64 * 10 ** rng.randint(0, 3), 4 ** rng.randint(1, 12)])
+        lam = [F(rng.randint(-den, 3 * den), den) for _ in range(n)]
+        d = list(lam)
+        for _ in range(rng.randint(0, 3 * n)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            if d[i] < d[j]:
+                i, j = j, i
+            share = rng.choice([F(0), F(1), F(1, 2), F(rng.randint(1, den), den)])
+            d[i], d[j] = d[i] - (d[i] - d[j]) * share, d[j] + (d[i] - d[j]) * share
+        rng.shuffle(d)
+        pairs.append((lam, d))
+    return pairs
+
+
+def test_horn_matches_the_rational_construction_bit_for_bit():
+    rotated = hits = 0
+    for lam, d in _majorization_pairs(seed=31, count=300):
+        m = horn_construct(lam, d)
+        entries, rotations = rational_horn(lam, d)
+        assert m.as_array().tobytes() == entries.tobytes()
+        assert _bits(m.provenance) == _bits(rotations)
+        assert m.exact_diagonal == tuple(d)
+        rotated += bool(rotations)
+        hits += len(rotations) < len(d) - 1
+    assert rotated >= 150 and hits >= 50
+
+
+def _steer_case(rng: Random, branch: str):
+    """(x, y, τ, β) on which _steer takes the named branch."""
+    den = rng.choice([64 * 10 ** rng.randint(0, 4), 4 ** rng.randint(1, 12), 3 ** rng.randint(1, 9)])
+    lo, mid, hi = sorted(F(v, den) for v in rng.sample(range(-den, 2 * den), 3))
+    beta = rng.choice([-1, 1]) * rng.random() * 2.0 ** -rng.randint(0, 30)
+    if branch == "identity":
+        return mid, mid, mid, 0.0
+    if branch in ("swap", "coupled"):
+        return lo, mid, mid, (0.0 if branch == "swap" else beta)
+    if branch == "clipped":  # τ < x < y and β² < (y − τ)(x − τ)
+        return mid, hi, lo, beta * float(mid - lo) / 2
+    return lo, hi, mid, beta  # x < τ < y
+
+
+@pytest.mark.parametrize("branch", ["identity", "swap", "coupled", "clipped", "positive"])
+def test_steer_matches_the_rational_steering_bit_for_bit(branch):
+    rng = Random(f"steer:{branch}")
+    for _ in range(60):
+        x, y, target, beta = _steer_case(rng, branch)
+        # the branch from the exact values: y = τ with or without a coupling,
+        # else the sign of the discriminant β² − (y − τ)(x − τ)
+        a, b, coupling = y - target, x - target, F(beta)
+        if a == 0:
+            assert branch == ("coupled" if beta else "identity" if b == 0 else "swap")
+        else:
+            assert branch == ("clipped" if coupling * coupling < a * b else "positive")
+        start = np.array([[float(x), beta, 0.25], [beta, float(y), -0.5], [0.25, -0.5, 0.75]])
+        ref = start.copy()
+        want = rational_steer(ref, 0, 1, x, y, target)
+        Q, (qx, qy, qt) = _scaled(x, y, target)
+        for m in (1, 6):  # any common denominator gives the same floats
+            arr = start.copy()
+            got = _steer(arr, 0, 1, qx * m, qy * m, qt * m, Q * m)
+            assert arr.tobytes() == ref.tobytes()
+            assert _bits([got]) == _bits([want])
+
+
+def test_water_fill_on_integers_is_the_rational_fill_times_q():
+    rng = Random(17)
+    moved = 0
+    for _ in range(200):
+        B = rng.choice([F(1), F(2), F(3, 2)])
+        den = rng.choice([32, 640, 4**7])
+        values = [B * F(rng.randint(0, den), den) for _ in range(rng.randint(2, 10))]
+        cut = rng.randint(1, len(values) - 1)
+        donors = rng.sample(range(len(values)), cut)
+        recipients = [j for j in range(len(values)) if j not in donors]
+        rng.shuffle(recipients)
+        room = min(sum(values[i] for i in donors), sum(B - values[j] for j in recipients))
+        eta = room * F(rng.randint(0, 8), 8)
+        new, transfers = _water_fill(values, B, donors, recipients, eta)
+        Q, (qB, qeta, *qv) = _scaled(B, eta, *values)
+        qnew, qtransfers = _water_fill(qv, qB, donors, recipients, qeta)
+        assert qnew == [v * Q for v in new]
+        assert qtransfers == [(i, j, amt * Q) for i, j, amt in transfers]
+        moved += bool(transfers)
+    assert moved >= 100
 
 
 def test_move_mass_noop_at_zero(dyadic):

@@ -48,3 +48,29 @@ def test_only_decide_and_cli_import_the_statistics_table():
         if isinstance(node, ast.ImportFrom) and private & {alias.name for alias in node.names}
     ]
     assert found == []
+
+
+def test_construction_kernels_run_on_integers():
+    """The Schur–Horn kernel, the water fill, the assembly and the steering
+    rotations work on integers over one common denominator: no Fraction in
+    them, every float is an int division rather than float(...), and the
+    scaling comes from scalars, not from the decision module."""
+    tree = ast.parse((SRC / "construct.py").read_text(encoding="utf-8"))
+    kernels = {"_steer", "_horn", "_assemble", "_assemble_split", "_water_fill"}
+    defined = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert kernels <= defined.keys()
+    found = [
+        f"{name}:{node.lineno}"
+        for name in sorted(kernels)
+        for node in ast.walk(defined[name])
+        if (isinstance(node, ast.Name) and node.id == "Fraction")
+        or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
+        or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float")
+    ]
+    assert found == []
+    imports = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "decide"
+    ]
+    assert imports == []
