@@ -23,12 +23,14 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 from .errors import ConstructionError, DomainError, TruncationTooSmallError
-from .majorize import Witness, _weighted_sum, check_finite_majorization
+from .majorize import Witness, _require_compatible, _weighted_sum, check_finite_majorization
 from .scalars import INF, _scaled
 from .sequences import (
     DiagonalSequence,
@@ -78,9 +80,7 @@ class SymmetricMatrix:
             raise DomainError("exact diagonal length differs from matrix dimension")
         self._entries = arr
         self.provenance = tuple(provenance)
-        self.exact_diagonal = (
-            tuple(Fraction(x) for x in exact_diagonal) if exact_diagonal is not None else None
-        )
+        self.exact_diagonal = None if exact_diagonal is None else tuple(exact_diagonal)
 
     @property
     def dimension(self) -> int:
@@ -344,9 +344,10 @@ class _FiniteProblem:
 def _pack(tail: GeometricTail, T: int, cap: Fraction) -> List[Fraction]:
     """Distances from the tail's endpoint: its first T elements, then the
     remaining mass split evenly over the fewest entries of at most cap."""
-    rem = tail.tail_sum_from(T)
+    heads = list(accumulate([tail.ratio] * T, mul, initial=tail.first))
+    rem = heads.pop() / (1 - tail.ratio)  # first·ratio^T / (1 − ratio)
     count = -(-rem // cap)  # ceil
-    return [tail.element(t) for t in range(T)] + [rem / count] * count
+    return heads + [rem / count] * count
 
 
 def _build_problem(
@@ -389,11 +390,7 @@ def _build_problem(
     L = len(G)
     _require(len(Lam) == L, "eigenvalue list must match the diagonal length")
 
-    deltas = [0]
-    run = 0
-    for g, l in zip(G, Lam):
-        run += g - l
-        deltas.append(run)
+    deltas = [0, *accumulate(g - l for g, l in zip(G, Lam))]
     _require(deltas[L] == 0, "totals must balance by construction")
     if any(dm < 0 for dm in deltas):
         return None
@@ -476,18 +473,22 @@ def realize_truncated(
     geometric tail, the remaining tail mass packed into interior-safe
     entries, and balancing exact 0/B entries.
 
-    Raises TruncationTooSmallError when level T does not suffice; its
-    ``minimal`` attribute carries the smallest workable level within T+256,
-    or None when no level can work (trace imbalance, which is T-independent).
-    Levels whose first left-out tail element reaches the packing cutoff are
-    skipped in closed form; the rest are built in turn.
+    Builds one finite problem, at level max(T, first): first is the least
+    level whose left-out tail elements all lie below the packing cutoff
+    (lowcut = A_1 from 0, B − highcut = B − A_n from B), read in closed form.
+    That build decides every level ≥ first.  There each packed or left-out
+    element lies below the cutoff, and the packed entries carry the left-out
+    mass, so C(a) and D(a) at each interior spectrum point a are those of
+    the infinite sequence; finite Schur–Horn for a step eigenvalue list
+    (Chan–Li 1983) reduces to the same threshold inequalities.  So the
+    partial-sum gaps are nonnegative at one such level iff at all of them,
+    iff lebesgue_check holds.
+
+    Raises TruncationTooSmallError when level T does not suffice: its
+    ``minimal`` is first when that build succeeds and first > T, and None
+    when no level can work (the trace congruence or a mass bound fails).
     """
-    if seq.B != spectrum.B:
-        raise DomainError(
-            f"sequence endpoint B={seq.B} differs from spectrum endpoint {spectrum.B}"
-        )
-    if len(witness.N) != spectrum.n:
-        raise DomainError("witness length does not match the spectrum")
+    _require_compatible(seq, spectrum, witness)
     if not isinstance(T, int) or isinstance(T, bool) or T < 0:
         raise DomainError(f"truncation level must be an integer ≥ 0, got {T!r}")
     if isinstance(seq.zero_tail, DivergentTail) or isinstance(seq.b_tail, DivergentTail):
@@ -502,24 +503,25 @@ def realize_truncated(
             "witness; no truncation level can balance it",
             minimal=None,
         )
-    first = T
+    level = T
     if isinstance(seq.zero_tail, GeometricTail):
-        first = max(first, seq.zero_tail.count_at_least(lowcut))
+        level = max(level, seq.zero_tail.count_at_least(lowcut))
     if isinstance(seq.b_tail, GeometricTail):
-        first = max(first, seq.b_tail.count_at_least(seq.B - highcut))
-    minimal = None
-    for level in range(first, T + 257):
-        prob = _build_problem(seq, spectrum, witness, level, lowcut, highcut)
-        if prob is not None:
-            if level == T:
-                return _assemble(prob)
-            minimal = level
-            break
-    raise TruncationTooSmallError(
-        f"truncation level T={T} is too small for an exact realization"
-        + (f"; the smallest sufficient level is T={minimal}" if minimal is not None else ""),
-        minimal=minimal,
-    )
+        level = max(level, seq.b_tail.count_at_least(seq.B - highcut))
+    prob = _build_problem(seq, spectrum, witness, level, lowcut, highcut)
+    if prob is None:
+        raise TruncationTooSmallError(
+            "the witness fails a mass bound for this sequence; no truncation "
+            "level can realize it",
+            minimal=None,
+        )
+    if level > T:
+        raise TruncationTooSmallError(
+            f"truncation level T={T} is too small for an exact realization; "
+            f"the smallest sufficient level is T={level}",
+            minimal=level,
+        )
+    return _assemble(prob)
 
 
 def verify_realization(

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
-from .majorize import Witness, check_finite_majorization
+from .majorize import Witness, _require_compatible, check_finite_majorization
 from .scalars import INF, _scaled
 from .sequences import (
     DiagonalSequence,
@@ -48,13 +48,6 @@ class Decision:
     @property
     def feasible(self) -> bool:
         return self.verdict in (Verdict.FEASIBLE_CASE_I, Verdict.FEASIBLE_CASE_II)
-
-
-def _require_matching_b(seq: DiagonalSequence, spectrum: SpectrumSpec) -> None:
-    if seq.B != spectrum.B:
-        raise DomainError(
-            f"sequence endpoint B={seq.B} differs from spectrum endpoint {spectrum.B}"
-        )
 
 
 def _scaled_trace(gap: Fraction, spectrum: SpectrumSpec) -> Tuple[int, int, List[int]]:
@@ -175,9 +168,7 @@ def lebesgue_check(seq: DiagonalSequence, spectrum: SpectrumSpec, witness: Witne
     searches.  witness.k is ignored: k is determined by the trace equation.
     The partial-sum form is riemann_check.
     """
-    _require_matching_b(seq, spectrum)
-    if len(witness.N) != spectrum.n:
-        raise DomainError("witness length does not match the spectrum")
+    _require_compatible(seq, spectrum, witness)
     N = witness.N
     qB, qres, qa = _scaled_trace(_trace_residue(seq), spectrum)
     if (qres - sum(a * nj for a, nj in zip(qa, N))) % qB:
@@ -194,7 +185,7 @@ def enumerate_witnesses(seq: DiagonalSequence, spectrum: SpectrumSpec) -> List[W
     lebesgue_check; the search is _lattice_search, which stays inside the
     box of witness_bounds.
     """
-    _require_matching_b(seq, spectrum)
+    _require_compatible(seq, spectrum)
     if spectrum.n == 0:
         raise DomainError("witness enumeration needs at least one interior spectrum point")
     table = _stats_table(seq)
@@ -267,7 +258,7 @@ def decide(seq: DiagonalSequence, spectrum: SpectrumSpec) -> Decision:
     call, in a fresh table or in the shared one of an enclosing
     _sharing_stats(seq) block.
     """
-    _require_matching_b(seq, spectrum)
+    _require_compatible(seq, spectrum)
     if spectrum.n == 0:
         return decide_projection(seq)
     with _sharing_stats(seq) as stats_at:

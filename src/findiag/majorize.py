@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence, Tuple
 
 from .errors import DomainError
@@ -58,6 +59,19 @@ class Witness:
     @property
     def sigma_total(self) -> int:
         return sum(self.N)
+
+
+def _require_compatible(
+    seq: DiagonalSequence, spectrum: SpectrumSpec, witness: Optional[Witness] = None
+) -> None:
+    """The sequence and the spectrum share B, and a witness has one
+    multiplicity per interior spectrum point."""
+    if seq.B != spectrum.B:
+        raise DomainError(
+            f"sequence endpoint B={seq.B} differs from spectrum endpoint {spectrum.B}"
+        )
+    if witness is not None and len(witness.N) != spectrum.n:
+        raise DomainError("witness length does not match the spectrum")
 
 
 @dataclass(frozen=True)
@@ -256,8 +270,7 @@ def riemann_check(
 
     A randomized full-window cross-check of this reduction lives in the tests.
     """
-    if seq.B != spectrum.B:
-        raise DomainError(f"sequence B={seq.B} differs from spectrum B={spectrum.B}")
+    _require_compatible(seq, spectrum)
     layout = _ZLayout(seq)
     step = StepSequence(spectrum, witness)
 
@@ -301,8 +314,7 @@ def canonical_shift(
     multiplicities (then riemann_check fails at every shift: the residual is
     a nonzero multiple of B plus B times any shift change).
     """
-    if seq.B != spectrum.B:
-        raise DomainError(f"sequence B={seq.B} differs from spectrum B={spectrum.B}")
+    _require_compatible(seq, spectrum)
     alpha = _split_alpha(spectrum)
     stats = _finite_stats(seq, alpha)
     k0 = (stats.C - stats.D - _weighted_sum(spectrum, N)) / seq.B
@@ -321,15 +333,9 @@ def check_finite_majorization(d: Sequence, lam: Sequence) -> bool:
     nonincreasing, every prefix sum of d bounded by the prefix sum of λ."""
     if len(d) != len(lam):
         raise DomainError(f"length mismatch: {len(d)} diagonal vs {len(lam)} eigenvalues")
-    dd = sorted((Fraction(x) for x in d), reverse=True)
-    ll = sorted((Fraction(x) for x in lam), reverse=True)
-    run_d, run_l = Fraction(0), Fraction(0)
-    for x, y in zip(dd, ll):
-        run_d += x
-        run_l += y
-        if run_d > run_l:
-            return False
-    return run_d == run_l
+    run_d = list(accumulate(sorted((Fraction(x) for x in d), reverse=True)))
+    run_l = list(accumulate(sorted((Fraction(x) for x in lam), reverse=True)))
+    return all(x <= y for x, y in zip(run_d, run_l)) and run_d[-1:] == run_l[-1:]
 
 
 def check_finite_rank_tail(seq: DiagonalSequence, lam: Sequence) -> bool:

@@ -1,6 +1,7 @@
 """Matrix constructions: Schur-Horn assembly, mass moves, truncations."""
 
 import bisect
+import functools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -26,7 +27,7 @@ from findiag import (
     verify_realization,
 )
 from findiag.cli import main
-from findiag.construct import _apply_rotation, _steer, _water_fill
+from findiag.construct import _apply_rotation, _build_problem, _steer, _water_fill
 from findiag.scalars import _scaled
 from findiag.sequences import _trace_residue
 
@@ -402,17 +403,19 @@ def test_realize_trace_imbalance_has_no_minimal(dyadic):
     assert exc.value.minimal is None
 
 
-def _planted_cases(seed: int, count: int):
+def _planted_cases(seed: int, count: int, feasible: bool = True):
     """(sequence, spectrum, witness) with N passing the threshold-statistic
-    check: one explicit entry is chosen so the trace residue matches Σ A_j N_j.
-    Each side has a geometric tail (ratio up to 9/10, leading element up to
-    B/2, often past the packing cutoff) or infinitely many exact endpoints."""
+    check, or with feasible=False failing it: one explicit entry is chosen so
+    the trace residue matches Σ A_j N_j, so an infeasible N fails a mass
+    bound.  Each side has a geometric tail (ratio up to 9/10, leading element
+    up to B/2, often past the packing cutoff) or infinitely many exact
+    endpoints."""
     rng = Random(seed)
     found = []
     while len(found) < count:
         B = rng.choice([F(1), F(2), F(3, 2)])
         spec = random_spectrum(rng, B, rng.randint(1, 3))
-        N = tuple(rng.randint(1, 2) for _ in spec.interior)
+        N = tuple(rng.randint(1, 2) if feasible else rng.randint(3, 8) for _ in spec.interior)
         sides = {}
         for tail, ends in (("zero_tail", "zero_count"), ("b_tail", "b_count")):
             if rng.random() < 0.25:
@@ -425,9 +428,48 @@ def _planted_cases(seed: int, count: int):
         fix = (sum(a * n for a, n in zip(spec.interior, N)) - _trace_residue(seq)) % B
         seq = DiagonalSequence(B, explicit + (fix,), **sides)
         witness = Witness(N, 0)  # k plays no part in a realization
-        if lebesgue_check(seq, spec, witness):
+        if lebesgue_check(seq, spec, witness) == feasible:
             found.append((seq, spec, witness))
     return found
+
+
+def _cutoff_level(seq: DiagonalSequence, spec: SpectrumSpec) -> int:
+    """The least level whose left-out tail elements all lie below the
+    packing cutoff (A_1 from 0, B − A_n from B)."""
+    level = 0
+    if isinstance(seq.zero_tail, GeometricTail):
+        level = max(level, seq.zero_tail.count_at_least(spec.points[1]))
+    if isinstance(seq.b_tail, GeometricTail):
+        level = max(level, seq.b_tail.count_at_least(spec.B - spec.points[-2]))
+    return level
+
+
+@functools.lru_cache(maxsize=None)
+def _builds(seq: DiagonalSequence, spec: SpectrumSpec, witness: Witness, level: int) -> bool:
+    return _build_problem(seq, spec, witness, level, spec.points[1], spec.points[-2]) is not None
+
+
+def scanned_level(seq: DiagonalSequence, spec: SpectrumSpec, witness: Witness, T: int):
+    """Test-only oracle: the level search that realize_truncated used to run.
+
+    For a witness that balances the trace, build the finite problem at every
+    level from max(T, cutoff level) up to T + 256 and return the first level
+    whose partial-sum gaps are all nonnegative, or None when none is.  Builds
+    are cached, so scans from nearby T share their levels.
+    """
+    for level in range(max(T, _cutoff_level(seq, spec)), T + 257):
+        if _builds(seq, spec, witness, level):
+            return level
+    return None
+
+
+def _realized_level(seq: DiagonalSequence, spec: SpectrumSpec, witness: Witness, T: int):
+    """T when realize_truncated returns at T, else the minimal level it reports."""
+    try:
+        realize_truncated(seq, spec, witness, T)
+    except TruncationTooSmallError as exc:
+        return exc.minimal
+    return T
 
 
 def _holds_tail_heads(m: SymmetricMatrix, seq: DiagonalSequence, T: int) -> bool:
@@ -448,7 +490,7 @@ def test_realize_level_search_reports_the_smallest_sufficient_level():
                 outcomes["returned"] += 1
             except TruncationTooSmallError as exc:
                 level = exc.minimal
-                assert level is not None and T < level <= T + 256
+                assert level == max(T, _cutoff_level(seq, spec)) > T
                 for below in range(T + 1, level):
                     with pytest.raises(TruncationTooSmallError):
                         realize_truncated(seq, spec, w, below)
@@ -458,6 +500,36 @@ def test_realize_level_search_reports_the_smallest_sufficient_level():
             rep = verify_realization(m, spec, m.exact_diagonal, w)
             assert rep.diagonal_exact_match and rep.within_tolerance and rep.witness_multiplicities_ok
     assert outcomes["raised"] >= 10 and outcomes["returned"] >= 10
+
+
+def test_realize_one_build_matches_the_level_scan():
+    """One build at max(T, cutoff level) reports what the scan over levels
+    reports: the same level for witnesses that pass lebesgue_check, and None
+    exactly for those that fail a mass bound."""
+    cases = [(c, True) for c in _planted_cases(seed=909, count=40)]
+    cases += [(c, False) for c in _planted_cases(seed=77, count=4, feasible=False)]
+    for (seq, spec, w), feasible in cases:
+        for T in (0, 1, 4, 16):
+            level = _realized_level(seq, spec, w, T)
+            assert level == scanned_level(seq, spec, w, T)
+            assert (level is None) == (not feasible)
+
+
+def test_realize_reports_a_minimal_level_far_above_t():
+    # the zero tail 1/4·(199/200)^t reaches the packing cutoff 1/16 up to
+    # level 277, more than 256 levels above T = 0
+    seq = DiagonalSequence(
+        B=F(1), explicit=(F(1, 16),), b_count=INF, zero_tail=GeometricTail(F(1, 4), F(199, 200))
+    )
+    spec = SpectrumSpec((F(0), F(1, 16), F(1)))
+    w = Witness((1,), 0)
+    assert lebesgue_check(seq, spec, w)
+    with pytest.raises(TruncationTooSmallError) as exc:
+        realize_truncated(seq, spec, w, 0)
+    assert exc.value.minimal == 277
+    m = realize_truncated(seq, spec, w, 277)
+    rep = verify_realization(m, spec, m.exact_diagonal, w)
+    assert rep.diagonal_exact_match and rep.within_tolerance and rep.witness_multiplicities_ok
 
 
 def test_realize_trace_imbalance_is_reported_before_any_level(tmp_path, capsys):
@@ -523,7 +595,9 @@ def test_verify_checks_float_diagonal_against_record():
 
 def test_realize_wrong_witness_still_raises_cleanly(dyadic):
     # a witness whose trace congruence holds but whose mass bound fails:
-    # N=(5) balances the trace yet is infeasible; realization cannot succeed
+    # N=(5) balances the trace yet is infeasible; no level can realize it
     spec = SpectrumSpec((F(0), F(1, 2), F(1)))
-    with pytest.raises((TruncationTooSmallError, DomainError)):
+    with pytest.raises(TruncationTooSmallError) as exc:
         realize_truncated(dyadic, spec, Witness((5,), -3), 2)
+    assert exc.value.minimal is None
+    assert "fails a mass bound" in str(exc.value)

@@ -74,3 +74,17 @@ def test_construction_kernels_run_on_integers():
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "decide"
     ]
     assert imports == []
+
+
+def test_realize_builds_one_level():
+    """realize_truncated builds the finite problem once, at the level read in
+    closed form: no loop over truncation levels and one _build_problem call."""
+    tree = ast.parse((SRC / "construct.py").read_text(encoding="utf-8"))
+    (func,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "realize_truncated"]
+    loops = [n.lineno for n in ast.walk(func) if isinstance(n, (ast.For, ast.While))]
+    builds = [
+        n.lineno
+        for n in ast.walk(func)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "_build_problem"
+    ]
+    assert loops == [] and len(builds) == 1
