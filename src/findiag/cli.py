@@ -20,6 +20,8 @@ import numpy as np
 from . import __version__
 from .construct import (
     SymmetricMatrix,
+    _diagonal_matches,
+    _spectrum_report,
     realize_truncated,
     verify_realization,
 )
@@ -292,19 +294,16 @@ def _cmd_verify(args) -> int:
     else:
         expected = [Fraction(matrix.entry(i, i)) for i in range(matrix.dimension)]
 
-    if shift:
-        arr = matrix.as_array() - float(shift) * np.eye(matrix.dimension)
-        shifted_expected = [v - shift for v in expected]
-        for i, v in enumerate(shifted_expected):
-            arr[i, i] = float(v)
-        matrix = SymmetricMatrix(arr)
-        expected = shifted_expected
-
     witness = None
     if args.witness is not None:
         witness = parse_witness(load_json(args.witness, "--witness"), "--witness")
 
-    report = verify_realization(matrix, spectrum, expected, witness=witness, tol=args.tol)
+    # the diagonal is checked on the matrix as given; only the eigenvalues
+    # are read in the frame of the (possibly translated) spectrum
+    arr = matrix.as_array()
+    arr[np.diag_indices_from(arr)] -= float(shift)
+    diag_ok = _diagonal_matches(matrix, expected)
+    report = _spectrum_report(arr, spectrum, diag_ok, witness, args.tol)
     if args.pretty:
         sys.stdout.write(matrix.text_grid() + "\n")
     else:

@@ -23,8 +23,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import mul
+from itertools import accumulate, islice
 from typing import List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
@@ -344,8 +343,8 @@ class _FiniteProblem:
 def _pack(tail: GeometricTail, T: int, cap: Fraction) -> List[Fraction]:
     """Distances from the tail's endpoint: its first T elements, then the
     remaining mass split evenly over the fewest entries of at most cap."""
-    heads = list(accumulate([tail.ratio] * T, mul, initial=tail.first))
-    rem = heads.pop() / (1 - tail.ratio)  # first·ratio^T / (1 − ratio)
+    heads = list(islice(tail._elements(), T + 1))
+    rem = GeometricTail(heads.pop(), tail.ratio).total()  # first·ratio^T / (1 − ratio)
     count = -(-rem // cap)  # ceil
     return heads + [rem / count] * count
 
@@ -536,31 +535,29 @@ def verify_realization(
     distance to the spectrum set, and per-point multiplicities by nearest
     spectrum point.  With a witness, interior multiplicities must equal its N
     and both endpoint multiplicities must be positive."""
-    arr = matrix.as_array()
-    expected = [Fraction(x) for x in expected_diagonal]
+    diag_ok = _diagonal_matches(matrix, expected_diagonal)
+    return _spectrum_report(matrix.as_array(), spectrum, diag_ok, witness, tol)
+
+
+def _diagonal_matches(matrix: SymmetricMatrix, expected_diagonal: Sequence) -> bool:
+    expected = tuple(Fraction(x) for x in expected_diagonal)
     if len(expected) != matrix.dimension:
         raise DomainError("expected diagonal length differs from matrix dimension")
-    diag_ok = all(float(e) == arr[i, i] for i, e in enumerate(expected))
-    if matrix.exact_diagonal is not None:
-        diag_ok = diag_ok and tuple(expected) == matrix.exact_diagonal
+    floats_ok = all(float(e) == matrix.entry(i, i) for i, e in enumerate(expected))
+    return floats_ok and matrix.exact_diagonal in (None, expected)
 
-    eigs = np.linalg.eigvalsh(arr) if matrix.dimension else np.zeros(0)
+
+def _spectrum_report(arr, spectrum: SpectrumSpec, diag_ok: bool, witness, tol) -> RealizationReport:
+    """The eigenvalue checks of verify_realization on arr, in the frame of the
+    spectrum, with the diagonal verdict carried through."""
+    eigs = np.linalg.eigvalsh(arr) if len(arr) else np.zeros(0)
     pts = np.array([float(p) for p in spectrum.points])
     # nearest point per eigenvalue; argmin sends a tie to the lower point
     gaps = np.abs(eigs[:, None] - pts)
     mult = np.bincount(gaps.argmin(axis=1), minlength=len(pts)).tolist()
-    dist = gaps.min(axis=1).max(initial=0.0)
-
-    witness_ok = None
-    if witness is not None:
-        witness_ok = (
-            tuple(mult[1:-1]) == witness.N and mult[0] >= 1 and mult[-1] >= 1
-        )
-    return RealizationReport(
-        diagonal_exact_match=diag_ok,
-        eigenvalues=tuple(float(e) for e in eigs),
-        spectrum_distance=float(dist),
-        multiplicities=tuple(mult),
-        within_tolerance=float(dist) <= tol,
-        witness_multiplicities_ok=witness_ok,
+    dist = float(gaps.min(axis=1).max(initial=0.0))
+    witness_ok = None if witness is None else (
+        tuple(mult[1:-1]) == witness.N and mult[0] >= 1 and mult[-1] >= 1
     )
+    eigenvalues = tuple(float(e) for e in eigs)
+    return RealizationReport(diag_ok, eigenvalues, dist, tuple(mult), dist <= tol, witness_ok)

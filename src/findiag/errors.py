@@ -28,9 +28,10 @@ class ConstructionError(RuntimeError):
 class TruncationTooSmallError(ValueError):
     """A finite realization was requested at a tail depth that cannot work.
 
-    ``minimal`` carries the smallest depth at which the construction
-    succeeds, when a bounded forward search finds one; ``None`` means the
-    search was exhausted without success.
+    ``minimal`` carries the smallest sufficient depth, read in closed form
+    from the tail cutoff, when the one build made there succeeds above the
+    requested depth; ``None`` means no depth works, because the trace
+    congruence or a mass bound fails.
     """
 
     def __init__(self, message: str, minimal: int | None = None):

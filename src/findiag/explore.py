@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .decide import Verdict, _case, _lattice_search, _mass_bounds
@@ -31,15 +32,6 @@ class RegionSample:
     witness_count: int
 
 
-def _halving_steps(ratio: Fraction) -> int:
-    """Smallest u ≥ 1 with ratio^u ≤ 1/2 (tail elements per factor-2 band)."""
-    u, x = 1, ratio
-    while x > Fraction(1, 2):
-        x *= ratio
-        u += 1
-    return u
-
-
 def candidate_multiplicity_bound(seq: DiagonalSequence) -> int:
     """A sound cap on the multiplicity N of any feasible single interior point.
 
@@ -52,9 +44,9 @@ def candidate_multiplicity_bound(seq: DiagonalSequence) -> int:
     what remains is counted by
     Ψ(N) = m_explicit + 1/(1−ρ0) + 1/(1−ρB) + T0(N) + SB(N)
     with T0/SB the per-tail counts of elements at least g/N (resp. above
-    g'/N).  Since a tail has at most u (= halving steps) elements per
-    factor-2 band, Ψ(2N) ≤ Ψ(N) + u0 + uB; scanning for the first N with
-    N ≥ u0 + uB and Ψ(N) + u0 + uB ≤ N therefore bounds every feasible
+    g'/N).  Since a tail of ratio ρ has at most u_ρ (its halving steps)
+    elements per factor-2 band, Ψ(2N) ≤ Ψ(N) + u with u = u0 + uB; scanning
+    for the first N with N ≥ u and Ψ(N) + u ≤ N therefore bounds every feasible
     multiplicity (dyadic induction pushes Ψ(M) ≤ M to all larger M, and a
     present tail makes the weight bound strict).  Ψ is monotone in N, so
     each tail's count advances with N instead of being recounted.
@@ -63,29 +55,27 @@ def candidate_multiplicity_bound(seq: DiagonalSequence) -> int:
     res = _trace_residue(seq)
     g, gp = res or B, B - res
 
-    base = Fraction(len(seq.explicit))
-    u0 = uB = 0
+    # a unit tail 1, ρ, ρ², … has mass 1/(1−ρ) and u = count_greater(1/2)
+    # elements per factor-2 band; u sums u0 + uB over the present tails
     zt = seq.zero_tail if isinstance(seq.zero_tail, GeometricTail) else None
     bt = seq.b_tail if isinstance(seq.b_tail, GeometricTail) else None
-    if zt is not None:
-        base += 1 / (1 - zt.ratio)
-        u0 = _halving_steps(zt.ratio)
-    if bt is not None:
-        base += 1 / (1 - bt.ratio)
-        uB = _halving_steps(bt.ratio)
+    units = [GeometricTail(Fraction(1), tail.ratio) for tail in (zt, bt) if tail is not None]
+    base = sum((unit.total() for unit in units), Fraction(len(seq.explicit)))
+    u = sum(unit.count_greater(Fraction(1, 2)) for unit in units)
 
     # T0(N) = t0 with x0 the zero-tail element after the counted ones, and
-    # SB(N) = tB with xB likewise; 0 stands for an absent tail
+    # SB(N) = tB with xB likewise; an absent tail walks zeros
+    walk0 = zt._elements() if zt is not None else repeat(0)
+    walkB = bt._elements() if bt is not None else repeat(0)
     t0 = tB = 0
-    x0 = zt.first if zt is not None else 0
-    xB = bt.first if bt is not None else 0
+    x0, xB = next(walk0), next(walkB)
     N = 1
     while True:
         while x0 and x0 * N >= g:
-            t0, x0 = t0 + 1, x0 * zt.ratio
+            t0, x0 = t0 + 1, next(walk0)
         while xB and xB * N > gp:
-            tB, xB = tB + 1, xB * bt.ratio
-        if N >= u0 + uB and base + t0 + tB + u0 + uB <= N:
+            tB, xB = tB + 1, next(walkB)
+        if N >= u and base + t0 + tB + u <= N:
             return N
         N += 1
 

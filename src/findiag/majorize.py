@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Optional, Sequence, Tuple
 
 from .errors import DomainError
@@ -366,7 +366,7 @@ def check_finite_rank_tail(seq: DiagonalSequence, lam: Sequence) -> bool:
     # largest elements are its first ones.
     head = list(seq.explicit)
     if isinstance(seq.zero_tail, GeometricTail):
-        head.extend(seq.zero_tail.element(t) for t in range(n_eigs))
+        head.extend(islice(seq.zero_tail._elements(), n_eigs))
     head.sort(reverse=True)
     run_d, run_l = Fraction(0), Fraction(0)
     for m in range(n_eigs - 1):

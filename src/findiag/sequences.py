@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import DomainError, UnsupportedOperationError
 from .scalars import INF, Infinite
@@ -51,25 +51,28 @@ class GeometricTail:
     def tail_sum_from(self, t: int) -> Fraction:
         return self.element(t) / (1 - self.ratio)
 
+    def _elements(self) -> Iterator[Fraction]:
+        """first, first·ratio, first·ratio², … without end: the one walk over tail elements."""
+        x = self.first
+        while True:
+            yield x
+            x *= self.ratio
+
+    def _cut(self, cut: Fraction, strict: bool = False) -> Tuple[int, Fraction]:
+        """(c, x): the c leading elements are ≥ cut (> cut if strict); x is the next one."""
+        if cut <= 0:
+            raise DomainError("a tail cut must be positive")
+        for c, x in enumerate(self._elements()):
+            if x <= cut if strict else x < cut:
+                return c, x
+
     def count_at_least(self, cut: Fraction) -> int:
         """|{t ≥ 0 : first·ratio^t ≥ cut}| — finite for cut > 0."""
-        if cut <= 0:
-            raise DomainError("count_at_least needs a positive cut")
-        n, x = 0, self.first
-        while x >= cut:
-            n += 1
-            x *= self.ratio
-        return n
+        return self._cut(cut)[0]
 
     def count_greater(self, cut: Fraction) -> int:
         """|{t ≥ 0 : first·ratio^t > cut}| — finite for cut > 0."""
-        if cut <= 0:
-            raise DomainError("count_greater needs a positive cut")
-        n, x = 0, self.first
-        while x > cut:
-            n += 1
-            x *= self.ratio
-        return n
+        return self._cut(cut, strict=True)[0]
 
     def drop(self, count: int) -> "GeometricTail":
         return GeometricTail(self.element(count), self.ratio)
@@ -187,6 +190,15 @@ class DiagonalSequence:
         object.__setattr__(self, "b_count", b_count)
 
 
+def _split(tail: GeometricTail, cut: Fraction) -> Tuple[List[Fraction], GeometricTail]:
+    """The elements ≥ cut and the geometric tail of the rest, from one walk."""
+    moved: List[Fraction] = []
+    for x in tail._elements():
+        if x < cut:
+            return moved, GeometricTail(x, tail.ratio)
+        moved.append(x)
+
+
 def materialize_tails(seq: DiagonalSequence, low: Fraction, high: Fraction) -> DiagonalSequence:
     """Move every zero-tail element ≥ low and every b-tail element ≤ high into explicit.
 
@@ -202,13 +214,11 @@ def materialize_tails(seq: DiagonalSequence, low: Fraction, high: Fraction) -> D
     explicit = list(seq.explicit)
     zero_tail, b_tail = seq.zero_tail, seq.b_tail
     if isinstance(zero_tail, GeometricTail):
-        c = zero_tail.count_at_least(low)
-        explicit.extend(zero_tail.element(t) for t in range(c))
-        zero_tail = zero_tail.drop(c)
+        moved, zero_tail = _split(zero_tail, low)
+        explicit += moved
     if isinstance(b_tail, GeometricTail):
-        c = b_tail.count_at_least(seq.B - high)
-        explicit.extend(seq.B - b_tail.element(t) for t in range(c))
-        b_tail = b_tail.drop(c)
+        moved, b_tail = _split(b_tail, seq.B - high)
+        explicit += (seq.B - x for x in moved)
     return DiagonalSequence(seq.B, tuple(explicit), seq.zero_count, seq.b_count, zero_tail, b_tail)
 
 
@@ -225,15 +235,16 @@ def threshold_stats(seq: DiagonalSequence, alpha: Fraction) -> ThresholdStats:
     D: Union[Fraction, Infinite] = sum((B - v for v in seq.explicit[i:]), Fraction(0))
     zt, bt = seq.zero_tail, seq.b_tail
     if isinstance(zt, GeometricTail):
-        # elements first·ratio^t < alpha are exactly t ≥ count_at_least(alpha)
-        c = zt.count_at_least(alpha)
-        C += zt.tail_sum_from(c)
-        D += c * B - zt.head_sum(c)
+        # elements first·ratio^t < alpha are exactly t ≥ c, and x is the first
+        # of them: C gains x/(1−ratio), D gains B − e for each earlier e
+        c, x = zt._cut(alpha)
+        C += x / (1 - zt.ratio)
+        D += c * B - (zt.first - x) / (1 - zt.ratio)
     if isinstance(bt, GeometricTail):
         # elements B − first·ratio^t < alpha ⟺ first·ratio^t > B − alpha
-        c = bt.count_greater(B - alpha)
-        C += c * B - bt.head_sum(c)
-        D += bt.tail_sum_from(c)
+        c, x = bt._cut(B - alpha, strict=True)
+        C += c * B - (bt.first - x) / (1 - bt.ratio)
+        D += x / (1 - bt.ratio)
     if isinstance(zt, DivergentTail):
         C = INF
     if isinstance(bt, DivergentTail):

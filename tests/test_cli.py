@@ -533,6 +533,51 @@ def test_translate_realize_shifts_back(capsys, tmp_path):
     assert json.loads(out)["within_tolerance"] is True
 
 
+def _realize_on_one_to_two(capsys, tmp_path, *extra):
+    """realize --translate on the dyadic sequence moved to [1, 2]."""
+    seq = write_seq(
+        tmp_path,
+        {
+            "B": "2",
+            "explicit": ["3/2"],
+            "zero_tail": {"kind": "geometric", "first": "1/4", "ratio": "1/2"},
+            "b_tail": {"kind": "geometric", "first": "1/4", "ratio": "1/2"},
+        },
+    )
+    return run(
+        capsys, "realize", "--seq", seq, "--spectrum", "1,3/2,2", "--translate",
+        "--witness", '{"N": [1], "k": -1}', "--trunc", "1", *extra,
+    )
+
+
+def test_translate_verify_checks_the_diagonal_it_was_given(capsys, tmp_path):
+    out_path = tmp_path / "real.json"
+    code, _, _ = _realize_on_one_to_two(capsys, tmp_path, "--out", str(out_path))
+    assert code == 0
+    payload = json.loads(out_path.read_text())
+    assert payload["diagonal_exact"][2] == "3/2"
+    payload["matrix"]["rows"][2][2] = 1.75  # the record still says 3/2
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(payload))
+    verify = ("verify", "--spectrum", "1,3/2,2", "--translate", "--matrix")
+    code, out, _ = run(capsys, *verify, str(out_path))
+    assert code == 0 and json.loads(out)["diagonal_exact_match"] is True
+    code, out, _ = run(capsys, *verify, str(tampered))
+    assert code == 1 and json.loads(out)["diagonal_exact_match"] is False
+
+
+def test_translate_verify_pretty_prints_the_input_matrix(capsys, tmp_path):
+    out_path = tmp_path / "real.json"
+    _realize_on_one_to_two(capsys, tmp_path, "--out", str(out_path))
+    _, grid, _ = _realize_on_one_to_two(capsys, tmp_path, "--pretty")
+    code, out, _ = run(
+        capsys, "verify", "--matrix", str(out_path), "--spectrum", "1,3/2,2", "--translate", "--pretty"
+    )
+    assert code == 0
+    assert out == grid
+    assert out.split()[0] == "1.25000000"
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

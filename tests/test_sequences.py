@@ -1,9 +1,14 @@
 """Sequence model: tails, threshold statistics, counting, symmetries."""
 
+from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
+from itertools import islice
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from findiag import (
     INF,
@@ -88,6 +93,89 @@ def test_tail_sums_match_enumeration():
     dropped = tail.drop(5)
     assert dropped.first == tail.element(5)
     assert dropped.total() == tail.tail_sum_from(5)
+
+
+_RATIOS = st.one_of(
+    st.just(F(999, 1000)),
+    st.fractions(min_value=F(1, 1000), max_value=F(999, 1000), max_denominator=1000),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    first=st.fractions(min_value=F(1, 1000), max_value=F(3), max_denominator=1000),
+    ratio=_RATIOS,
+    at=st.integers(min_value=0, max_value=120),
+    nudge=st.sampled_from((-1, 0, 1)),
+)
+def test_tail_walk_matches_the_element_definition(first, ratio, at, nudge):
+    """Counts, strict and non-strict cuts, heads and the next element, all read
+    from the one running product, agree with element(t) = first·ratio^t; the
+    cut is an element exactly (nudge 0) or just beside one."""
+    tail = GeometricTail(first, ratio)
+    cut = tail.element(at) * (1 + F(nudge, 10**9))
+    for strict in (False, True):
+        c = 0
+        while tail.element(c) > cut or (not strict and tail.element(c) == cut):
+            c += 1
+        assert tail._cut(cut, strict) == (c, tail.element(c))
+        assert (tail.count_greater if strict else tail.count_at_least)(cut) == c
+    assert tail.count_at_least(cut) - tail.count_greater(cut) == (nudge == 0)
+    assert list(islice(tail._elements(), at + 2)) == [tail.element(t) for t in range(at + 2)]
+
+
+def _head_stats(seq: DiagonalSequence, alpha: Fraction):
+    """threshold_stats as it read before the walk: counts by a loop of its
+    own, and sums by powers in head_sum/tail_sum_from."""
+
+    def count(tail, cut, strict):
+        n, x = 0, tail.first
+        while x > cut or (not strict and x == cut):
+            n, x = n + 1, x * tail.ratio
+        return n
+
+    def head_sum(tail, c):
+        return tail.first * (1 - tail.ratio**c) / (1 - tail.ratio)
+
+    def tail_sum_from(tail, c):
+        return tail.first * tail.ratio**c / (1 - tail.ratio)
+
+    B = seq.B
+    i = bisect_left(seq.explicit, alpha)
+    C = sum(seq.explicit[:i], F(0))
+    D = sum((B - v for v in seq.explicit[i:]), F(0))
+    if seq.zero_tail is not None:
+        c = count(seq.zero_tail, alpha, strict=False)
+        C += tail_sum_from(seq.zero_tail, c)
+        D += c * B - head_sum(seq.zero_tail, c)
+    if seq.b_tail is not None:
+        c = count(seq.b_tail, B - alpha, strict=True)
+        C += c * B - head_sum(seq.b_tail, c)
+        D += tail_sum_from(seq.b_tail, c)
+    return C, D
+
+
+def test_threshold_stats_match_the_power_sums_on_slow_tails():
+    rng = Random(1212)
+    ratios = [F(1, 3), F(1, 2), F(2, 3), F(9, 10), F(19, 20), F(99, 100)]
+    for _ in range(120):
+        B = rng.choice([F(1), F(2), F(3, 2)])
+        tails = [
+            GeometricTail(random_fraction(rng, B / 64, B / 4, den=96), rng.choice(ratios))
+            if rng.random() < 0.8
+            else None
+            for _ in range(2)
+        ]
+        explicit = [random_fraction(rng, B / 4, 3 * B / 4, den=48) for _ in range(rng.randint(0, 5))]
+        seq = DiagonalSequence(B=B, explicit=tuple(explicit), zero_tail=tails[0], b_tail=tails[1])
+        alphas = [random_fraction(rng, B / 96, B - B / 96, den=96) for _ in range(3)]
+        for tail in tails:
+            if tail is not None:
+                # a tail element on either side of the threshold
+                alphas += [tail.element(rng.randint(0, 40)), B - tail.element(rng.randint(0, 40))]
+        for alpha in alphas:
+            st_ = threshold_stats(seq, alpha)
+            assert (st_.C, st_.D) == _head_stats(seq, alpha)
 
 
 def test_sequence_validation():
@@ -234,6 +322,19 @@ def test_materialize_tails_preserves_stats(dyadic):
     assert mat.zero_tail == GeometricTail(F(1, 32), F(1, 2))
     for alpha in (F(1, 3), F(1, 2), F(9, 10)):
         assert threshold_stats(mat, alpha) == threshold_stats(dyadic, alpha)
+
+
+def test_materialize_tails_keeps_the_multiset_on_a_slow_tail():
+    zt, bt = GeometricTail(F(1, 4), F(99, 100)), GeometricTail(F(1, 5), F(49, 50))
+    seq = DiagonalSequence(B=F(1), explicit=(F(1, 2),), zero_tail=zt, b_tail=bt)
+    mat = materialize_tails(seq, F(1, 16), F(7, 8))
+    c0, cB = zt.count_at_least(F(1, 16)), bt.count_at_least(F(1, 8))
+    assert c0 > 100 and cB > 20
+    moved = [zt.element(t) for t in range(c0)] + [1 - bt.element(t) for t in range(cB)]
+    assert Counter(mat.explicit) == Counter([F(1, 2)] + moved)
+    assert mat.zero_tail == zt.drop(c0) and mat.b_tail == bt.drop(cB)
+    for alpha in (F(1, 20), F(1, 16), F(1, 3), F(7, 8), F(19, 20)):
+        assert threshold_stats(mat, alpha) == threshold_stats(seq, alpha)
 
 
 def test_reflect_involution_and_stats():

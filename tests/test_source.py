@@ -88,3 +88,41 @@ def test_realize_builds_one_level():
         if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "_build_problem"
     ]
     assert loops == [] and len(builds) == 1
+
+
+def test_only_geometric_tail_walks_a_tail():
+    """Every tail element is read from GeometricTail's one running product:
+    outside the class no product or power takes a .ratio operand, no code
+    calls .element(, and explore keeps no halving-step loop of its own."""
+
+    def mentions_ratio(node):
+        return any(isinstance(n, ast.Attribute) and n.attr == "ratio" for n in ast.walk(node))
+
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {
+            id(n)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "GeometricTail"
+            for n in ast.walk(cls)
+        }
+        for node in ast.walk(tree):
+            if id(node) in inside:
+                continue
+            if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Pow)):
+                operands = (node.left, node.right)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.op, (ast.Mult, ast.Pow)):
+                operands = (node.target, node.value)
+            else:
+                operands = ()
+            calls_element = (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "element"
+            )
+            if calls_element or any(mentions_ratio(op) for op in operands):
+                found.append(f"{path.name}:{node.lineno}")
+            if path.name == "explore.py" and isinstance(node, ast.FunctionDef) and node.name == "_halving_steps":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
