@@ -25,7 +25,7 @@ from .construct import (
     realize_truncated,
     verify_realization,
 )
-from .decide import Verdict, _case, _sharing_stats, decide, decide_projection, lebesgue_check
+from .decide import Verdict, _case, decide, decide_projection, lebesgue_check
 from .errors import (
     DomainError,
     SchemaError,
@@ -180,25 +180,24 @@ def _explain_payload(seq: DiagonalSequence, spectrum: SpectrumSpec, witnesses):
 def _cmd_decide(args) -> int:
     spectrum, shift = _load_spectrum(args)
     seq = _shift_sequence(_load_sequence(args.seq), shift)
-    with _sharing_stats(seq):
-        decision = decide(seq, spectrum)
-        payload = dump_decision(decision)
-        if shift:
-            payload["translation"] = format_rational(shift)
-        if args.explain:
-            payload["explain"] = _explain_payload(seq, spectrum, decision.witnesses)
-        if args.subset_spectra:
-            results = []
-            for subset in _interior_subsets(spectrum.points):
-                d = decide(seq, SpectrumSpec((0, *subset, spectrum.B)))
-                results.append(
-                    {
-                        "interior": [format_rational(p) for p in subset],
-                        "verdict": d.verdict.value,
-                        "witnesses": [dump_witness(w) for w in d.witnesses],
-                    }
-                )
-            payload["subset_results"] = results
+    decision = decide(seq, spectrum)
+    payload = dump_decision(decision)
+    if shift:
+        payload["translation"] = format_rational(shift)
+    if args.explain:
+        payload["explain"] = _explain_payload(seq, spectrum, decision.witnesses)
+    if args.subset_spectra:
+        results = []
+        for subset in _interior_subsets(spectrum.points):
+            d = decide(seq, SpectrumSpec((0, *subset, spectrum.B)))
+            results.append(
+                {
+                    "interior": [format_rational(p) for p in subset],
+                    "verdict": d.verdict.value,
+                    "witnesses": [dump_witness(w) for w in d.witnesses],
+                }
+            )
+        payload["subset_results"] = results
     _print(payload)
     return _verdict_exit(decision.verdict)
 

@@ -10,8 +10,6 @@ matrices).
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -109,54 +107,13 @@ def witness_bounds(stats: Sequence[ThresholdStats], spectrum: SpectrumSpec) -> T
     return tuple(cap // row[j] for j, (row, cap) in enumerate(zip(qw, qcap)))
 
 
-class _StatsTable(dict):
-    """α ↦ threshold_stats(seq, α) for one sequence, each α evaluated once;
-    also keeps the witness bounds of the spectrum asked for last, which
-    decide and the enumerate_witnesses it calls both need."""
-
-    def __init__(self, seq: DiagonalSequence):
-        super().__init__()
-        self.seq = seq
-        self._bounds = (None, ())
-
-    def __missing__(self, alpha: Fraction) -> ThresholdStats:
-        st = self[alpha] = threshold_stats(self.seq, alpha)
-        return st
-
-    def bounds(self, spectrum: SpectrumSpec) -> Tuple[int, ...]:
-        if self._bounds[0] is not spectrum:
-            self._bounds = (spectrum, witness_bounds(_stats_for(self, spectrum), spectrum))
-        return self._bounds[1]
-
-
-_SHARED_STATS: ContextVar[Optional[_StatsTable]] = ContextVar("shared_stats", default=None)
-
-
-def _stats_table(seq: DiagonalSequence) -> _StatsTable:
-    """The table of the enclosing _sharing_stats(seq) block, else a fresh one."""
-    table = _SHARED_STATS.get()
-    return table if table is not None and table.seq is seq else _StatsTable(seq)
-
-
-@contextmanager
-def _sharing_stats(seq: DiagonalSequence) -> Iterator[_StatsTable]:
-    """Within the block, every decision on this very sequence object reads
-    its statistics from one table, so each abscissa is evaluated once."""
-    table = _stats_table(seq)
-    token = _SHARED_STATS.set(table)
-    try:
-        yield table
-    finally:
-        _SHARED_STATS.reset(token)
-
-
-def _stats_for(stats_at: _StatsTable, spectrum: SpectrumSpec) -> Tuple[ThresholdStats, ...]:
+def _stats_for(seq: DiagonalSequence, spectrum: SpectrumSpec) -> Tuple[ThresholdStats, ...]:
     """Statistics at B/2 and at each interior point, in that order (deduped)."""
     alphas = [spectrum.B / 2]
     for a in spectrum.interior:
         if a not in alphas:
             alphas.append(a)
-    return tuple(stats_at[a] for a in alphas)
+    return tuple(threshold_stats(seq, a) for a in alphas)
 
 
 def lebesgue_check(seq: DiagonalSequence, spectrum: SpectrumSpec, witness: Witness) -> bool:
@@ -173,27 +130,28 @@ def lebesgue_check(seq: DiagonalSequence, spectrum: SpectrumSpec, witness: Witne
     qB, qres, qa = _scaled_trace(_trace_residue(seq), spectrum)
     if (qres - sum(a * nj for a, nj in zip(qa, N))) % qB:
         return False
-    table = _stats_table(seq)
-    qw, qcap = _scaled_mass_bounds([table[a] for a in spectrum.interior], spectrum)
+    qw, qcap = _scaled_mass_bounds([threshold_stats(seq, a) for a in spectrum.interior], spectrum)
     return all(sum(w * nj for w, nj in zip(row, N)) <= cap for row, cap in zip(qw, qcap))
 
 
-def enumerate_witnesses(seq: DiagonalSequence, spectrum: SpectrumSpec) -> List[Witness]:
+def enumerate_witnesses(
+    seq: DiagonalSequence, spectrum: SpectrumSpec, stats: Optional[Sequence[ThresholdStats]] = None
+) -> List[Witness]:
     """All witnesses within the multiplicity bounds, in lexicographic N order.
 
     N is kept iff it passes the trace congruence and every mass bound of
     lebesgue_check; the search is _lattice_search, which stays inside the
-    box of witness_bounds.
+    box of witness_bounds.  stats are the statistics of _stats_for, computed
+    here unless the caller already holds them.
     """
     _require_compatible(seq, spectrum)
     if spectrum.n == 0:
         raise DomainError("witness enumeration needs at least one interior spectrum point")
-    table = _stats_table(seq)
-    if any(b < 1 for b in table.bounds(spectrum)):
-        return []
-    half = table[spectrum.B / 2]
+    if stats is None:
+        stats = _stats_for(seq, spectrum)
+    qw, qcap = _scaled_mass_bounds(stats, spectrum)  # raises first on infinite statistics
+    half = stats[0]
     qB, qgap, qa = _scaled_trace(half.C - half.D, spectrum)
-    qw, qcap = _scaled_mass_bounds(_stats_for(table, spectrum), spectrum)
     return _lattice_search(qB, qgap, qa, qw, qcap)
 
 
@@ -255,18 +213,16 @@ def decide(seq: DiagonalSequence, spectrum: SpectrumSpec) -> Decision:
     Routing: two-point spectra go to the projection criterion; the rest
     follow _case, and in Case II feasibility is equivalent to a nonempty
     witness list.  Statistics and witness bounds are computed once per
-    call, in a fresh table or in the shared one of an enclosing
-    _sharing_stats(seq) block.
+    call, and the statistics are handed to enumerate_witnesses.
     """
     _require_compatible(seq, spectrum)
     if spectrum.n == 0:
         return decide_projection(seq)
-    with _sharing_stats(seq) as stats_at:
-        case = _case(seq)
-        stats = _stats_for(stats_at, spectrum)
-        if case is None:
-            witnesses = enumerate_witnesses(seq, spectrum)
-            bounds = stats_at.bounds(spectrum)
+    case = _case(seq)
+    stats = _stats_for(seq, spectrum)
+    if case is None:
+        bounds = witness_bounds(stats, spectrum)
+        witnesses = enumerate_witnesses(seq, spectrum, stats)
     if case is Verdict.OUT_OF_SCOPE:
         return Decision(
             case,
@@ -300,7 +256,7 @@ def decide_projection(seq: DiagonalSequence) -> Decision:
     Feasible iff a statistic at B/2 diverges or C(B/2) − D(B/2) is an exact
     integer multiple of B.  Applies regardless of which sums converge.
     """
-    half = _stats_table(seq)[seq.B / 2]
+    half = threshold_stats(seq, seq.B / 2)
     stats = (half,)
     if half.C is INF or half.D is INF:
         which = "C(B/2)" if half.C is INF else "D(B/2)"

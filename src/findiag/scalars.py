@@ -95,6 +95,18 @@ def format_rational(x: Fraction) -> str:
 
 
 def _scaled(*values: Fraction) -> Tuple[int, List[int]]:
-    """Q, the lcm of the denominators, and each value times Q as an integer."""
-    Q = math.lcm(*(x.denominator for x in values))
-    return Q, [x.numerator * (Q // x.denominator) for x in values]
+    """Q, the lcm of the denominators, and each value times Q as an integer.
+
+    The lcm runs over the distinct denominators from short to long, and
+    Q // d is read from the quotient of the next longer denominator when d
+    divides it, so the denominators of a materialized geometric tail cost no
+    long division.
+    """
+    dens = sorted({x.denominator for x in values}, key=int.bit_length)
+    Q = math.lcm(*dens)
+    scale, above, k = {}, Q, 1
+    for d in reversed(dens):
+        q, r = divmod(above, d)
+        above, k = d, k * q if r == 0 else Q // d
+        scale[d] = k
+    return Q, [x.numerator * scale[x.denominator] for x in values]

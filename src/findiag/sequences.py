@@ -11,12 +11,14 @@ infinite.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
+from operator import itemgetter
 from typing import Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import DomainError, UnsupportedOperationError
-from .scalars import INF, Infinite
+from .scalars import INF, Infinite, _scaled
 
 Count = Union[int, Infinite]
 
@@ -150,7 +152,9 @@ class DiagonalSequence:
 
     Construction normalizes: explicit values equal to 0 or B are folded into
     zero_count/b_count, the rest are sorted nondecreasing.  The value multiset
-    is unchanged by normalization.
+    is unchanged by normalization.  The range check, the folding and the sort
+    run on the entries scaled to integers, whose prefix sums are kept for
+    threshold_stats.
     """
 
     B: Fraction
@@ -159,24 +163,29 @@ class DiagonalSequence:
     b_count: Count = 0
     zero_tail: Optional[Tail] = None
     b_tail: Optional[Tail] = None
+    # (Q, Q·B, P): Q is the lcm of the denominators of B and the explicit
+    # entries, and P[i] = Q·(explicit[0] + … + explicit[i−1]) for i = 0, …, m
+    _prefix: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        B = Fraction(self.B)
+        B = self.B if isinstance(self.B, Fraction) else Fraction(self.B)
         if B <= 0:
             raise DomainError(f"B must be positive, got {B}")
         zero_count = _as_count(self.zero_count, "zero_count")
         b_count = _as_count(self.b_count, "b_count")
+        values = [v if isinstance(v, Fraction) else Fraction(v) for v in self.explicit]
+        Q, (qB, *scaled) = _scaled(B, *values)
         interior = []
-        for raw in self.explicit:
-            v = Fraction(raw)
-            if not (0 <= v <= B):
-                raise DomainError(f"explicit value {v} outside [0, {B}]")
-            if v == 0:
+        for qv, v in zip(scaled, values):
+            if 0 < qv < qB:
+                interior.append((qv, v))
+            elif qv == 0:
                 zero_count = zero_count + 1
-            elif v == B:
+            elif qv == qB:
                 b_count = b_count + 1
             else:
-                interior.append(v)
+                raise DomainError(f"explicit value {v} outside [0, {B}]")
+        interior.sort(key=itemgetter(0))
         for tail, side in ((self.zero_tail, "zero_tail"), (self.b_tail, "b_tail")):
             if tail is None or isinstance(tail, DivergentTail):
                 continue
@@ -185,9 +194,11 @@ class DiagonalSequence:
             if tail.first >= B:
                 raise DomainError(f"{side} first element {tail.first} must be < B={B}")
         object.__setattr__(self, "B", B)
-        object.__setattr__(self, "explicit", tuple(sorted(interior)))
+        object.__setattr__(self, "explicit", tuple(v for _, v in interior))
         object.__setattr__(self, "zero_count", zero_count)
         object.__setattr__(self, "b_count", b_count)
+        prefix = list(accumulate((qv for qv, _ in interior), initial=0))
+        object.__setattr__(self, "_prefix", (Q, qB, prefix))
 
 
 def _split(tail: GeometricTail, cut: Fraction) -> Tuple[List[Fraction], GeometricTail]:
@@ -223,16 +234,18 @@ def materialize_tails(seq: DiagonalSequence, low: Fraction, high: Fraction) -> D
 
 
 def threshold_stats(seq: DiagonalSequence, alpha: Fraction) -> ThresholdStats:
-    """Exact C(α) and D(α) in one pass: the sorted explicit entries split once
-    at α, and each geometric tail is counted once for closed-form partial sums."""
+    """Exact C(α) and D(α): the explicit entries below α are a prefix of the
+    sorted ones, read from the prefix sums at one bisect, and each geometric
+    tail is counted once for closed-form partial sums."""
     alpha = Fraction(alpha)
     B = seq.B
     if not (0 < alpha < B):
         raise DomainError(f"alpha must lie in (0, B), got {alpha}")
 
     i = bisect_left(seq.explicit, alpha)  # explicit[:i] < α ≤ explicit[i:]
-    C: Union[Fraction, Infinite] = sum(seq.explicit[:i], Fraction(0))
-    D: Union[Fraction, Infinite] = sum((B - v for v in seq.explicit[i:]), Fraction(0))
+    Q, qB, P = seq._prefix
+    C: Union[Fraction, Infinite] = Fraction(P[i], Q)
+    D: Union[Fraction, Infinite] = Fraction((len(seq.explicit) - i) * qB - (P[-1] - P[i]), Q)
     zt, bt = seq.zero_tail, seq.b_tail
     if isinstance(zt, GeometricTail):
         # elements first·ratio^t < alpha are exactly t ≥ c, and x is the first
@@ -260,7 +273,8 @@ def _trace_residue(seq: DiagonalSequence) -> Fraction:
     zt, bt = seq.zero_tail, seq.b_tail
     if isinstance(zt, DivergentTail) or isinstance(bt, DivergentTail):
         raise DomainError("the trace residue needs finite threshold statistics")
-    total = sum(seq.explicit, Fraction(0))
+    Q, _, P = seq._prefix
+    total = Fraction(P[-1], Q)
     total += zt.total() if zt is not None else 0
     total -= bt.total() if bt is not None else 0
     return total % seq.B

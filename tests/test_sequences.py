@@ -198,6 +198,36 @@ def test_normalize_folds_endpoints_and_sorts():
     assert DiagonalSequence(seq.B, seq.explicit, seq.zero_count, seq.b_count) == seq
 
 
+def test_construction_reads_str_and_int_inputs_and_keeps_fractions():
+    half = F(1, 2)
+    seq = DiagonalSequence("2", ("3/2", 0, half, "0", 2, 1, half, F(2)), zero_count=1, b_count=INF)
+    assert type(seq.B) is Fraction and seq.B == 2
+    assert seq.explicit == (half, half, F(1), F(3, 2))
+    assert all(type(v) is Fraction for v in seq.explicit)
+    assert seq.explicit[0] is half  # a Fraction is stored as given
+    assert (seq.zero_count, seq.b_count) == (3, INF)
+    # a count of INF absorbs the folded endpoints
+    seq = DiagonalSequence(F(1), (F(0), F(1)), zero_count=INF, b_count=INF)
+    assert (seq.explicit, seq.zero_count, seq.b_count) == ((), INF, INF)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"B": "2", "explicit": ("-1/2",)}, "explicit value -1/2 outside [0, 2]"),
+        ({"B": 2, "explicit": (F(1), 3)}, "explicit value 3 outside [0, 2]"),
+        ({"B": F(1, 2), "explicit": (F(1, 4), F(2, 3))}, "explicit value 2/3 outside [0, 1/2]"),
+        ({"B": "0"}, "B must be positive, got 0"),
+        ({"B": 1, "zero_count": -1}, "zero_count must be a nonnegative integer or INF, got -1"),
+        ({"B": 1, "b_count": True}, "b_count must be a nonnegative integer or INF, got True"),
+    ],
+)
+def test_construction_error_messages(kwargs, message):
+    with pytest.raises(DomainError) as info:
+        DiagonalSequence(**kwargs)
+    assert str(info.value) == message
+
+
 def test_dyadic_stats_frozen(dyadic):
     st = threshold_stats(dyadic, F(1, 2))
     assert st.C == F(1, 2)
@@ -278,6 +308,67 @@ def test_stats_alpha_domain(dyadic):
         threshold_stats(dyadic, F(0))
     with pytest.raises(DomainError):
         threshold_stats(dyadic, F(3, 2))
+
+
+def _check_stats_at(seq: DiagonalSequence, alphas):
+    """threshold_stats against both references at every α, and the prefix
+    table against plain sums of the sorted explicit entries."""
+    Q, qB, P = seq._prefix
+    assert qB == seq.B * Q
+    assert P == [Q * sum(seq.explicit[:i], F(0)) for i in range(len(seq.explicit) + 1)]
+    for alpha in alphas:
+        st = threshold_stats(seq, alpha)
+        assert (st.C, st.D) == oracle_stats(seq, alpha) == _head_stats(seq, alpha)
+        assert _trace_residue(seq) == (st.C - st.D) % seq.B
+
+
+_TAILS = {"zero_tail": GeometricTail(F(1, 8), F(1, 2)), "b_tail": GeometricTail(F(1, 8), F(1, 3))}
+
+
+def test_stats_table_at_repeated_entries():
+    explicit = (F(1, 3), F(1, 3), F(1, 2), F(1, 2), F(1, 2), F(2, 3))
+    seq = DiagonalSequence(F(1), explicit, **_TAILS)
+    # every entry exactly, and points between and beyond them
+    _check_stats_at(seq, sorted(set(explicit)) + [F(1, 4), F(2, 5), F(3, 5), F(3, 4)])
+    assert threshold_stats(seq, F(1, 2)).C - threshold_stats(seq, F(1, 3)).C == 2 * F(1, 3)
+
+
+@pytest.mark.parametrize("B", [F(1), F(5, 3), F(7, 2)])
+def test_stats_table_with_mixed_denominators(B):
+    explicit = (F(5, 9), F(1, 3), F(2, 7), F(5, 9) * B, B - F(1, 3))
+    seq = DiagonalSequence(B, explicit, **_TAILS)
+    _check_stats_at(seq, list(explicit) + [B / 2, B / 5, B - B / 7])
+
+
+def test_stats_table_ignores_folded_endpoints_and_empty_explicit():
+    seq = DiagonalSequence(F(3, 2), (F(0), F(1, 2), F(3, 2), F(0), F(3, 2)), **_TAILS)
+    assert (seq.explicit, seq.zero_count, seq.b_count) == ((F(1, 2),), 2, 2)
+    bare = DiagonalSequence(F(3, 2), (F(1, 2),), **_TAILS)
+    empty = DiagonalSequence(F(3, 2), (), zero_count=3, b_count=INF, **_TAILS)
+    assert empty._prefix == (2, 3, [0])
+    alphas = [F(1, 4), F(1, 2), F(3, 4), F(4, 3)]
+    _check_stats_at(seq, alphas)
+    _check_stats_at(empty, alphas)
+    for alpha in alphas:
+        # an exact 0 adds 0 to C and an exact B adds B − B to D
+        assert threshold_stats(seq, alpha) == threshold_stats(bare, alpha)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    B=st.sampled_from((F(1), F(2), F(5, 3), F(7, 4))),
+    units=st.lists(st.fractions(min_value=0, max_value=1, max_denominator=24), max_size=12),
+    pick=st.integers(min_value=0),
+    grid=st.fractions(min_value=F(1, 40), max_value=F(39, 40), max_denominator=40),
+)
+def test_stats_table_matches_the_references(B, units, pick, grid):
+    """Entries in [0, B], endpoints and repeats included, read at a grid
+    point and at one of the interior entries, when there is one."""
+    seq = DiagonalSequence(B, tuple(u * B for u in units), **_TAILS)
+    alphas = [grid * B]
+    if seq.explicit:
+        alphas.append(seq.explicit[pick % len(seq.explicit)])
+    _check_stats_at(seq, alphas)
 
 
 def test_count_range_against_materialized(dyadic):

@@ -17,9 +17,8 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-def test_package_starts_no_process_pools():
-    """Every computation runs in the calling process; `--workers` is ignored."""
-    found = []
+def _imports():
+    """(file:line, top-level module name) for every import in the package."""
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
@@ -28,26 +27,20 @@ def test_package_starts_no_process_pools():
                 modules = [node.module or ""]
             else:
                 continue
-            found += [
-                f"{path.name}:{node.lineno}"
-                for module in modules
-                if module.split(".")[0] in ("concurrent", "multiprocessing")
-            ]
+            for module in modules:
+                yield f"{path.name}:{node.lineno}", module.split(".")[0]
+
+
+def test_package_starts_no_process_pools():
+    """Every computation runs in the calling process; `--workers` is ignored."""
+    found = [where for where, module in _imports() if module in ("concurrent", "multiprocessing")]
     assert found == []
 
 
-def test_only_decide_and_cli_import_the_statistics_table():
-    """The shared statistics table stays private to decide and the CLI that
-    opens its blocks; every other module reads what it needs directly."""
-    private = {"_sharing_stats", "_stats_table", "_StatsTable"}
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SRC.glob("*.py"))
-        if path.name not in ("decide.py", "cli.py")
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.ImportFrom) and private & {alias.name for alias in node.names}
-    ]
-    assert found == []
+def test_package_imports_no_contextvars():
+    """Statistics are passed to each call explicitly: no module keeps them in
+    a context variable, where one caller's table could reach another call."""
+    assert [where for where, module in _imports() if module == "contextvars"] == []
 
 
 def test_construction_kernels_run_on_integers():
