@@ -3,7 +3,6 @@ fixed diagonal sequence and map out the feasible region."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -90,11 +89,11 @@ def three_point_spectra(
     multiplicity cap (n_max overrides it), so the returned set is exact: no
     tolerance, no sampling.  For {0, A, B} the system has one congruence,
     N·A ≡ C − D (mod B), read from the trace residue, and one mass bound,
-    N·A·(B−A) ≤ (B−A)·C(A) + A·D(A), which grows with N; so A is feasible
-    iff the smallest N in its congruence class, the first N that produces
-    A, meets the bound.  One sorted sweep over the candidates carries C(A)
-    and D(A) as running sums past the explicit entries, and every test is
-    an integer comparison.
+    N·A·(B−A) ≤ (B−A)·C(A) + A·D(A), whose left side alone grows with N;
+    so A is feasible iff some N that produces it meets the bound.  Each pair
+    (N, A) is tested once against the prefix table of the sequence with its
+    tails materialized past the extreme candidates, at an entry pointer
+    that advances with A, and every test is an integer comparison.
     """
     case = _case(seq)
     if case is Verdict.OUT_OF_SCOPE:
@@ -105,43 +104,38 @@ def three_point_spectra(
     if cap < 1:
         raise DomainError(f"multiplicity cap must be ≥ 1, got {cap}")
 
-    B = seq.B
-    Q, (qB, qres) = _scaled(B, _trace_residue(seq))
-    # A·Q = m/N with m ≡ qres (mod qB) and 0 < m < N·qB.  The key
-    # A·Q·L = m·(L/N), L = lcm(1, …, cap), is an exact integer: equal
-    # abscissae share a key and keys sort as the abscissae do.
-    L = math.lcm(*range(1, cap + 1))
+    Q, (qB, qres) = _scaled(seq.B, _trace_residue(seq))
+    # A = m/(N·Q) with m ≡ qres (mod qB) and 0 < m < N·qB; at N = cap lie
+    # the least candidate m0/(cap·Q) and the greatest, (cap·qB − qB + qres)/(cap·Q)
     m0 = qres or qB
-    first = {}
-    for N in range(1, cap + 1):
-        per = L // N
-        for m in range(m0, N * qB, qB):
-            key = m * per
-            if key not in first:
-                first[key] = (N, m)
-    if not first:
+    if cap * qB <= m0:
         return frozenset()
-    keys = sorted(first)
-    (n_lo, m_lo), (n_hi, m_hi) = first[keys[0]], first[keys[-1]]
     # every tail element left behind lies below (zero side) or above (B side)
     # all candidates
-    mat = materialize_tails(seq, Fraction(m_lo, n_lo * Q), Fraction(m_hi, n_hi * Q))
+    mat = materialize_tails(seq, Fraction(m0, cap * Q), Fraction((cap - 1) * qB + qres, cap * Q))
     below = mat.zero_tail.total() if mat.zero_tail is not None else Fraction(0)
     above = mat.b_tail.total() if mat.b_tail is not None else Fraction(0)
-    R, (rB, rbelow, rabove, *entries) = _scaled(B, below, above, *mat.explicit)
-    # R·C(A) and R·D(A) left of every entry
-    C, D = rbelow, rabove + sum(rB - e for e in entries)
-    # d < A ⟺ ⌊d·Q·L⌋ < key, since the key is an integer
-    cuts = [e * Q * L // R for e in entries]
-    i, feasible = 0, []
-    for key in keys:
-        while i < len(cuts) and cuts[i] < key:
-            C, D, i = C + entries[i], D - (rB - entries[i]), i + 1
-        N, m = first[key]
-        # the mass bound at A = m/(N·Q), times N·Q²·R
-        t = N * qB - m
-        if m * t * R <= Q * (t * C + m * D):
-            feasible.append(Fraction(m, N * Q))
+    R, rB, P = mat._prefix
+    del mat  # only its prefix table is read below: free the entries
+    M = len(P) - 1
+    # Q·T·C(A) and Q·T·D(A) while the first i entries lie below A, with
+    # T = k·R a common denominator of the entries and the tails left behind
+    T, (k, tbelow, tabove) = _scaled(Fraction(1, R), below, above)
+    QC = [Q * (tbelow + k * p) for p in P]
+    QD = [Q * (tabove + k * ((M - i) * rB - P[M] + p)) for i, p in enumerate(P)]
+    # R times each entry, closed by R·B, which no candidate reaches
+    entries = [b - a for a, b in zip(P, P[1:])] + [rB]
+    feasible = set()
+    for N in range(1, cap + 1):
+        NQ, NqB, i = N * Q, N * qB, 0
+        for m in range(m0, NqB, qB):
+            mR = m * R  # entry i lies below A ⟺ R·entry·N·Q < m·R
+            while entries[i] * NQ < mR:
+                i += 1
+            # the mass bound at A, times N·Q²·T
+            t = NqB - m
+            if m * t * T <= t * QC[i] + m * QD[i]:
+                feasible.add(Fraction(m, NQ))
     return frozenset(feasible)
 
 

@@ -35,6 +35,8 @@ class GeometricTail:
     ratio: Fraction
 
     def __post_init__(self):
+        object.__setattr__(self, "first", Fraction(self.first))
+        object.__setattr__(self, "ratio", Fraction(self.ratio))
         if not (self.first > 0):
             raise DomainError(f"tail first element must be positive, got {self.first}")
         if not (0 < self.ratio < 1):

@@ -191,6 +191,34 @@ def test_three_point_n_max_one_and_above_the_cap():
         assert one <= full
 
 
+def test_three_point_extreme_candidates_at_residue_zero():
+    # C − D ≡ 0 (mod B), so A = kB/N: the least candidate at n_max is B/n_max
+    # and the greatest (n_max − 1)/n_max·B, both feasible here
+    seq = DiagonalSequence(
+        B=F(2), explicit=(F(1, 2), F(3, 2)),
+        zero_tail=GeometricTail(F(1, 4), F(1, 2)), b_tail=GeometricTail(F(1, 4), F(9, 10)),
+    )
+    pts = three_point_spectra(seq, n_max=4)
+    assert pts == _fresh_three_point(seq, 4)
+    assert (min(pts), max(pts)) == (F(1, 2), F(3, 2))
+    assert three_point_spectra(seq) == _fresh_three_point(seq, candidate_multiplicity_bound(seq))
+    # at N = 1 the only multiple of B in (0, B) would be 0: no candidate
+    assert three_point_spectra(seq, n_max=1) == frozenset() == _fresh_three_point(seq, 1)
+
+
+def test_three_point_extreme_candidates_at_a_nonzero_residue():
+    # C − D ≡ 4/3 (mod 3/2): the least candidate at n_max is (4/3)/n_max and
+    # the greatest B − (B − 4/3)/n_max, both feasible here
+    seq = DiagonalSequence(
+        B=F(3, 2), explicit=(F(1, 3),),
+        zero_tail=GeometricTail(F(1, 4), F(1, 2)), b_tail=GeometricTail(F(1, 4), F(9, 10)),
+    )
+    pts = three_point_spectra(seq, n_max=4)
+    assert pts == _fresh_three_point(seq, 4)
+    assert (min(pts), max(pts)) == (F(1, 3), F(35, 24))
+    assert three_point_spectra(seq, n_max=1) == {F(4, 3)} == _fresh_three_point(seq, 1)
+
+
 @pytest.mark.parametrize(
     "seq, feasible",
     [

@@ -28,6 +28,10 @@ OUT = "{out}"  # replaced by a temporary path; the case's output is that file
 
 CASES = {
     "decide.json": ["decide", "--seq", DYADIC, "--spectrum", "0,1/2,1"],
+    # every interior subset, n = 0 to 3
+    "decide_subsets.json": [
+        "decide", "--seq", DYADIC, "--spectrum", "0,1/4,1/2,3/4,1", "--subset-spectra",
+    ],
     "witnesses_explain.json": ["witnesses", "--seq", DYADIC, "--spectrum", "0,1/2,1", "--explain"],
     "realize_t8.json": [
         "realize", "--seq", DYADIC, "--spectrum", "0,1/2,1",
@@ -42,7 +46,9 @@ CASES = {
         "--witness", WITNESS,
     ],
     "explore3.json": ["explore3", "--seq", DYADIC],
+    "explore3.svg": ["explore3", "--seq", DYADIC, "--svg", OUT],
     "explore4_grid8.csv": ["explore4", "--seq", DYADIC, "--grid", "8"],
+    "explore4_grid8.svg": ["explore4", "--seq", DYADIC, "--grid", "8", "--svg", OUT],
 }
 
 _SOLVER_FLOATS = re.compile(rb'("(?:eigenvalues|spectrum_distance)": )(\[[^\]]*\]|[^,\n}]*)')

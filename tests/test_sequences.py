@@ -18,7 +18,10 @@ from findiag import (
     GeometricTail,
     SpectrumSpec,
     UnsupportedOperationError,
+    Verdict,
+    Witness,
     count_range,
+    decide,
     divergence_flags,
     materialize_tails,
     reflect,
@@ -68,6 +71,36 @@ def test_tail_validation():
         GeometricTail(F(1, 4), F(1))
     with pytest.raises(DomainError):
         GeometricTail(F(1, 4), F(-1, 2))
+
+
+@pytest.mark.parametrize("first, ratio", [(0.25, 0.5), ("1/4", "1/2"), (F(1, 4), "1/2")])
+def test_tail_reads_float_str_and_int_inputs(first, ratio):
+    tail = GeometricTail(first, ratio)
+    assert tail == GeometricTail(F(1, 4), F(1, 2))
+    assert type(tail.first) is Fraction and type(tail.ratio) is Fraction
+    # the dyadic sequence built from such tails decides as the exact one does
+    seq = DiagonalSequence(1, ("1/2",), zero_tail=tail, b_tail=GeometricTail(0.25, "1/2"))
+    assert threshold_stats(seq, F(1, 2)) == (F(1, 2), F(1, 2), F(1))
+    decision = decide(seq, SpectrumSpec((0, F(1, 2), 1)))
+    assert decision.verdict is Verdict.FEASIBLE_CASE_II
+    assert Witness((1,), -1) in decision.witnesses
+    # an int is a valid first element of a tail on a wider interval
+    wide = GeometricTail(1, F(1, 3))
+    assert type(wide.first) is Fraction and wide.total() == F(3, 2)
+
+
+@pytest.mark.parametrize(
+    "first, ratio, message",
+    [
+        (0, 0.5, "tail first element must be positive, got 0"),
+        ("1/4", 1, "tail ratio must be in (0,1), got 1"),
+        (0.25, "-1/2", "tail ratio must be in (0,1), got -1/2"),
+    ],
+)
+def test_tail_error_messages(first, ratio, message):
+    with pytest.raises(DomainError) as info:
+        GeometricTail(first, ratio)
+    assert str(info.value) == message
 
 
 def test_tail_counts_match_enumeration():
