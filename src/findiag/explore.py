@@ -62,19 +62,22 @@ def candidate_multiplicity_bound(seq: DiagonalSequence) -> int:
     base = sum((unit.total() for unit in units), Fraction(len(seq.explicit)))
     u = sum(unit.count_greater(Fraction(1, 2)) for unit in units)
 
-    # T0(N) = t0 with x0 the zero-tail element after the counted ones, and
-    # SB(N) = tB with xB likewise; an absent tail walks zeros
-    walk0 = zt._elements() if zt is not None else repeat(0)
-    walkB = bt._elements() if bt is not None else repeat(0)
+    # T0(N) = t0 with x0n/x0d the zero-tail element after the counted ones, and
+    # SB(N) = tB with xBn/xBd likewise (an absent tail walks zeros); every test
+    # is cross-multiplied, x·N ≥ g as xn·N·gd ≥ gn·xd and base + t ≤ N over bd
+    walk0 = zt._products() if zt is not None else repeat((0, 1))
+    walkB = bt._products() if bt is not None else repeat((0, 1))
+    (gn, gd), (gpn, gpd) = g.as_integer_ratio(), gp.as_integer_ratio()
+    bn, bd = base.as_integer_ratio()
     t0 = tB = 0
-    x0, xB = next(walk0), next(walkB)
+    (x0n, x0d), (xBn, xBd) = next(walk0), next(walkB)
     N = 1
     while True:
-        while x0 and x0 * N >= g:
-            t0, x0 = t0 + 1, next(walk0)
-        while xB and xB * N > gp:
-            tB, xB = tB + 1, next(walkB)
-        if N >= u and base + t0 + tB + u <= N:
+        while x0n and x0n * N * gd >= gn * x0d:
+            t0, (x0n, x0d) = t0 + 1, next(walk0)
+        while xBn and xBn * N * gpd > gpn * xBd:
+            tB, (xBn, xBd) = tB + 1, next(walkB)
+        if N >= u and bn + (t0 + tB + u) * bd <= N * bd:
             return N
         N += 1
 

@@ -81,12 +81,16 @@ def parse_rational(text: str, path: str = "$") -> Fraction:
     Decimal notation is rejected on purpose: 0.1 is not 1/10 in binary
     floating point, and silently accepting it would poison exact checks.
     """
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
+    match = isinstance(text, str) and _RATIONAL_RE.match(text.strip())
+    if not match:
         raise SchemaError(f"expected rational 'p/q' or integer string, got {text!r}", path)
+    p, _, q = match[0].partition("/")
     try:
-        return Fraction(text.strip())
+        return Fraction(int(p), int(q or 1))
     except ZeroDivisionError:
         raise SchemaError(f"zero denominator in {text!r}", path) from None
+    except ValueError as exc:  # int() refuses a part past the interpreter's digit limit
+        raise SchemaError(f"invalid rational: {exc}", path) from None
 
 
 def format_rational(x: Fraction) -> str:

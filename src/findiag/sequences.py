@@ -62,21 +62,40 @@ class GeometricTail:
             yield x
             x *= self.ratio
 
+    def _products(self) -> Iterator[Tuple[int, int]]:
+        """(fn·pnᵗ, fd·pdᵗ) for t = 0, 1, … with first = fn/fd and ratio = pn/pd:
+        element t as an integer pair, one running product per side."""
+        (xn, xd), (pn, pd) = self.first.as_integer_ratio(), self.ratio.as_integer_ratio()
+        while True:
+            yield xn, xd
+            xn, xd = xn * pn, xd * pd
+
+    def _walk(self, a: int, b: int, strict: bool = False) -> Tuple[int, int, int, int]:
+        """(c, head, rest, den) at the cut a/b (b > 0): the c leading elements
+        are ≥ a/b (> a/b if strict), and head/den and rest/den are the distance
+        masses of those c elements and of all later ones."""
+        if a <= 0:
+            raise DomainError("a tail cut must be positive")
+        for c, (xn, xd) in enumerate(self._products()):
+            if xn * b <= a * xd if strict else xn * b < a * xd:
+                break
+        # element c is xn/xd with xd = fd·pdᶜ, so the rest is xn/xd·pd/(pd − pn)
+        # and the head first/(1 − ratio) minus that, over one denominator
+        (fn, fd), (pn, pd) = self.first.as_integer_ratio(), self.ratio.as_integer_ratio()
+        return c, (fn * (xd // fd) - xn) * pd, xn * pd, xd * (pd - pn)
+
     def _cut(self, cut: Fraction, strict: bool = False) -> Tuple[int, Fraction]:
         """(c, x): the c leading elements are ≥ cut (> cut if strict); x is the next one."""
-        if cut <= 0:
-            raise DomainError("a tail cut must be positive")
-        for c, x in enumerate(self._elements()):
-            if x <= cut if strict else x < cut:
-                return c, x
+        c, _, rest, den = self._walk(cut.numerator, cut.denominator, strict)
+        return c, Fraction(rest, den) * (1 - self.ratio)
 
     def count_at_least(self, cut: Fraction) -> int:
         """|{t ≥ 0 : first·ratio^t ≥ cut}| — finite for cut > 0."""
-        return self._cut(cut)[0]
+        return self._walk(cut.numerator, cut.denominator)[0]
 
     def count_greater(self, cut: Fraction) -> int:
         """|{t ≥ 0 : first·ratio^t > cut}| — finite for cut > 0."""
-        return self._cut(cut, strict=True)[0]
+        return self._walk(cut.numerator, cut.denominator, strict=True)[0]
 
     def drop(self, count: int) -> "GeometricTail":
         return GeometricTail(self.element(count), self.ratio)
@@ -236,34 +255,30 @@ def materialize_tails(seq: DiagonalSequence, low: Fraction, high: Fraction) -> D
 
 
 def threshold_stats(seq: DiagonalSequence, alpha: Fraction) -> ThresholdStats:
-    """Exact C(α) and D(α): the explicit entries below α are a prefix of the
-    sorted ones, read from the prefix sums at one bisect, and each geometric
-    tail is counted once for closed-form partial sums."""
+    """Exact C(α) and D(α) as integers over one denominator: the explicit part
+    is a prefix of the sorted entries, read from the prefix sums at one bisect,
+    and each geometric tail adds the count and masses of one integer walk."""
     alpha = Fraction(alpha)
-    B = seq.B
-    if not (0 < alpha < B):
+    if not (0 < alpha < seq.B):
         raise DomainError(f"alpha must lie in (0, B), got {alpha}")
 
     i = bisect_left(seq.explicit, alpha)  # explicit[:i] < α ≤ explicit[i:]
     Q, qB, P = seq._prefix
-    C: Union[Fraction, Infinite] = Fraction(P[i], Q)
-    D: Union[Fraction, Infinite] = Fraction((len(seq.explicit) - i) * qB - (P[-1] - P[i]), Q)
+    an, ad = alpha.as_integer_ratio()
+    # C and D times Q·T, with T the product of the tail walks' denominators
+    C, D, T = P[i], (len(P) - 1 - i) * qB - (P[-1] - P[i]), 1
     zt, bt = seq.zero_tail, seq.b_tail
     if isinstance(zt, GeometricTail):
-        # elements first·ratio^t < alpha are exactly t ≥ c, and x is the first
-        # of them: C gains x/(1−ratio), D gains B − e for each earlier e
-        c, x = zt._cut(alpha)
-        C += x / (1 - zt.ratio)
-        D += c * B - (zt.first - x) / (1 - zt.ratio)
+        # elements first·ratio^t < alpha are exactly t ≥ c: C gains their
+        # mass, D gains B − e for each earlier e
+        c, head, rest, d = zt._walk(an, ad)
+        C, D, T = C * d + rest * Q * T, (D + c * qB * T) * d - head * Q * T, T * d
     if isinstance(bt, GeometricTail):
         # elements B − first·ratio^t < alpha ⟺ first·ratio^t > B − alpha
-        c, x = bt._cut(B - alpha, strict=True)
-        C += c * B - (bt.first - x) / (1 - bt.ratio)
-        D += x / (1 - bt.ratio)
-    if isinstance(zt, DivergentTail):
-        C = INF
-    if isinstance(bt, DivergentTail):
-        D = INF
+        c, head, rest, d = bt._walk(qB * ad - an * Q, Q * ad, strict=True)
+        C, D, T = (C + c * qB * T) * d - head * Q * T, D * d + rest * Q * T, T * d
+    C = INF if isinstance(zt, DivergentTail) else Fraction(C, Q * T)
+    D = INF if isinstance(bt, DivergentTail) else Fraction(D, Q * T)
     return ThresholdStats(alpha, C, D)
 
 

@@ -222,6 +222,26 @@ def test_verify_integer_beyond_float_range_exits_64(capsys, tmp_path, zeros, whe
     assert where in err
 
 
+_PAST_THE_DIGIT_LIMIT = "1/" + "9" * 5000  # a denominator int() refuses to parse
+
+
+@pytest.mark.parametrize("where", ["--seq", "--spectrum", "--diag"])
+def test_rational_past_the_digit_limit_exits_64(capsys, tmp_path, where):
+    seq = write_seq(tmp_path, {"B": "1", "explicit": [_PAST_THE_DIGIT_LIMIT, "1/2"]})
+    mat = tmp_path / "m.json"
+    mat.write_text(json.dumps({"dim": 2, "rows": [[0.5, 0.0], [0.0, 1.0]]}))
+    argv = {
+        "--seq": ["decide", "--seq", seq, "--spectrum", "0,1/2,1"],
+        "--spectrum": ["decide", "--seq", DYADIC, "--spectrum", f"0,{_PAST_THE_DIGIT_LIMIT},1"],
+        "--diag": ["verify", "--matrix", str(mat), "--spectrum", "0,1/2,1", "--diag", f"1/2,{_PAST_THE_DIGIT_LIMIT}"],
+    }[where]
+    code, out, err = run(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    path = {"--seq": "--seq.explicit[0]: ", "--spectrum": "--spectrum: ", "--diag": "--diag: "}[where]
+    assert path + "invalid rational" in err and "digits" in err
+
+
 def test_verify_diag_override(capsys, tmp_path):
     mat = tmp_path / "m.json"
     mat.write_text(json.dumps({"dim": 2, "rows": [[0.5, 0.0], [0.0, 1.0]]}))

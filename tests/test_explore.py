@@ -5,6 +5,7 @@ import math
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import repeat
 from random import Random
 
 import pytest
@@ -28,6 +29,7 @@ from findiag import (
     threshold_stats,
     three_point_spectra,
 )
+from findiag.sequences import _trace_residue
 
 F = Fraction
 
@@ -81,6 +83,55 @@ def test_multiplicity_bound_matches_recount():
             b_tail=GeometricTail(B * F(rng.randint(1, 4), 16), rng.choice((F(1, 2), F(1, 4)))),
         )
         assert candidate_multiplicity_bound(seq) == _recounted_bound(seq)
+
+
+def _fraction_bound(seq):
+    """candidate_multiplicity_bound as it read on Fractions: the pointer walks
+    read Fraction elements and every test compares Fractions."""
+    B = seq.B
+    res = _trace_residue(seq)
+    g, gp = res or B, B - res
+    tails = [t for t in (seq.zero_tail, seq.b_tail) if t is not None]
+    base = sum((1 / (1 - t.ratio) for t in tails), F(len(seq.explicit)))
+    u = sum(next(k for k, x in enumerate(GeometricTail(1, t.ratio)._elements()) if x <= F(1, 2)) for t in tails)
+    walk0 = seq.zero_tail._elements() if seq.zero_tail is not None else repeat(0)
+    walkB = seq.b_tail._elements() if seq.b_tail is not None else repeat(0)
+    t0 = tB = 0
+    x0, xB = next(walk0), next(walkB)
+    N = 1
+    while True:
+        while x0 and x0 * N >= g:
+            t0, x0 = t0 + 1, next(walk0)
+        while xB and xB * N > gp:
+            tB, xB = tB + 1, next(walkB)
+        if N >= u and base + t0 + tB + u <= N:
+            return N
+        N += 1
+
+
+def test_multiplicity_bound_matches_the_fraction_walk():
+    """Ratios up to 99/100, an absent tail on either side (infinitely many
+    exact endpoints instead) and residue 0 in every third draw."""
+    rng = Random(15)
+    ratios = (F(1, 3), F(1, 2), F(2, 3), F(9, 10), F(19, 20), F(99, 100))
+    residues = Counter()
+    for draw in range(150):
+        B = rng.choice((F(1), F(2), F(5, 3)))
+        tails = [
+            GeometricTail(B * F(rng.randint(1, 8), 32), rng.choice(ratios + (F(rng.randint(1, 99), 100),)))
+            if rng.random() < 0.75
+            else None
+            for _ in "zb"
+        ]
+        explicit = [B * F(rng.randint(1, 47), 48) for _ in range(rng.randint(0, 5))]
+        counts = {"zero_count": 0 if tails[0] else INF, "b_count": 0 if tails[1] else INF}
+        seq = DiagonalSequence(B, tuple(explicit), zero_tail=tails[0], b_tail=tails[1], **counts)
+        if draw % 3 == 0 and _trace_residue(seq):
+            explicit.append(-_trace_residue(seq) % B)  # an entry adds itself to the residue
+            seq = DiagonalSequence(B, tuple(explicit), zero_tail=tails[0], b_tail=tails[1], **counts)
+        residues[_trace_residue(seq) == 0] += 1
+        assert candidate_multiplicity_bound(seq) == _fraction_bound(seq)
+    assert residues[True] >= 50
 
 
 def _sharing_corpus(seed: int, count: int, q: int):

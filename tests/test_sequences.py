@@ -211,6 +211,35 @@ def test_threshold_stats_match_the_power_sums_on_slow_tails():
             assert (st_.C, st_.D) == _head_stats(seq, alpha)
 
 
+@pytest.mark.parametrize("B", [F(5, 3), F(7, 4), F(9, 2)])
+def test_threshold_stats_on_tail_elements_with_a_fractional_B(B):
+    """With den(B) > 1, α on a zero-tail element and B − α on a b-tail
+    element, and just beside each: C and D, summed as integers over one
+    denominator, equal the power sums; a divergent tail on one side leaves
+    the other statistic as it is without that tail."""
+    rng = Random(1515)
+    ratios = [F(1, 3), F(1, 2), F(2, 3), F(9, 10), F(99, 100)]
+    for _ in range(30):
+        zt, bt = (GeometricTail(random_fraction(rng, B / 64, B / 4, den=96), rng.choice(ratios)) for _ in "zb")
+        explicit = tuple(random_fraction(rng, B / 4, 3 * B / 4, den=48) for _ in range(rng.randint(0, 4)))
+        alphas = []
+        for t in (0, rng.randint(1, 5), rng.randint(6, 60)):
+            for nudge in (0, 1, -1):
+                alphas += [zt.element(t) * (1 + F(nudge, 10**9)), B - bt.element(t) * (1 + F(nudge, 10**9))]
+        for zero_tail, b_tail in ((zt, bt), (zt, None), (None, bt)):
+            seq = DiagonalSequence(B, explicit, zero_tail=zero_tail, b_tail=b_tail)
+            for alpha in alphas:
+                st_ = threshold_stats(seq, alpha)
+                assert (st_.C, st_.D) == _head_stats(seq, alpha)
+        div0 = DiagonalSequence(B, explicit, zero_tail=DivergentTail(), b_tail=bt)
+        divB = DiagonalSequence(B, explicit, zero_tail=zt, b_tail=DivergentTail())
+        for alpha in alphas[:6]:
+            D = _head_stats(DiagonalSequence(B, explicit, b_tail=bt), alpha)[1]
+            C = _head_stats(DiagonalSequence(B, explicit, zero_tail=zt), alpha)[0]
+            assert threshold_stats(div0, alpha) == (alpha, INF, D)
+            assert threshold_stats(divB, alpha) == (alpha, C, INF)
+
+
 def test_sequence_validation():
     with pytest.raises(DomainError):
         DiagonalSequence(B=F(1), explicit=(F(3, 2),))

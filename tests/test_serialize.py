@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from findiag import (
@@ -265,3 +265,25 @@ def test_load_json_reports_position(tmp_path):
 @given(st.fractions())
 def test_rational_text_round_trip(x):
     assert parse_rational(format_rational(x)) == x
+
+
+# ASCII, Arabic-Indic, Bengali and fullwidth digits; plain and Unicode spaces
+_DIGITS = st.text(alphabet="0123456789\u0663\u0664\u09e6\u09ed\uff10\uff19", min_size=1, max_size=12)
+_SPACE = st.text(alphabet=" \t\n\u00a0\u2003", max_size=3)
+
+
+@given(_SPACE, st.sampled_from(("", "+", "-")), _DIGITS, st.none() | _DIGITS, _SPACE)
+@example("", "", "\u0663", "\u0664", "")  # ٣/٤
+@example(" ", "-", "007", "0014", " ")
+@example("\t", "+", "\uff10", None, "\n")
+def test_parse_rational_reads_what_fraction_reads(before, sign, p, q, after):
+    """Every text the pattern admits (signs, surrounding whitespace, leading
+    zeros, Unicode digits) parses to what Fraction's own parser gives."""
+    text = before + sign + p + ("" if q is None else "/" + q) + after
+    try:
+        expected = Fraction(text.strip())
+    except ZeroDivisionError:
+        with pytest.raises(SchemaError, match="zero denominator"):
+            parse_rational(text)
+    else:
+        assert parse_rational(text) == expected

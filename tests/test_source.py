@@ -119,3 +119,49 @@ def test_only_geometric_tail_walks_a_tail():
             if path.name == "explore.py" and isinstance(node, ast.FunctionDef) and node.name == "_halving_steps":
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _function(path: Path, name: str, cls: str = None) -> ast.FunctionDef:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    scope = tree.body
+    if cls is not None:
+        (scope,) = [n.body for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls]
+    (func,) = [n for n in scope if isinstance(n, ast.FunctionDef) and n.name == name]
+    return func
+
+
+def _fraction_names(node) -> list:
+    return [n.lineno for n in ast.walk(node) if isinstance(n, ast.Name) and n.id == "Fraction"]
+
+
+def _fraction_walks(node) -> list:
+    """Reads of the walks that yield Fractions: _elements and _cut."""
+    return [n.lineno for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr in ("_elements", "_cut")]
+
+
+def test_tail_arithmetic_runs_on_integers():
+    """The integer tail walk and the loop of candidate_multiplicity_bound
+    name no Fraction, and threshold_stats builds C and D with at most two
+    Fraction(...) calls after its α check; neither reads a walk that yields
+    Fractions."""
+    for name in ("_products", "_walk"):
+        walk = _function(SRC / "sequences.py", name, "GeometricTail")
+        assert _fraction_names(walk) == [] and _fraction_walks(walk) == []
+    cap = _function(SRC / "explore.py", "candidate_multiplicity_bound")
+    (loop,) = [n for n in cap.body if isinstance(n, ast.While)]
+    assert _fraction_names(loop) == [] and _fraction_walks(cap) == []
+
+    stats = _function(SRC / "sequences.py", "threshold_stats")
+    assert _fraction_walks(stats) == []
+    check = next(
+        i
+        for i, n in enumerate(stats.body)
+        if isinstance(n, ast.If) and any(isinstance(m, ast.Raise) for m in n.body)
+    )
+    calls = [
+        n.lineno
+        for statement in stats.body[check + 1 :]
+        for n in ast.walk(statement)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "Fraction"
+    ]
+    assert len(calls) <= 2
