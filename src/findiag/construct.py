@@ -23,7 +23,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
@@ -343,7 +343,7 @@ class _FiniteProblem:
 def _pack(tail: GeometricTail, T: int, cap: Fraction) -> List[Fraction]:
     """Distances from the tail's endpoint: its first T elements, then the
     remaining mass split evenly over the fewest entries of at most cap."""
-    heads = list(islice(tail._elements(), T + 1))
+    heads = tail._head(T + 1)
     rem = GeometricTail(heads.pop(), tail.ratio).total()  # first·ratio^T / (1 − ratio)
     count = -(-rem // cap)  # ceil
     return heads + [rem / count] * count

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import Optional, Sequence, Tuple
 
 from .errors import DomainError
@@ -366,7 +366,7 @@ def check_finite_rank_tail(seq: DiagonalSequence, lam: Sequence) -> bool:
     # largest elements are its first ones.
     head = list(seq.explicit)
     if isinstance(seq.zero_tail, GeometricTail):
-        head.extend(islice(seq.zero_tail._elements(), n_eigs))
+        head += seq.zero_tail._head(n_eigs)
     head.sort(reverse=True)
     run_d, run_l = Fraction(0), Fraction(0)
     for m in range(n_eigs - 1):

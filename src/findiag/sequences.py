@@ -55,12 +55,13 @@ class GeometricTail:
     def tail_sum_from(self, t: int) -> Fraction:
         return self.element(t) / (1 - self.ratio)
 
-    def _elements(self) -> Iterator[Fraction]:
-        """first, first·ratio, first·ratio², … without end: the one walk over tail elements."""
-        x = self.first
-        while True:
-            yield x
+    def _head(self, count: int) -> List[Fraction]:
+        """The first count elements, as one running Fraction product."""
+        heads, x = [], self.first
+        for _ in range(count):
+            heads.append(x)
             x *= self.ratio
+        return heads
 
     def _products(self) -> Iterator[Tuple[int, int]]:
         """(fn·pnᵗ, fd·pdᵗ) for t = 0, 1, … with first = fn/fd and ratio = pn/pd:
@@ -83,11 +84,6 @@ class GeometricTail:
         # and the head first/(1 − ratio) minus that, over one denominator
         (fn, fd), (pn, pd) = self.first.as_integer_ratio(), self.ratio.as_integer_ratio()
         return c, (fn * (xd // fd) - xn) * pd, xn * pd, xd * (pd - pn)
-
-    def _cut(self, cut: Fraction, strict: bool = False) -> Tuple[int, Fraction]:
-        """(c, x): the c leading elements are ≥ cut (> cut if strict); x is the next one."""
-        c, _, rest, den = self._walk(cut.numerator, cut.denominator, strict)
-        return c, Fraction(rest, den) * (1 - self.ratio)
 
     def count_at_least(self, cut: Fraction) -> int:
         """|{t ≥ 0 : first·ratio^t ≥ cut}| — finite for cut > 0."""
@@ -222,35 +218,29 @@ class DiagonalSequence:
         object.__setattr__(self, "_prefix", (Q, qB, prefix))
 
 
-def _split(tail: GeometricTail, cut: Fraction) -> Tuple[List[Fraction], GeometricTail]:
-    """The elements ≥ cut and the geometric tail of the rest, from one walk."""
-    moved: List[Fraction] = []
-    for x in tail._elements():
-        if x < cut:
-            return moved, GeometricTail(x, tail.ratio)
-        moved.append(x)
-
-
 def materialize_tails(seq: DiagonalSequence, low: Fraction, high: Fraction) -> DiagonalSequence:
     """Move every zero-tail element ≥ low and every b-tail element ≤ high into explicit.
 
-    Finitely many elements qualify (ratio < 1).  The remaining tails stay
-    geometric with first advanced past the moved elements, so the value
-    multiset is preserved and no tail element straddles [low, high].
+    Finitely many elements qualify (ratio < 1): on each side the integer cut
+    search counts them, the tail's head of that length becomes explicit and
+    the tail dropped by that count stays geometric, so the value multiset is
+    preserved and no tail element straddles [low, high].
     """
     low, high = Fraction(low), Fraction(high)
     if not (0 < low <= high < seq.B):
-        raise DomainError(f"materialization bounds must satisfy 0 < low ≤ high < B")
+        raise DomainError("materialization bounds must satisfy 0 < low ≤ high < B")
     if isinstance(seq.zero_tail, DivergentTail) or isinstance(seq.b_tail, DivergentTail):
         raise UnsupportedOperationError("divergent tails have no elements to materialize")
     explicit = list(seq.explicit)
     zero_tail, b_tail = seq.zero_tail, seq.b_tail
     if isinstance(zero_tail, GeometricTail):
-        moved, zero_tail = _split(zero_tail, low)
-        explicit += moved
+        c = zero_tail.count_at_least(low)
+        explicit += zero_tail._head(c)
+        zero_tail = zero_tail.drop(c)
     if isinstance(b_tail, GeometricTail):
-        moved, b_tail = _split(b_tail, seq.B - high)
-        explicit += (seq.B - x for x in moved)
+        c = b_tail.count_at_least(seq.B - high)
+        explicit += (seq.B - x for x in b_tail._head(c))
+        b_tail = b_tail.drop(c)
     return DiagonalSequence(seq.B, tuple(explicit), seq.zero_count, seq.b_count, zero_tail, b_tail)
 
 
@@ -306,7 +296,7 @@ def count_range(seq: DiagonalSequence, a: Fraction, b: Fraction):
     a, b = Fraction(a), Fraction(b)
     B = seq.B
     if not (0 <= a <= b <= B):
-        raise DomainError(f"range bounds must satisfy 0 ≤ a ≤ b ≤ B")
+        raise DomainError("range bounds must satisfy 0 ≤ a ≤ b ≤ B")
     if a == b:
         return 0
 

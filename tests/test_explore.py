@@ -5,7 +5,7 @@ import math
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import repeat
+from itertools import count
 from random import Random
 
 import pytest
@@ -86,24 +86,29 @@ def test_multiplicity_bound_matches_recount():
 
 
 def _fraction_bound(seq):
-    """candidate_multiplicity_bound as it read on Fractions: the pointer walks
-    read Fraction elements and every test compares Fractions."""
+    """candidate_multiplicity_bound as it read on Fractions: the pointers read
+    the closed form element(t) = first·ratio^t, not the program's walk, and
+    every test compares Fractions."""
     B = seq.B
     res = _trace_residue(seq)
     g, gp = res or B, B - res
     tails = [t for t in (seq.zero_tail, seq.b_tail) if t is not None]
     base = sum((1 / (1 - t.ratio) for t in tails), F(len(seq.explicit)))
-    u = sum(next(k for k, x in enumerate(GeometricTail(1, t.ratio)._elements()) if x <= F(1, 2)) for t in tails)
-    walk0 = seq.zero_tail._elements() if seq.zero_tail is not None else repeat(0)
-    walkB = seq.b_tail._elements() if seq.b_tail is not None else repeat(0)
+    u = sum(next(k for k in count() if GeometricTail(1, t.ratio).element(k) <= F(1, 2)) for t in tails)
+
+    def element(tail, t):
+        return tail.element(t) if tail is not None else 0
+
     t0 = tB = 0
-    x0, xB = next(walk0), next(walkB)
+    x0, xB = element(seq.zero_tail, 0), element(seq.b_tail, 0)
     N = 1
     while True:
         while x0 and x0 * N >= g:
-            t0, x0 = t0 + 1, next(walk0)
+            t0 += 1
+            x0 = element(seq.zero_tail, t0)
         while xB and xB * N > gp:
-            tB, xB = tB + 1, next(walkB)
+            tB += 1
+            xB = element(seq.b_tail, tB)
         if N >= u and base + t0 + tB + u <= N:
             return N
         N += 1

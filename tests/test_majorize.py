@@ -1,5 +1,6 @@
 """Majorization checks: step sequences, partial-sum tests, finite variants."""
 
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -271,6 +272,64 @@ def test_finite_rank_tail():
     assert check_finite_rank_tail(seq, [F(9, 20), F(9, 20), F(1, 10)]) is False
     assert check_finite_rank_tail(seq, [F(1)]) is True
     assert check_finite_rank_tail(seq, [F(2, 3), F(1, 2)]) is False  # totals differ
+
+
+def _finite_rank_oracle(seq, lam, tail_elements=None):
+    """Totals agree and every m < n prefix of the sorted explicit entries plus
+    the tail's first n elements, element(t) for t < n, is at most the same
+    prefix of λ; tail_elements overrides how many tail elements take part."""
+    n = len(lam)
+    tail = seq.zero_tail
+    count = n if tail_elements is None else tail_elements
+    d = sorted([*seq.explicit, *map(tail.element, range(count))], reverse=True)
+    ll = sorted(lam, reverse=True)
+    if sum(seq.explicit, tail.total()) != sum(ll):
+        return False
+    return all(sum(d[:m]) <= sum(ll[:m]) for m in range(1, n))
+
+
+def test_finite_rank_tail_reads_elements_past_the_explicit_entries():
+    """Ratios 1/2 to 9/10 and up to 8 eigenvalues, against the oracle; in
+    some draws the tail's first element exceeds every explicit entry, and in
+    some the verdict differs from one that leaves the tail elements out."""
+    rng = Random(16)
+    ratios = (F(1, 2), F(2, 3), F(3, 4), F(4, 5), F(9, 10))
+    verdicts, decided_by_tail, tail_on_top = Counter(), 0, 0
+    for draw in range(300):
+        explicit = tuple(F(rng.randint(1, 31), 32) for _ in range(rng.randint(0, 3)))
+        tail = GeometricTail(F(rng.randint(1, 31), 32), rng.choice(ratios))
+        seq = DiagonalSequence(B=F(1), explicit=explicit, zero_tail=tail)
+        total = sum(explicit, tail.total())
+        n = rng.randint(1, 8)
+        top = sorted([*explicit, *map(tail.element, range(n))], reverse=True)
+        kind = draw % 4
+        if kind == 0:  # random weights
+            w = [rng.randint(1, 20) for _ in range(n)]
+            lam = [total * x / sum(w) for x in w]
+        elif kind == 1:  # an even split
+            lam = [total / n] * n
+        elif kind == 2:  # the n − 1 largest entries and the rest lumped, then nudged
+            lam = top[: n - 1] + [total - sum(top[: n - 1])]
+            eps = F(rng.randint(0, 3), 256)
+            if n > 1 and lam[0] > eps:
+                lam[0], lam[-1] = lam[0] - eps, lam[-1] + eps
+        else:  # the j − 1 largest entries, the rest spread evenly: entry j decides
+            j = rng.randint(1, n)
+            lam = top[: j - 1] + [(total - sum(top[: j - 1])) / (n - j + 1)] * (n - j + 1)
+        verdict = check_finite_rank_tail(seq, lam)
+        assert verdict is _finite_rank_oracle(seq, lam)
+        verdicts[verdict] += 1
+        decided_by_tail += verdict is not _finite_rank_oracle(seq, lam, tail_elements=0)
+        tail_on_top += tail.first > max(explicit, default=0)
+    assert verdicts[True] >= 30 and verdicts[False] >= 30
+    assert decided_by_tail >= 30 and tail_on_top >= 30
+    # 1/8 and the tail 1/2, 1/4, 1/8, …: the first tail element alone exceeds 3/8
+    seq = DiagonalSequence(B=F(1), explicit=(F(1, 8),), zero_tail=GeometricTail(F(1, 2), F(1, 2)))
+    assert check_finite_rank_tail(seq, [F(1, 2), F(1, 2), F(1, 8)]) is True
+    assert check_finite_rank_tail(seq, [F(3, 8)] * 3) is False
+    # the tail 1/2, 1/4, 1/8, … alone: its third element breaks the third prefix
+    seq = DiagonalSequence(B=F(1), zero_tail=GeometricTail(F(1, 2), F(1, 2)))
+    assert check_finite_rank_tail(seq, [F(1, 2), F(1, 4), F(7, 64), F(7, 64), F(1, 32)]) is False
 
 
 def test_finite_rank_tail_rejects_divergent_side():

@@ -3,7 +3,6 @@
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from itertools import islice
 from random import Random
 
 import pytest
@@ -142,19 +141,23 @@ _RATIOS = st.one_of(
     nudge=st.sampled_from((-1, 0, 1)),
 )
 def test_tail_walk_matches_the_element_definition(first, ratio, at, nudge):
-    """Counts, strict and non-strict cuts, heads and the next element, all read
-    from the one running product, agree with element(t) = first·ratio^t; the
-    cut is an element exactly (nudge 0) or just beside one."""
+    """The integer cut search's counts, strict and non-strict, its next
+    element and its head and rest masses, and the Fraction head list, agree
+    with element(t) = first·ratio^t; the cut is an element exactly (nudge 0)
+    or just beside one."""
     tail = GeometricTail(first, ratio)
     cut = tail.element(at) * (1 + F(nudge, 10**9))
     for strict in (False, True):
         c = 0
         while tail.element(c) > cut or (not strict and tail.element(c) == cut):
             c += 1
-        assert tail._cut(cut, strict) == (c, tail.element(c))
+        walked, head, rest, den = tail._walk(cut.numerator, cut.denominator, strict)
+        assert walked == c
+        assert F(rest, den) * (1 - ratio) == tail.element(c)
+        assert F(head, den) == tail.head_sum(c) and F(rest, den) == tail.tail_sum_from(c)
         assert (tail.count_greater if strict else tail.count_at_least)(cut) == c
     assert tail.count_at_least(cut) - tail.count_greater(cut) == (nudge == 0)
-    assert list(islice(tail._elements(), at + 2)) == [tail.element(t) for t in range(at + 2)]
+    assert tail._head(at + 2) == [tail.element(t) for t in range(at + 2)]
 
 
 def _head_stats(seq: DiagonalSequence, alpha: Fraction):

@@ -84,9 +84,11 @@ def test_realize_builds_one_level():
 
 
 def test_only_geometric_tail_walks_a_tail():
-    """Every tail element is read from GeometricTail's one running product:
-    outside the class no product or power takes a .ratio operand, no code
-    calls .element(, and explore keeps no halving-step loop of its own."""
+    """Every tail element is read inside GeometricTail, from its integer
+    running products or its one Fraction list _head: outside the class no
+    product or power takes a .ratio operand, no code calls .element(, and
+    explore keeps no halving-step loop of its own.  Inside it, the one loop
+    that compares elements with a cut is the cut search _walk."""
 
     def mentions_ratio(node):
         return any(isinstance(n, ast.Attribute) and n.attr == "ratio" for n in ast.walk(node))
@@ -120,6 +122,17 @@ def test_only_geometric_tail_walks_a_tail():
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
+    tree = ast.parse((SRC / "sequences.py").read_text(encoding="utf-8"))
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "GeometricTail"]
+    comparing = [
+        method.name
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef)
+        for loop in ast.walk(method)
+        if isinstance(loop, (ast.For, ast.While)) and any(isinstance(n, ast.Compare) for n in ast.walk(loop))
+    ]
+    assert comparing == ["_walk"]
+
 
 def _function(path: Path, name: str, cls: str = None) -> ast.FunctionDef:
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -135,15 +148,15 @@ def _fraction_names(node) -> list:
 
 
 def _fraction_walks(node) -> list:
-    """Reads of the walks that yield Fractions: _elements and _cut."""
-    return [n.lineno for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr in ("_elements", "_cut")]
+    """Reads of the one tail walk that yields Fractions, the list _head."""
+    return [n.lineno for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr == "_head"]
 
 
 def test_tail_arithmetic_runs_on_integers():
     """The integer tail walk and the loop of candidate_multiplicity_bound
     name no Fraction, and threshold_stats builds C and D with at most two
-    Fraction(...) calls after its α check; neither reads a walk that yields
-    Fractions."""
+    Fraction(...) calls after its α check; none of them reads the Fraction
+    list _head."""
     for name in ("_products", "_walk"):
         walk = _function(SRC / "sequences.py", name, "GeometricTail")
         assert _fraction_names(walk) == [] and _fraction_walks(walk) == []
@@ -165,3 +178,20 @@ def test_tail_arithmetic_runs_on_integers():
         if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "Fraction"
     ]
     assert len(calls) <= 2
+
+
+def test_every_f_string_has_a_placeholder():
+    """An f-string with nothing to format is a plain string with a stray
+    prefix; the format specs inside placeholders are not counted."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        specs = {id(n.format_spec) for n in ast.walk(tree) if isinstance(n, ast.FormattedValue)}
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.JoinedStr)
+            and id(node) not in specs
+            and not any(isinstance(v, ast.FormattedValue) for v in node.values)
+        ]
+    assert found == []
