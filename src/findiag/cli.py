@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import sys
 from fractions import Fraction
@@ -25,7 +24,7 @@ from .construct import (
     realize_truncated,
     verify_realization,
 )
-from .decide import Verdict, _case, decide, decide_projection, lebesgue_check
+from .decide import Verdict, _case, _subset_decisions, decide, decide_projection, lebesgue_check
 from .errors import (
     DomainError,
     SchemaError,
@@ -47,7 +46,7 @@ from .serialize import (
     parse_matrix,
     parse_sequence,
     parse_witness,
-    _parse_scalar,
+    _parse_scalars,
 )
 
 
@@ -92,7 +91,7 @@ def _rational_list(value: str, label: str) -> List[Fraction]:
     data = load_json(_read_text(value, label), label)
     if not isinstance(data, list):
         raise SchemaError("expected an array of rationals", label)
-    return [_parse_scalar(v, f"{label}[{i}]") for i, v in enumerate(data)]
+    return _parse_scalars(data, label, "[{}]".format)
 
 
 def _load_spectrum(args) -> Tuple[SpectrumSpec, Fraction]:
@@ -147,12 +146,6 @@ def _verdict_exit(verdict: Verdict) -> int:
     return 0
 
 
-def _interior_subsets(points):
-    """Proper subsets of the interior (including empty), by size then order."""
-    interior = points[1:-1]
-    return [s for r in range(len(interior)) for s in itertools.combinations(interior, r)]
-
-
 def _explain_payload(seq: DiagonalSequence, spectrum: SpectrumSpec, witnesses):
     """Per-witness canonical shifts and partial-sum profiles, when the sequence
     admits a ℤ-indexed arrangement."""
@@ -187,17 +180,14 @@ def _cmd_decide(args) -> int:
     if args.explain:
         payload["explain"] = _explain_payload(seq, spectrum, decision.witnesses)
     if args.subset_spectra:
-        results = []
-        for subset in _interior_subsets(spectrum.points):
-            d = decide(seq, SpectrumSpec((0, *subset, spectrum.B)))
-            results.append(
-                {
-                    "interior": [format_rational(p) for p in subset],
-                    "verdict": d.verdict.value,
-                    "witnesses": [dump_witness(w) for w in d.witnesses],
-                }
-            )
-        payload["subset_results"] = results
+        payload["subset_results"] = [
+            {
+                "interior": [format_rational(p) for p in subset],
+                "verdict": d.verdict.value,
+                "witnesses": [dump_witness(w) for w in d.witnesses],
+            }
+            for subset, d in _subset_decisions(seq, spectrum)
+        ]
     _print(payload)
     return _verdict_exit(decision.verdict)
 
@@ -279,10 +269,7 @@ def _cmd_verify(args) -> int:
     exact_from_file = None
     if isinstance(raw, dict) and "matrix" in raw:
         if "diagonal_exact" in raw:
-            exact_from_file = [
-                _parse_scalar(v, f"--matrix.diagonal_exact[{i}]")
-                for i, v in enumerate(raw["diagonal_exact"])
-            ]
+            exact_from_file = _parse_scalars(raw["diagonal_exact"], "--matrix.diagonal_exact", "[{}]".format)
         raw = raw["matrix"]
     matrix = parse_matrix(raw, "--matrix")
 

@@ -9,11 +9,12 @@ matrices).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError
 from .majorize import Witness, _require_compatible, check_finite_majorization
@@ -22,9 +23,9 @@ from .sequences import (
     DiagonalSequence,
     SpectrumSpec,
     ThresholdStats,
-    _trace_residue,
+    _over,
+    _stats_pass,
     divergence_flags,
-    threshold_stats,
 )
 
 
@@ -48,111 +49,87 @@ class Decision:
         return self.verdict in (Verdict.FEASIBLE_CASE_I, Verdict.FEASIBLE_CASE_II)
 
 
-def _scaled_trace(gap: Fraction, spectrum: SpectrumSpec) -> Tuple[int, int, List[int]]:
-    """The trace equation gap = Σ A_j N_j + kB in integers.
+class _System(NamedTuple):
+    """The Case II system in integers: N passes the trace congruence iff
+    (qgap − Σ_j qa_j·N_j) % qB == 0, and the mass bounds iff
+    Σ_j qw[r][j]·N_j ≤ qcap[r] for every r (_system)."""
 
-    With B, the gap and the A_j scaled by the lcm of their denominators, N
-    admits an integer k iff (qgap − Σ_j qa_j·N_j) % qB == 0.  The gap is
-    C(B/2) − D(B/2) when k matters, else the trace residue: C − D moves by
-    exact multiples of B as the threshold crosses entries, so every gap
-    C(α) − D(α) gives the same congruence.
-    """
-    _, (qB, qgap, *qa) = _scaled(spectrum.B, gap, *spectrum.interior)
-    return qB, qgap, qa
+    qB: int
+    qgap: int
+    qa: List[int]
+    qw: List[List[int]]
+    qcap: List[int]
+
+    def bounds(self) -> Tuple[int, ...]:
+        """N_j ≤ qcap[j] // qw[j][j]: mass bound j with every other term dropped."""
+        return tuple(cap // row[j] for j, (row, cap) in enumerate(zip(self.qw, self.qcap)))
 
 
-def _scaled_mass_bounds(
-    stats: Sequence[ThresholdStats], spectrum: SpectrumSpec
-) -> Tuple[List[List[int]], List[int]]:
-    """The mass bounds of the threshold-statistic form in integers (_mass_bounds),
-    with B, the A_j and the statistics at the interior points (looked up in
-    stats by α) scaled by the lcm of their denominators."""
-    by_alpha = {st.alpha: st for st in stats}
-    at = [by_alpha[a] for a in spectrum.interior]
-    if any(st.C is INF or st.D is INF for st in at):
+def _system(spectrum: SpectrumSpec, W: int, gap: Tuple, at: Sequence[Tuple]) -> _System:
+    """The system in one integer scale from (C, D) numerators over W (_stats_pass)
+    at each interior point (at) and at the α of the trace gap C(α) − D(α) (gap):
+    C − D moves by multiples of B as α crosses entries, so only k reads α.
+    Mass bound r, (B−A_r)·Σ_{j≤r} A_j N_j + A_r·Σ_{j>r} (B−A_j) N_j ≤
+    (B−A_r)·C(A_r) + A_r·D(A_r), is Σ_j qw[r][j]·N_j ≤ qcap[r] (every qw[r][j]
+    > 0); a subset of the interior points keeps its rows and columns."""
+    if any(x is INF for pair in (gap, *at) for x in pair):
         raise DomainError(
             "the threshold-statistic form needs finite threshold statistics; "
             "divergent inputs are feasible without a witness"
         )
-    n = spectrum.n
-    _, (qB, *scaled) = _scaled(spectrum.B, *spectrum.interior, *(st.C for st in at), *(st.D for st in at))
-    return _mass_bounds(qB, scaled[:n], scaled[n : 2 * n], scaled[2 * n :])
-
-
-def _mass_bounds(
-    qB: int, qa: Sequence[int], qC: Sequence[int], qD: Sequence[int]
-) -> Tuple[List[List[int]], List[int]]:
-    """For each r, N must satisfy
-      (B−A_r)·Σ_{j≤r} A_j N_j + A_r·Σ_{j>r} (B−A_j) N_j ≤ (B−A_r)·C(A_r) + A_r·D(A_r),
-    that is Σ_j qw[r][j]·N_j ≤ qcap[r], given B, the A_j and C, D at the A_j
-    as integers in one scale Q (each side then scales by Q²).  Every
-    qw[r][j] is positive.
-    """
+    _, (k, qB, *qa) = _scaled(Fraction(1, W), spectrum.B, *spectrum.interior)
     qw = [
         [(qB - ar) * aj if j <= r else ar * (qB - aj) for j, aj in enumerate(qa)]
         for r, ar in enumerate(qa)
     ]
-    qcap = [(qB - a) * c + a * d for a, c, d in zip(qa, qC, qD)]
-    return qw, qcap
+    qcap = [((qB - a) * C + a * D) * k for a, (C, D) in zip(qa, at)]
+    return _System(qB, (gap[0] - gap[1]) * k, qa, qw, qcap)
 
 
 def witness_bounds(stats: Sequence[ThresholdStats], spectrum: SpectrumSpec) -> Tuple[int, ...]:
-    """Per-coordinate caps on candidate multiplicities.
-
-    Dropping all but the j-th term from the r=j mass bound (_mass_bounds)
-    gives N_j ≤ ((B−A_j)·C(A_j) + A_j·D(A_j)) / ((B−A_j)·A_j); any witness
-    violating this fails the mass bound at r=j.  Requires finite statistics.
-    """
-    qw, qcap = _scaled_mass_bounds(stats, spectrum)
-    return tuple(cap // row[j] for j, (row, cap) in enumerate(zip(qw, qcap)))
-
-
-def _stats_for(seq: DiagonalSequence, spectrum: SpectrumSpec) -> Tuple[ThresholdStats, ...]:
-    """Statistics at B/2 and at each interior point, in that order (deduped)."""
-    alphas = [spectrum.B / 2]
-    for a in spectrum.interior:
-        if a not in alphas:
-            alphas.append(a)
-    return tuple(threshold_stats(seq, a) for a in alphas)
+    """Per-coordinate caps on candidate multiplicities (_System.bounds), from
+    the finite statistics at the interior points, looked up in stats by α."""
+    by_alpha = {st.alpha: st for st in stats}
+    at = [by_alpha[a][1:] for a in spectrum.interior]
+    W = math.lcm(*(x.denominator for pair in at for x in pair if x is not INF))
+    at = [tuple(x if x is INF else x.numerator * (W // x.denominator) for x in pair) for pair in at]
+    return _system(spectrum, W, at[0], at).bounds()
 
 
 def lebesgue_check(seq: DiagonalSequence, spectrum: SpectrumSpec, witness: Witness) -> bool:
     """Decide interior majorization from threshold statistics alone.
 
-    True iff witness.N satisfies the trace congruence (_scaled_trace of the
-    trace residue) and every mass bound (_scaled_mass_bounds, on the
-    statistics at the interior points), the system that enumerate_witnesses
-    searches.  witness.k is ignored: k is determined by the trace equation.
-    The partial-sum form is riemann_check.
+    True iff witness.N satisfies the trace congruence and every mass bound of
+    the system that enumerate_witnesses searches (_System), built from the
+    statistics at the interior points.  witness.k is ignored: k is
+    determined by the trace equation.  The partial-sum form is riemann_check.
     """
     _require_compatible(seq, spectrum, witness)
     N = witness.N
-    qB, qres, qa = _scaled_trace(_trace_residue(seq), spectrum)
-    if (qres - sum(a * nj for a, nj in zip(qa, N))) % qB:
+    W, at = _stats_pass(seq, spectrum.interior)
+    qB, qgap, qa, qw, qcap = _system(spectrum, W, at[0], at)
+    if (qgap - sum(a * nj for a, nj in zip(qa, N))) % qB:
         return False
-    qw, qcap = _scaled_mass_bounds([threshold_stats(seq, a) for a in spectrum.interior], spectrum)
     return all(sum(w * nj for w, nj in zip(row, N)) <= cap for row, cap in zip(qw, qcap))
 
 
 def enumerate_witnesses(
-    seq: DiagonalSequence, spectrum: SpectrumSpec, stats: Optional[Sequence[ThresholdStats]] = None
+    seq: DiagonalSequence, spectrum: SpectrumSpec, system: Optional[_System] = None
 ) -> List[Witness]:
     """All witnesses within the multiplicity bounds, in lexicographic N order.
 
     N is kept iff it passes the trace congruence and every mass bound of
     lebesgue_check; the search is _lattice_search, which stays inside the
-    box of witness_bounds.  stats are the statistics of _stats_for, computed
-    here unless the caller already holds them.
+    box of witness_bounds.  system is the _System with the gap at B/2, built
+    here unless the caller already holds it.
     """
     _require_compatible(seq, spectrum)
     if spectrum.n == 0:
         raise DomainError("witness enumeration needs at least one interior spectrum point")
-    if stats is None:
-        stats = _stats_for(seq, spectrum)
-    qw, qcap = _scaled_mass_bounds(stats, spectrum)  # raises first on infinite statistics
-    half = stats[0]
-    qB, qgap, qa = _scaled_trace(half.C - half.D, spectrum)
-    return _lattice_search(qB, qgap, qa, qw, qcap)
+    if system is None:
+        W, at = _stats_pass(seq, [spectrum.B / 2, *spectrum.interior])
+        system = _system(spectrum, W, at[0], at[1:])  # raises on infinite statistics
+    return _lattice_search(*system)
 
 
 def _lattice_search(
@@ -212,42 +189,61 @@ def decide(seq: DiagonalSequence, spectrum: SpectrumSpec) -> Decision:
 
     Routing: two-point spectra go to the projection criterion; the rest
     follow _case, and in Case II feasibility is equivalent to a nonempty
-    witness list.  Statistics and witness bounds are computed once per
-    call, and the statistics are handed to enumerate_witnesses.
+    witness list.  The statistics at B/2 and at the interior points come
+    from one _stats_pass, and in Case II one _System is built from them,
+    read for the bounds and handed to enumerate_witnesses.
     """
     _require_compatible(seq, spectrum)
-    if spectrum.n == 0:
-        return decide_projection(seq)
+    return _decide(seq, spectrum, *_stats_pass(seq, [spectrum.B / 2, *spectrum.interior]))
+
+
+def _subset_decisions(seq: DiagonalSequence, spectrum: SpectrumSpec) -> List[Tuple[tuple, Decision]]:
+    """(interior, decide(seq, {0, *interior, B})) for every proper subset of
+    the interior points (the empty one included), by size then order, from
+    one statistics pass over B/2 and the interior points."""
+    _require_compatible(seq, spectrum)
+    points, n = spectrum.interior, spectrum.n
+    W, (half, *at) = _stats_pass(seq, [spectrum.B / 2, *points])
+    out = []
+    for s in (s for r in range(n) for s in itertools.combinations(range(n), r)):
+        sub = SpectrumSpec((0, *(points[i] for i in s), spectrum.B))
+        out.append((sub.interior, _decide(seq, sub, W, [half, *(at[i] for i in s)])))
+    return out
+
+
+def _decide(seq: DiagonalSequence, spectrum: SpectrumSpec, W: int, at: Sequence[Tuple]) -> Decision:
+    """decide from the numerators over W (_stats_pass) of C and D at B/2 and
+    at each interior point, in that order."""
+    alphas = (spectrum.B / 2, *spectrum.interior)
+    kept = [(a, C, D) for i, (a, (C, D)) in enumerate(zip(alphas, at)) if i == 0 or a != alphas[0]]
+    stats = tuple(ThresholdStats(a, _over(C, W), _over(D, W)) for a, C, D in kept)
+    half = stats[0]
+    which = "C(B/2)" if half.C is INF else "D(B/2)"
+    if spectrum.n == 0:  # decide_projection
+        if half.C is INF or half.D is INF:
+            return Decision(Verdict.FEASIBLE_CASE_I, stats=stats, note=f"{which} diverges")
+        k = (half.C - half.D) / spectrum.B
+        if k.denominator == 1:
+            return Decision(Verdict.FEASIBLE_CASE_II, (Witness((), int(k)),), stats)
+        note = f"C(B/2) − D(B/2) = {half.C - half.D} is not an integer multiple of B"
+        return Decision(Verdict.INFEASIBLE, stats=stats, note=note)
     case = _case(seq)
-    stats = _stats_for(seq, spectrum)
-    if case is None:
-        bounds = witness_bounds(stats, spectrum)
-        witnesses = enumerate_witnesses(seq, spectrum, stats)
     if case is Verdict.OUT_OF_SCOPE:
-        return Decision(
-            case,
-            stats=stats,
-            note=(
-                "requires infinite mass on both sides: Σ d_i and Σ (B − d_i) "
-                "must both diverge; for summable diagonals see decide_finite "
-                "or check_finite_rank_tail"
-            ),
+        note = (
+            "requires infinite mass on both sides: Σ d_i and Σ (B − d_i) must both diverge; "
+            "for summable diagonals see decide_finite or check_finite_rank_tail"
         )
+        return Decision(case, stats=stats, note=note)
     if case is Verdict.FEASIBLE_CASE_I:
-        which = "C(B/2)" if stats[0].C is INF else "D(B/2)"
-        return Decision(
-            case,
-            stats=stats,
-            note=f"{which} diverges; every interior multiplicity choice is realizable",
-        )
+        note = f"{which} diverges; every interior multiplicity choice is realizable"
+        return Decision(case, stats=stats, note=note)
+    system = _system(spectrum, W, at[0], at[1:])
+    bounds = system.bounds()
+    witnesses = enumerate_witnesses(seq, spectrum, system)
     if witnesses:
         return Decision(Verdict.FEASIBLE_CASE_II, tuple(witnesses), stats, bounds)
-    return Decision(
-        Verdict.INFEASIBLE,
-        stats=stats,
-        bounds=bounds,
-        note="no multiplicity vector satisfies the trace equation and mass bounds",
-    )
+    note = "no multiplicity vector satisfies the trace equation and mass bounds"
+    return Decision(Verdict.INFEASIBLE, stats=stats, bounds=bounds, note=note)
 
 
 def decide_projection(seq: DiagonalSequence) -> Decision:
@@ -256,23 +252,7 @@ def decide_projection(seq: DiagonalSequence) -> Decision:
     Feasible iff a statistic at B/2 diverges or C(B/2) − D(B/2) is an exact
     integer multiple of B.  Applies regardless of which sums converge.
     """
-    half = threshold_stats(seq, seq.B / 2)
-    stats = (half,)
-    if half.C is INF or half.D is INF:
-        which = "C(B/2)" if half.C is INF else "D(B/2)"
-        return Decision(
-            Verdict.FEASIBLE_CASE_I,
-            stats=stats,
-            note=f"{which} diverges",
-        )
-    k = (half.C - half.D) / seq.B
-    if k.denominator == 1:
-        return Decision(Verdict.FEASIBLE_CASE_II, (Witness((), int(k)),), stats)
-    return Decision(
-        Verdict.INFEASIBLE,
-        stats=stats,
-        note=f"C(B/2) − D(B/2) = {half.C - half.D} is not an integer multiple of B",
-    )
+    return _decide(seq, SpectrumSpec((0, seq.B)), *_stats_pass(seq, [seq.B / 2]))
 
 
 def _compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:

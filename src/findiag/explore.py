@@ -8,10 +8,11 @@ from fractions import Fraction
 from itertools import repeat
 from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from .decide import Verdict, _case, _lattice_search, _mass_bounds
+from .decide import Verdict, _case, _lattice_search, _system
 from .errors import DomainError
 from .scalars import _scaled, format_rational
-from .sequences import DiagonalSequence, GeometricTail, _trace_residue, materialize_tails, threshold_stats
+from .sequences import DiagonalSequence, GeometricTail, SpectrumSpec, materialize_tails
+from .sequences import _stats_pass, _trace_residue
 
 
 @dataclass(frozen=True)
@@ -118,8 +119,8 @@ def three_point_spectra(
     mat = materialize_tails(seq, Fraction(m0, cap * Q), Fraction((cap - 1) * qB + qres, cap * Q))
     below = mat.zero_tail.total() if mat.zero_tail is not None else Fraction(0)
     above = mat.b_tail.total() if mat.b_tail is not None else Fraction(0)
-    R, rB, P = mat._prefix
-    del mat  # only its prefix table is read below: free the entries
+    (R, rB, P), E = mat._prefix, mat._entries
+    del mat  # only its scaled entries and prefix table are read below: free the rest
     M = len(P) - 1
     # Q·T·C(A) and Q·T·D(A) while the first i entries lie below A, with
     # T = k·R a common denominator of the entries and the tails left behind
@@ -127,7 +128,7 @@ def three_point_spectra(
     QC = [Q * (tbelow + k * p) for p in P]
     QD = [Q * (tabove + k * ((M - i) * rB - P[M] + p)) for i, p in enumerate(P)]
     # R times each entry, closed by R·B, which no candidate reaches
-    entries = [b - a for a, b in zip(P, P[1:])] + [rB]
+    entries = E + [rB]
     feasible = set()
     for N in range(1, cap + 1):
         NQ, NqB, i = N * Q, N * qB, 0
@@ -148,11 +149,11 @@ def four_point_region(seq: DiagonalSequence, grid: int) -> List[RegionSample]:
     witness count that decide gives.
 
     Out-of-scope sequences give infeasible rows and a divergent statistic
-    at B/2 feasible rows, without witnesses.  Otherwise each abscissa p·B/q
-    is evaluated once, everything is scaled to integers by one lcm, and
-    each cell runs the witness search of enumerate_witnesses on its two
-    rows of the table, with the trace residue in place of C(B/2) − D(B/2):
-    that moves only the k of each witness, and only the count is kept.
+    at B/2 feasible rows, without witnesses.  Otherwise one statistics pass
+    evaluates every abscissa p·B/q into one integer system, and each cell runs
+    the witness search of enumerate_witnesses on its two rows and columns,
+    with the gap C − D at B/q in place of C(B/2) − D(B/2): that moves only
+    the k of each witness, and only the count is kept.
     """
     if not isinstance(grid, int) or isinstance(grid, bool) or grid < 3:
         raise DomainError(f"grid must be an integer ≥ 3, got {grid!r}")
@@ -166,17 +167,14 @@ def four_point_region(seq: DiagonalSequence, grid: int) -> List[RegionSample]:
     case = _case(seq)
     if case is not None:
         return rows(lambda p, r: (case is Verdict.FEASIBLE_CASE_I, 0))
-    at = [threshold_stats(seq, a) for a in abscissae[1:]]
-    _, (qB, qres, *scaled) = _scaled(
-        B, _trace_residue(seq), *abscissae[1:], *(st.C for st in at), *(st.D for st in at)
-    )
-    m = grid - 1
-    # (A, C(A), D(A)) at A = p·B/q, scaled by one Q
-    table = dict(enumerate(zip(scaled[:m], scaled[m : 2 * m], scaled[2 * m :]), 1))
+    # the system of every abscissa as an interior point, with the gap at B/q
+    W, at = _stats_pass(seq, abscissae[1:])
+    qB, qgap, qa, qw, qcap = _system(SpectrumSpec((0, *abscissae[1:], B)), W, at[0], at)
 
     def cell(p: int, r: int) -> Tuple[bool, int]:
-        qa, qC, qD = zip(table[p], table[r])
-        count = len(_lattice_search(qB, qres, qa, *_mass_bounds(qB, qa, qC, qD)))
+        pr = (p - 1, r - 1)
+        w = [[qw[i][j] for j in pr] for i in pr]
+        count = len(_lattice_search(qB, qgap, [qa[i] for i in pr], w, [qcap[i] for i in pr]))
         return count > 0, count
 
     return rows(cell)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from operator import itemgetter
-from typing import Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, UnsupportedOperationError
 from .scalars import INF, Infinite, _scaled
@@ -71,27 +71,34 @@ class GeometricTail:
             yield xn, xd
             xn, xd = xn * pn, xd * pd
 
-    def _walk(self, a: int, b: int, strict: bool = False) -> Tuple[int, int, int, int]:
-        """(c, head, rest, den) at the cut a/b (b > 0): the c leading elements
-        are ≥ a/b (> a/b if strict), and head/den and rest/den are the distance
-        masses of those c elements and of all later ones."""
-        if a <= 0:
-            raise DomainError("a tail cut must be positive")
-        for c, (xn, xd) in enumerate(self._products()):
-            if xn * b <= a * xd if strict else xn * b < a * xd:
-                break
-        # element c is xn/xd with xd = fd·pdᶜ, so the rest is xn/xd·pd/(pd − pn)
-        # and the head first/(1 − ratio) minus that, over one denominator
+    def _walk(self, cuts: Sequence[Tuple[int, int]], strict: bool = False) -> Tuple[List[tuple], int]:
+        """([(c, head, rest) at each cut a/b], den) for cuts (a, b > 0) in
+        nonincreasing order, in one walk: the c leading elements are ≥ a/b
+        (> a/b if strict), and head/den and rest/den are the distance masses
+        of those c elements and of all later ones."""
+        products = self._products()
+        c, (xn, xd) = 0, next(products)
+        at = []
+        for a, b in cuts:
+            if a <= 0:
+                raise DomainError("a tail cut must be positive")
+            while xn * b > a * xd if strict else xn * b >= a * xd:
+                c, (xn, xd) = c + 1, next(products)
+            at.append((c, xn))
+        # the rest after c elements is fn·pnᶜ/(fd·pdᶜ)·pd/(pd − pn), and the head first/(1 − ratio)
+        # minus that, all over den = xd·(pd − pn) with xd = fd·pdᶜ at the last cut
         (fn, fd), (pn, pd) = self.first.as_integer_ratio(), self.ratio.as_integer_ratio()
-        return c, (fn * (xd // fd) - xn) * pd, xn * pd, xd * (pd - pn)
+        total = fn * (xd // fd) * pd
+        rests = [(k, yn * pd ** (c - k + 1)) for k, yn in at]
+        return [(k, total - rest, rest) for k, rest in rests], xd * (pd - pn)
 
     def count_at_least(self, cut: Fraction) -> int:
         """|{t ≥ 0 : first·ratio^t ≥ cut}| — finite for cut > 0."""
-        return self._walk(cut.numerator, cut.denominator)[0]
+        return self._walk([cut.as_integer_ratio()])[0][0][0]
 
     def count_greater(self, cut: Fraction) -> int:
         """|{t ≥ 0 : first·ratio^t > cut}| — finite for cut > 0."""
-        return self._walk(cut.numerator, cut.denominator, strict=True)[0]
+        return self._walk([cut.as_integer_ratio()], strict=True)[0][0][0]
 
     def drop(self, count: int) -> "GeometricTail":
         return GeometricTail(self.element(count), self.ratio)
@@ -170,8 +177,8 @@ class DiagonalSequence:
     Construction normalizes: explicit values equal to 0 or B are folded into
     zero_count/b_count, the rest are sorted nondecreasing.  The value multiset
     is unchanged by normalization.  The range check, the folding and the sort
-    run on the entries scaled to integers, whose prefix sums are kept for
-    threshold_stats.
+    run on the entries scaled to integers, which are kept with their prefix
+    sums for the threshold statistics.
     """
 
     B: Fraction
@@ -183,6 +190,8 @@ class DiagonalSequence:
     # (Q, Q·B, P): Q is the lcm of the denominators of B and the explicit
     # entries, and P[i] = Q·(explicit[0] + … + explicit[i−1]) for i = 0, …, m
     _prefix: tuple = field(init=False, repr=False, compare=False)
+    # Q·explicit[i] for i = 0, …, m − 1, nondecreasing
+    _entries: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         B = self.B if isinstance(self.B, Fraction) else Fraction(self.B)
@@ -214,8 +223,9 @@ class DiagonalSequence:
         object.__setattr__(self, "explicit", tuple(v for _, v in interior))
         object.__setattr__(self, "zero_count", zero_count)
         object.__setattr__(self, "b_count", b_count)
-        prefix = list(accumulate((qv for qv, _ in interior), initial=0))
-        object.__setattr__(self, "_prefix", (Q, qB, prefix))
+        entries = [qv for qv, _ in interior]
+        object.__setattr__(self, "_prefix", (Q, qB, list(accumulate(entries, initial=0))))
+        object.__setattr__(self, "_entries", entries)
 
 
 def materialize_tails(seq: DiagonalSequence, low: Fraction, high: Fraction) -> DiagonalSequence:
@@ -245,31 +255,47 @@ def materialize_tails(seq: DiagonalSequence, low: Fraction, high: Fraction) -> D
 
 
 def threshold_stats(seq: DiagonalSequence, alpha: Fraction) -> ThresholdStats:
-    """Exact C(α) and D(α) as integers over one denominator: the explicit part
-    is a prefix of the sorted entries, read from the prefix sums at one bisect,
-    and each geometric tail adds the count and masses of one integer walk."""
+    """Exact C(α) and D(α): the one-point case of _stats_pass."""
     alpha = Fraction(alpha)
-    if not (0 < alpha < seq.B):
-        raise DomainError(f"alpha must lie in (0, B), got {alpha}")
+    W, ((C, D),) = _stats_pass(seq, [alpha])
+    return ThresholdStats(alpha, _over(C, W), _over(D, W))
 
-    i = bisect_left(seq.explicit, alpha)  # explicit[:i] < α ≤ explicit[i:]
+
+def _over(x, W: int):
+    """A numerator of _stats_pass as its statistic: INF or x/W."""
+    return x if x is INF else Fraction(x, W)
+
+
+def _stats_pass(seq: DiagonalSequence, alphas: Sequence[Fraction]) -> Tuple[int, list]:
+    """(W, [(W·C(α), W·D(α)) for α in alphas]): integers over one W, INF on the
+    side of a divergent tail, for α in (0, B) in any order.  In ascending α the
+    explicit part is a prefix of the sorted scaled entries, found by an integer
+    bisect, and each geometric tail is walked once across all the cuts."""
+    order = sorted(range(len(alphas)), key=alphas.__getitem__)
     Q, qB, P = seq._prefix
-    an, ad = alpha.as_integer_ratio()
-    # C and D times Q·T, with T the product of the tail walks' denominators
-    C, D, T = P[i], (len(P) - 1 - i) * qB - (P[-1] - P[i]), 1
+    E, m = seq._entries, len(seq._entries)
+    cuts = [alphas[j].as_integer_ratio() for j in order]
+    for j, (an, ad) in zip(order[:1] + order[-1:], cuts[:1] + cuts[-1:]):
+        if not (0 < an and an * Q < qB * ad):
+            raise DomainError(f"alpha must lie in (0, B), got {alphas[j]}")
     zt, bt = seq.zero_tail, seq.b_tail
-    if isinstance(zt, GeometricTail):
-        # elements first·ratio^t < alpha are exactly t ≥ c: C gains their
-        # mass, D gains B − e for each earlier e
-        c, head, rest, d = zt._walk(an, ad)
-        C, D, T = C * d + rest * Q * T, (D + c * qB * T) * d - head * Q * T, T * d
-    if isinstance(bt, GeometricTail):
-        # elements B − first·ratio^t < alpha ⟺ first·ratio^t > B − alpha
-        c, head, rest, d = bt._walk(qB * ad - an * Q, Q * ad, strict=True)
-        C, D, T = (C + c * qB * T) * d - head * Q * T, D * d + rest * Q * T, T * d
-    C = INF if isinstance(zt, DivergentTail) else Fraction(C, Q * T)
-    D = INF if isinstance(bt, DivergentTail) else Fraction(D, Q * T)
-    return ThresholdStats(alpha, C, D)
+    none = ([(0, 0, 0)] * len(cuts), 1)
+    # zero-tail elements first·ratio^t < α are exactly t ≥ c, with cuts
+    # falling as α rises; B-tail elements B − first·ratio^t < α ⟺
+    # first·ratio^t > B − α, with cuts B − α falling too
+    zw, dz = zt._walk(cuts[::-1]) if isinstance(zt, GeometricTail) else none
+    bcuts = [(qB * ad - an * Q, Q * ad) for an, ad in cuts]
+    bw, db = bt._walk(bcuts, strict=True) if isinstance(bt, GeometricTail) else none
+    out, i = [None] * len(cuts), 0
+    for j, (an, ad), (cz, hz, rz), (cb, hb, rb) in zip(order, cuts, reversed(zw), bw):
+        # explicit[:i] < α ≤ explicit[i:], and Q·v < Q·α ⟺ Q·v < ⌈Q·α⌉ for integer Q·v
+        i = bisect_left(E, -(-an * Q // ad), i)
+        # C gains the zero-tail rest and B − e for the c B-tail elements e;
+        # D gains B − e for the c zero-tail elements e and the B-tail rest
+        C = (P[i] * dz + rz * Q + cb * qB * dz) * db - hb * Q * dz
+        D = ((m - i) * qB - P[m] + P[i] + cz * qB) * dz * db - hz * Q * db + rb * Q * dz
+        out[j] = (INF if isinstance(zt, DivergentTail) else C, INF if isinstance(bt, DivergentTail) else D)
+    return Q * dz * db, out
 
 
 def _trace_residue(seq: DiagonalSequence) -> Fraction:

@@ -303,19 +303,20 @@ def test_realize_truncation_too_small_exits_70(capsys, tmp_path):
 
 def test_realize_evaluates_half_once(monkeypatch, tmp_path):
     # the Case II witness gate reads the case from the divergence flags, so
-    # C(B/2) and D(B/2) are evaluated once, by the threshold-statistic check
+    # C(B/2) and D(B/2) are evaluated once, by the one statistics pass of the
+    # threshold-statistic check
     mod = importlib.import_module("findiag.decide")
-    seen = Counter()
-    real = mod.threshold_stats
+    passes = []
+    real = mod._stats_pass
 
-    def counted(seq, alpha):
-        seen[alpha] += 1
-        return real(seq, alpha)
+    def counted(seq, alphas):
+        passes.append(Counter(alphas))
+        return real(seq, alphas)
 
-    monkeypatch.setattr(mod, "threshold_stats", counted)
+    monkeypatch.setattr(mod, "_stats_pass", counted)
     argv = ["realize", "--seq", DYADIC, "--spectrum", "0,1/2,1", "--witness", '{"N":[1],"k":-1}']
     assert main(argv + ["--trunc", "8", "--out", str(tmp_path / "real.json")]) == 0
-    assert seen == Counter({F(1, 2): 1})
+    assert passes == [Counter({F(1, 2): 1})]
 
 
 def test_realize_case_one_skips_the_witness_check(capsys, tmp_path):

@@ -133,30 +133,41 @@ def test_decide_agrees_with_enumeration_randomized():
 
 
 def test_decide_evaluates_bounds_and_stats_once(dyadic, monkeypatch):
+    """One statistics pass (B/2 first, then the interior points) and one
+    mass-bound scaling per decide: the bounds and the witness search read
+    the same system."""
     mod = importlib.import_module("findiag.decide")
-    calls = {"bounds": 0, "stats": []}
-    real_bounds, real_stats = mod.witness_bounds, mod.threshold_stats
+    calls = {"passes": [], "systems": 0, "scalings": 0}
+    real_pass, real_system, real_scaled = mod._stats_pass, mod._system, mod._scaled
 
-    def counted_bounds(stats, spectrum):
-        calls["bounds"] += 1
-        return real_bounds(stats, spectrum)
+    def counted_pass(seq, alphas):
+        calls["passes"].append(list(alphas))
+        return real_pass(seq, alphas)
 
-    def counted_stats(seq, alpha):
-        calls["stats"].append(alpha)
-        return real_stats(seq, alpha)
+    def counted_system(*args):
+        calls["systems"] += 1
+        return real_system(*args)
 
-    monkeypatch.setattr(mod, "witness_bounds", counted_bounds)
-    monkeypatch.setattr(mod, "threshold_stats", counted_stats)
+    def counted_scaled(*args):
+        calls["scalings"] += 1
+        return real_scaled(*args)
+
+    for name in ("findiag.decide", "findiag.sequences"):
+        monkeypatch.setattr(importlib.import_module(name), "_stats_pass", counted_pass)
+    monkeypatch.setattr(mod, "_system", counted_system)
+    monkeypatch.setattr(mod, "_scaled", counted_scaled)
     for points, verdict in (
         ((0, F(1, 2), 1), Verdict.FEASIBLE_CASE_II),
         ((0, F(1, 4), F(3, 4), 1), Verdict.FEASIBLE_CASE_II),
         ((0, F(1, 3), 1), Verdict.INFEASIBLE),
     ):
-        calls["bounds"], calls["stats"] = 0, []
-        out = decide(dyadic, SpectrumSpec(points))
+        calls.update(passes=[], systems=0, scalings=0)
+        spectrum = SpectrumSpec(points)
+        out = decide(dyadic, spectrum)
         assert out.verdict is verdict
-        assert calls["bounds"] == 1
-        assert sorted(calls["stats"]) == sorted({F(1, 2), *points[1:-1]})
+        assert calls == {"passes": [[F(1, 2), *spectrum.interior]], "systems": 1, "scalings": 1}
+        assert [st.alpha for st in out.stats] == [F(1, 2)] + [a for a in spectrum.interior if a != F(1, 2)]
+        assert out.bounds == witness_bounds(out.stats, spectrum)
 
 
 def test_decide_finite_examples():

@@ -297,22 +297,23 @@ def test_four_point_region_outright_rows_match_decide(seq, feasible):
 
 @pytest.mark.parametrize("q", [7, 8])
 def test_sweeps_evaluate_each_abscissa_once(dyadic, monkeypatch, q):
-    # the trace congruence comes from the closed-form residue, so B/2 is
-    # evaluated only when it is a grid abscissa, and explore3 evaluates none
-    seen = Counter()
-    real = threshold_stats
+    # the trace congruence comes from the gap at B/q, so B/2 is evaluated only
+    # when it is a grid abscissa, in the one statistics pass of explore4, and
+    # explore3 evaluates none
+    passes = []
+    real = importlib.import_module("findiag.sequences")._stats_pass
 
-    def counted(seq, alpha):
-        seen[alpha] += 1
-        return real(seq, alpha)
+    def counted(seq, alphas):
+        passes.append(Counter(alphas))
+        return real(seq, alphas)
 
-    for name in ("findiag.decide", "findiag.explore"):
-        monkeypatch.setattr(importlib.import_module(name), "threshold_stats", counted)
+    for name in ("findiag.decide", "findiag.explore", "findiag.sequences"):
+        monkeypatch.setattr(importlib.import_module(name), "_stats_pass", counted)
     four_point_region(dyadic, q)
-    assert seen == Counter({F(p, q) for p in range(1, q)})
-    seen.clear()
+    assert passes == [Counter({F(p, q) for p in range(1, q)})]
+    passes.clear()
     three_point_spectra(dyadic)
-    assert seen == Counter()
+    assert passes == []
 
 
 def test_three_point_dyadic_frozen(dyadic):

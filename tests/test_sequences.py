@@ -27,7 +27,7 @@ from findiag import (
     scale,
     threshold_stats,
 )
-from findiag.sequences import _trace_residue
+from findiag.sequences import _over, _stats_pass, _trace_residue
 
 from conftest import random_fraction, random_sequence
 
@@ -144,17 +144,24 @@ def test_tail_walk_matches_the_element_definition(first, ratio, at, nudge):
     """The integer cut search's counts, strict and non-strict, its next
     element and its head and rest masses, and the Fraction head list, agree
     with element(t) = first·ratio^t; the cut is an element exactly (nudge 0)
-    or just beside one."""
+    or just beside one.  One walk across several falling cuts (the cut, a
+    repeat of it, and elements before and after it) gives each cut's answer
+    over one denominator."""
     tail = GeometricTail(first, ratio)
     cut = tail.element(at) * (1 + F(nudge, 10**9))
+    cuts = sorted({tail.element(max(at - 3, 0)), cut, tail.element(at + 2)}, reverse=True)
+    cuts.insert(cuts.index(cut), cut)
     for strict in (False, True):
-        c = 0
-        while tail.element(c) > cut or (not strict and tail.element(c) == cut):
-            c += 1
-        walked, head, rest, den = tail._walk(cut.numerator, cut.denominator, strict)
-        assert walked == c
-        assert F(rest, den) * (1 - ratio) == tail.element(c)
-        assert F(head, den) == tail.head_sum(c) and F(rest, den) == tail.tail_sum_from(c)
+        walked, den = tail._walk([x.as_integer_ratio() for x in cuts], strict)
+        assert len(walked) == len(cuts)
+        for x, (got, head, rest) in zip(cuts, walked):
+            c = 0
+            while tail.element(c) > x or (not strict and tail.element(c) == x):
+                c += 1
+            assert got == c
+            assert F(rest, den) * (1 - ratio) == tail.element(c)
+            assert F(head, den) == tail.head_sum(c) and F(rest, den) == tail.tail_sum_from(c)
+        c = walked[cuts.index(cut)][0]
         assert (tail.count_greater if strict else tail.count_at_least)(cut) == c
     assert tail.count_at_least(cut) - tail.count_greater(cut) == (nudge == 0)
     assert tail._head(at + 2) == [tail.element(t) for t in range(at + 2)]
@@ -434,6 +441,83 @@ def test_stats_table_matches_the_references(B, units, pick, grid):
     if seq.explicit:
         alphas.append(seq.explicit[pick % len(seq.explicit)])
     _check_stats_at(seq, alphas)
+
+
+def _pass_oracle(seq: DiagonalSequence, alpha: Fraction):
+    """C(α), D(α) as Fraction sums over the entries, written out per point:
+    explicit entries, then every tail element until the rest lies on one
+    side of α, then that rest in closed form; a divergent tail makes its own
+    endpoint's statistic INF and adds nothing to the other."""
+    B = seq.B
+    C = sum((v for v in seq.explicit if v < alpha), F(0))
+    D = sum((B - v for v in seq.explicit if v >= alpha), F(0))
+    zt, bt = seq.zero_tail, seq.b_tail
+    if isinstance(zt, GeometricTail):
+        x = zt.first
+        while x >= alpha:  # zero-tail entries equal to α are ≥ α: D
+            D, x = D + B - x, x * zt.ratio
+        C += x / (1 - zt.ratio)
+    if isinstance(bt, GeometricTail):
+        x = bt.first
+        while B - x < alpha:  # B-tail entries B − x below α: C
+            C, x = C + B - x, x * bt.ratio
+        D += x / (1 - bt.ratio)
+    return (INF if isinstance(zt, DivergentTail) else C, INF if isinstance(bt, DivergentTail) else D)
+
+
+def test_stats_pass_matches_per_point_sums():
+    """The one statistics pass against _pass_oracle over 300 seeded
+    sequences, at abscissae that are explicit entries, zero-tail elements,
+    B-tail elements B − x and points between them, duplicated and unsorted;
+    every statistic is a numerator over the one denominator W, or INF on the
+    side of a divergent tail."""
+    rng = Random(1717)
+    kinds = Counter()
+    for _ in range(300):
+        B = rng.choice([F(1), F(2), F(1, 2), F(5, 3), F(7, 4)])
+
+        def tail():
+            roll = rng.random()
+            if roll < 0.15:
+                return DivergentTail()
+            if roll < 0.3:
+                return None
+            first = random_fraction(rng, B / 64, B * 3 / 4, den=96)
+            return GeometricTail(first or B / 64, rng.choice([F(1, 2), F(1, 3), F(2, 3), F(3, 4), F(4, 5)]))
+
+        zt, bt = tail(), tail()
+        explicit = [random_fraction(rng, F(0), B, den=48) for _ in range(rng.randint(0, 12))]
+        explicit += [B - x for x in explicit[: rng.randint(0, 2)]]  # repeats on both sides
+        seq = DiagonalSequence(B, tuple(explicit), zero_tail=zt, b_tail=bt)
+        alphas = [random_fraction(rng, B / 64, B - B / 64, den=64) for _ in range(rng.randint(1, 4))]
+        picks = [("explicit", v) for v in seq.explicit]
+        if isinstance(zt, GeometricTail):
+            picks += [("zero tail", zt.element(t)) for t in range(4) if zt.element(t) < B]
+        if isinstance(bt, GeometricTail):
+            picks += [("B tail", B - bt.element(t)) for t in range(4) if bt.element(t) < B]
+        for kind, alpha in rng.sample(picks, min(len(picks), 4)):
+            alphas.append(alpha)
+            kinds[kind] += 1
+        alphas += rng.sample(alphas, rng.randint(0, 2))  # duplicates
+        rng.shuffle(alphas)
+        kinds["unsorted"] += alphas != sorted(alphas)
+        kinds["duplicated"] += len(set(alphas)) < len(alphas)
+        kinds["divergent"] += isinstance(zt, DivergentTail) or isinstance(bt, DivergentTail)
+
+        W, got = _stats_pass(seq, alphas)
+        assert isinstance(W, int) and W > 0 and len(got) == len(alphas)
+        for alpha, pair in zip(alphas, got):
+            assert all(x is INF or isinstance(x, int) for x in pair)
+            assert tuple(_over(x, W) for x in pair) == _pass_oracle(seq, alpha), (seq, alpha)
+            assert threshold_stats(seq, alpha)[1:] == _pass_oracle(seq, alpha)
+    assert min(kinds.values()) >= 40, kinds
+
+
+def test_stats_pass_rejects_abscissae_outside_the_interval(dyadic):
+    for alphas in ([F(1, 2), F(0)], [F(1), F(1, 4)], [F(-1, 2)]):
+        with pytest.raises(DomainError):
+            _stats_pass(dyadic, alphas)
+    assert _stats_pass(dyadic, [])[1] == []
 
 
 def test_count_range_against_materialized(dyadic):

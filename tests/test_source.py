@@ -131,7 +131,7 @@ def test_only_geometric_tail_walks_a_tail():
         for loop in ast.walk(method)
         if isinstance(loop, (ast.For, ast.While)) and any(isinstance(n, ast.Compare) for n in ast.walk(loop))
     ]
-    assert comparing == ["_walk"]
+    assert set(comparing) == {"_walk"}
 
 
 def _function(path: Path, name: str, cls: str = None) -> ast.FunctionDef:
@@ -153,10 +153,11 @@ def _fraction_walks(node) -> list:
 
 
 def test_tail_arithmetic_runs_on_integers():
-    """The integer tail walk and the loop of candidate_multiplicity_bound
-    name no Fraction, and threshold_stats builds C and D with at most two
-    Fraction(...) calls after its α check; none of them reads the Fraction
-    list _head."""
+    """The integer tail walk, the statistics pass and the loop of
+    candidate_multiplicity_bound name no Fraction, and none of them, nor
+    threshold_stats, reads the Fraction list _head.  On the statistics path
+    Fraction(...) is called only to build the output statistics: once in
+    _over, and in threshold_stats only on its argument α."""
     for name in ("_products", "_walk"):
         walk = _function(SRC / "sequences.py", name, "GeometricTail")
         assert _fraction_names(walk) == [] and _fraction_walks(walk) == []
@@ -164,20 +165,21 @@ def test_tail_arithmetic_runs_on_integers():
     (loop,) = [n for n in cap.body if isinstance(n, ast.While)]
     assert _fraction_names(loop) == [] and _fraction_walks(cap) == []
 
+    def fraction_calls(func):
+        return [
+            n
+            for n in ast.walk(func)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "Fraction"
+        ]
+
+    stats_pass = _function(SRC / "sequences.py", "_stats_pass")  # its body: α is annotated a Fraction
+    assert [line for n in stats_pass.body for line in _fraction_names(n)] == []
+    assert _fraction_walks(stats_pass) == []
+    (built,) = fraction_calls(_function(SRC / "sequences.py", "_over"))
+    assert len(built.args) == 2
     stats = _function(SRC / "sequences.py", "threshold_stats")
     assert _fraction_walks(stats) == []
-    check = next(
-        i
-        for i, n in enumerate(stats.body)
-        if isinstance(n, ast.If) and any(isinstance(m, ast.Raise) for m in n.body)
-    )
-    calls = [
-        n.lineno
-        for statement in stats.body[check + 1 :]
-        for n in ast.walk(statement)
-        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "Fraction"
-    ]
-    assert len(calls) <= 2
+    assert [ast.unparse(n) for n in fraction_calls(stats)] == ["Fraction(alpha)"]
 
 
 def test_every_f_string_has_a_placeholder():
