@@ -46,7 +46,7 @@ from .serialize import (
     parse_matrix,
     parse_sequence,
     parse_witness,
-    _parse_scalars,
+    _parse_scalar,
 )
 
 
@@ -91,7 +91,7 @@ def _rational_list(value: str, label: str) -> List[Fraction]:
     data = load_json(_read_text(value, label), label)
     if not isinstance(data, list):
         raise SchemaError("expected an array of rationals", label)
-    return _parse_scalars(data, label, "[{}]".format)
+    return [_parse_scalar(v, f"{label}[{i}]") for i, v in enumerate(data)]
 
 
 def _load_spectrum(args) -> Tuple[SpectrumSpec, Fraction]:
@@ -269,7 +269,10 @@ def _cmd_verify(args) -> int:
     exact_from_file = None
     if isinstance(raw, dict) and "matrix" in raw:
         if "diagonal_exact" in raw:
-            exact_from_file = _parse_scalars(raw["diagonal_exact"], "--matrix.diagonal_exact", "[{}]".format)
+            exact_from_file = [
+                _parse_scalar(v, f"--matrix.diagonal_exact[{i}]")
+                for i, v in enumerate(raw["diagonal_exact"])
+            ]
         raw = raw["matrix"]
     matrix = parse_matrix(raw, "--matrix")
 

@@ -88,12 +88,13 @@ def _system(spectrum: SpectrumSpec, W: int, gap: Tuple, at: Sequence[Tuple]) -> 
 
 def witness_bounds(stats: Sequence[ThresholdStats], spectrum: SpectrumSpec) -> Tuple[int, ...]:
     """Per-coordinate caps on candidate multiplicities (_System.bounds), from
-    the finite statistics at the interior points, looked up in stats by α."""
+    the finite statistics at the interior points, looked up in stats by α;
+    () for a two-point spectrum.  The bounds read no gap, so it is 0."""
     by_alpha = {st.alpha: st for st in stats}
     at = [by_alpha[a][1:] for a in spectrum.interior]
     W = math.lcm(*(x.denominator for pair in at for x in pair if x is not INF))
     at = [tuple(x if x is INF else x.numerator * (W // x.denominator) for x in pair) for pair in at]
-    return _system(spectrum, W, at[0], at).bounds()
+    return _system(spectrum, W, (0, 0), at).bounds()
 
 
 def lebesgue_check(seq: DiagonalSequence, spectrum: SpectrumSpec, witness: Witness) -> bool:
@@ -101,27 +102,28 @@ def lebesgue_check(seq: DiagonalSequence, spectrum: SpectrumSpec, witness: Witne
 
     True iff witness.N satisfies the trace congruence and every mass bound of
     the system that enumerate_witnesses searches (_System), built from the
-    statistics at the interior points.  witness.k is ignored: k is
-    determined by the trace equation.  The partial-sum form is riemann_check.
+    statistics at the interior points; its gap is read at A_1, or at B/2
+    for a two-point spectrum.  witness.k is ignored: k is determined by the
+    trace equation.  The partial-sum form is riemann_check.
     """
     _require_compatible(seq, spectrum, witness)
     N = witness.N
-    W, at = _stats_pass(seq, spectrum.interior)
-    qB, qgap, qa, qw, qcap = _system(spectrum, W, at[0], at)
+    W, at = _stats_pass(seq, spectrum.interior or (spectrum.B / 2,))
+    qB, qgap, qa, qw, qcap = _system(spectrum, W, at[0], at[: spectrum.n])
     if (qgap - sum(a * nj for a, nj in zip(qa, N))) % qB:
         return False
     return all(sum(w * nj for w, nj in zip(row, N)) <= cap for row, cap in zip(qw, qcap))
 
 
 def enumerate_witnesses(
-    seq: DiagonalSequence, spectrum: SpectrumSpec, system: Optional[_System] = None
+    seq: DiagonalSequence, spectrum: SpectrumSpec, *, system: Optional[_System] = None
 ) -> List[Witness]:
     """All witnesses within the multiplicity bounds, in lexicographic N order.
 
     N is kept iff it passes the trace congruence and every mass bound of
     lebesgue_check; the search is _lattice_search, which stays inside the
-    box of witness_bounds.  system is the _System with the gap at B/2, built
-    here unless the caller already holds it.
+    box of witness_bounds.  system, keyword-only and private to decide, is
+    the _System with the gap at B/2, built here when left out.
     """
     _require_compatible(seq, spectrum)
     if spectrum.n == 0:
@@ -239,7 +241,7 @@ def _decide(seq: DiagonalSequence, spectrum: SpectrumSpec, W: int, at: Sequence[
         return Decision(case, stats=stats, note=note)
     system = _system(spectrum, W, at[0], at[1:])
     bounds = system.bounds()
-    witnesses = enumerate_witnesses(seq, spectrum, system)
+    witnesses = enumerate_witnesses(seq, spectrum, system=system)
     if witnesses:
         return Decision(Verdict.FEASIBLE_CASE_II, tuple(witnesses), stats, bounds)
     note = "no multiplicity vector satisfies the trace equation and mass bounds"

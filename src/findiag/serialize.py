@@ -112,16 +112,6 @@ def _parse_scalar(value, path: str) -> Fraction:
     )
 
 
-def _parse_scalars(values, path: str, name) -> List[Fraction]:
-    """_parse_scalar on each value; path + name(i) is built only if value i fails."""
-    try:
-        return [_parse_scalar(v, path) for v in values]
-    except SchemaError:
-        for i, v in enumerate(values):
-            _parse_scalar(v, path + name(i))
-        raise
-
-
 def _parse_count(value, path: str):
     if value == "inf":
         return INF
@@ -157,8 +147,10 @@ def _parse_tail(value, path: str):
         for key in ("first", "ratio"):
             if key not in value:
                 raise SchemaError(f"geometric tails need {key!r}", path)
-        first_ratio = (value["first"], value["ratio"])
-        return GeometricTail(*_parse_scalars(first_ratio, path, (".first", ".ratio").__getitem__))
+        return GeometricTail(
+            _parse_scalar(value["first"], f"{path}.first"),
+            _parse_scalar(value["ratio"], f"{path}.ratio"),
+        )
     raise SchemaError(f"unknown tail kind {kind!r} (geometric or divergent)", f"{path}.kind")
 
 
@@ -187,7 +179,9 @@ def parse_sequence(obj, path: str = "$") -> DiagonalSequence:
     try:
         return DiagonalSequence(
             B=_parse_scalar(obj["B"], f"{path}.B"),
-            explicit=tuple(_parse_scalars(explicit_raw, f"{path}.explicit", "[{}]".format)),
+            explicit=tuple(
+                _parse_scalar(v, f"{path}.explicit[{i}]") for i, v in enumerate(explicit_raw)
+            ),
             zero_count=_parse_count(obj.get("zero_count", 0), f"{path}.zero_count"),
             b_count=_parse_count(obj.get("b_count", 0), f"{path}.b_count"),
             zero_tail=_parse_tail(obj.get("zero_tail"), f"{path}.zero_tail"),
@@ -211,7 +205,7 @@ def dump_sequence(seq: DiagonalSequence) -> Dict:
 def parse_spectrum(obj, path: str = "$") -> SpectrumSpec:
     if not isinstance(obj, list):
         raise SchemaError("expected an array of spectrum points", path)
-    points = tuple(_parse_scalars(obj, path, "[{}]".format))
+    points = tuple(_parse_scalar(v, f"{path}[{i}]") for i, v in enumerate(obj))
     try:
         return SpectrumSpec(points)
     except DomainError as exc:

@@ -1,6 +1,7 @@
 """Feasibility decisions: the projection case, witness enumeration, routing."""
 
 import importlib
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -19,6 +20,7 @@ from findiag import (
     decide_finite,
     decide_projection,
     enumerate_witnesses,
+    lebesgue_check,
     threshold_stats,
     witness_bounds,
 )
@@ -71,6 +73,35 @@ def test_enumerate_witnesses_needs_finite_stats():
     with pytest.raises(DomainError):
         enumerate_witnesses(seq, SpectrumSpec((F(0), F(1, 2), F(1))))
 
+
+
+def test_enumerate_witnesses_takes_no_positional_statistics(dyadic):
+    spec = SpectrumSpec((F(0), F(1, 2), F(1)))
+    with pytest.raises(TypeError):
+        enumerate_witnesses(dyadic, spec, [threshold_stats(dyadic, F(1, 2))])
+
+
+def test_two_point_spectrum_checks_the_trace_alone():
+    """n = 0: lebesgue_check is the congruence C(B/2) − D(B/2) ≡ 0 (mod B),
+    the criterion of decide_projection, and witness_bounds is ()."""
+    rng = Random(17)
+    outcomes = set()
+    for _ in range(150):
+        seq = random_sequence(rng)
+        half = threshold_stats(seq, seq.B / 2)
+        e = (half.D - half.C) % seq.B  # an entry e moves C − D by e modulo B
+        for s in (seq, replace(seq, explicit=(*seq.explicit, e))):
+            spec = SpectrumSpec((F(0), s.B))
+            half = threshold_stats(s, s.B / 2)
+            expected = (half.C - half.D) % s.B == 0
+            assert lebesgue_check(s, spec, Witness((), 0)) is expected
+            out = decide_projection(s)
+            assert (out.verdict is Verdict.FEASIBLE_CASE_II) is expected
+            assert witness_bounds(out.stats, spec) == ()
+            outcomes.add(expected)
+    assert outcomes == {True, False}
+    seq = DiagonalSequence(B=F(1), explicit=(F(1, 2), F(1, 2)), zero_count=INF)
+    assert lebesgue_check(seq, SpectrumSpec((F(0), F(1))), Witness((), -1))
 
 def test_decide_dyadic(dyadic):
     spec = SpectrumSpec((F(0), F(1, 2), F(1)))
