@@ -91,6 +91,9 @@ def witness_bounds(stats: Sequence[ThresholdStats], spectrum: SpectrumSpec) -> T
     the finite statistics at the interior points, looked up in stats by α;
     () for a two-point spectrum.  The bounds read no gap, so it is 0."""
     by_alpha = {st.alpha: st for st in stats}
+    missing = [a for a in spectrum.interior if a not in by_alpha]
+    if missing:
+        raise DomainError(f"stats hold no threshold statistics at interior point α = {missing[0]}")
     at = [by_alpha[a][1:] for a in spectrum.interior]
     W = math.lcm(*(x.denominator for pair in at for x in pair if x is not INF))
     at = [tuple(x if x is INF else x.numerator * (W // x.denominator) for x in pair) for pair in at]

@@ -71,32 +71,28 @@ def dump_json(obj) -> str:
 
 
 def _rows_pieces(arr: np.ndarray, pad: str) -> List[str]:
-    """The json.dumps(indent=2) text of arr.tolist(), closing at indent pad,
-    as pieces: one per row plus the brackets between them.  Each entry is
-    formatted once with float.__repr__; where the matrix is bitwise
-    symmetric (0.0 opposite -0.0 is not), a lower entry reuses the string of
-    its mirrored upper entry."""
-    n = arr.shape[0]
-    if n == 0:
+    """The json.dumps(indent=2) text of the finite arr.tolist(), closing at
+    indent pad, as pieces.  orjson writes every entry in the shortest
+    round-trip digits, as float.__repr__ does, and spells them alike except
+    at magnitudes in [1e-9, 1e-4) and from 1e16 on (0.00001 for 1e-05, 1e16
+    for 1e+16): those entries are rewritten with float.__repr__.  One row
+    at a time, so that only one row's entry strings are alive at once."""
+    import orjson  # here, so that callers that write no matrix never load it
+
+    if arr.shape[0] == 0:
         return ["[]"]
-    mirror = np.array_equal(arr.view(np.uint64), arr.view(np.uint64).T)
+    arr = np.ascontiguousarray(arr)  # orjson reads C-ordered arrays only
+    size = np.abs(arr)
+    respell = ((size >= 1e-9) & (size < 1e-4)) | (size >= 1e16)
     entry_sep = ",\n" + pad + "    "
+    rows = []
+    for row, cols in zip(arr, map(np.flatnonzero, respell)):
+        texts = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
+        for j, value in zip(cols.tolist(), row[cols].tolist()):
+            texts[j] = float.__repr__(value)
+        rows.append(entry_sep.join(texts))
     row_sep = "\n" + pad + "  ],\n" + pad + "  [\n" + pad + "    "
-    pieces = ["[\n" + pad + "  [\n" + pad + "    "]
-    upper = []  # upper[j]: the strings of arr[j, j:]
-    for i in range(n):
-        if mirror:
-            right = list(map(float.__repr__, arr[i, i:].tolist()))
-            upper.append(right)
-            texts = [upper[j][i - j] for j in range(i)]
-            texts += right
-        else:
-            texts = map(float.__repr__, arr[i].tolist())
-        if i:
-            pieces.append(row_sep)
-        pieces.append(entry_sep.join(texts))
-    pieces.append("\n" + pad + "  ]\n" + pad + "]")
-    return pieces
+    return ["[\n" + pad + "  [\n" + pad + "    ", row_sep.join(rows), "\n" + pad + "  ]\n" + pad + "]"]
 
 
 def _parse_scalar(value, path: str) -> Fraction:

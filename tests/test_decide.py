@@ -57,6 +57,13 @@ def test_witness_bounds_frozen(dyadic):
     assert witness_bounds(stats, spec) == (3,)
 
 
+def test_witness_bounds_names_a_missing_alpha(dyadic):
+    """Statistics lacking an interior point are a malformed argument, not a
+    bare KeyError."""
+    with pytest.raises(DomainError, match="α = 1/3"):
+        witness_bounds([threshold_stats(dyadic, F(1, 2))], SpectrumSpec((F(0), F(1, 3), F(1))))
+
+
 def test_enumerate_witnesses_frozen(dyadic):
     spec = SpectrumSpec((F(0), F(1, 2), F(1)))
     ws = enumerate_witnesses(dyadic, spec)

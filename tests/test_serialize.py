@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from findiag import (
@@ -20,6 +20,7 @@ from findiag import (
     SymmetricMatrix,
     Verdict,
     Witness,
+    DomainError,
     decide,
     dump_decision,
     dump_json,
@@ -235,6 +236,80 @@ def test_realize_shaped_payload_matches_stdlib_bytes():
     }
     assert dump_json(payload) == _stdlib_text(payload)
     assert dump_json(m) == _stdlib_text(m)
+
+
+def _symmetric(values) -> np.ndarray:
+    """The smallest symmetric matrix whose upper triangle, row by row, starts
+    with values (zeros after them); each lower entry is its mirror's bits."""
+    values = np.asarray(values, dtype=float)
+    n = next(n for n in range(len(values) + 1) if n * (n + 1) // 2 >= len(values))
+    upper = np.zeros(n * (n + 1) // 2)
+    upper[: len(values)] = values
+    a = np.zeros((n, n))
+    a[np.triu_indices(n)] = upper
+    return np.where(np.triu(np.ones((n, n), dtype=bool)), a, a.T)
+
+
+def _assert_stdlib_bytes(a: np.ndarray):
+    m = SymmetricMatrix(a)
+    for payload in (dump_matrix(m), {"z": [{"matrix": dump_matrix(m)}]}):  # two indents
+        assert dump_json(payload) == _stdlib_text(payload)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FINITE, max_size=28), st.booleans())
+def test_matrix_rows_match_stdlib_bytes_for_any_finite_floats(values, flip_lower_zeros):
+    """Arbitrary finite entries, subnormals included; with flip_lower_zeros
+    every zero below the diagonal changes sign, so 0.0 faces -0.0 and the
+    matrix is symmetric by value but not bitwise."""
+    a = _symmetric(values)
+    if flip_lower_zeros:
+        lower = np.tril(a == 0, -1)
+        a[lower] = np.copysign(0.0, -np.copysign(1.0, a[lower]))
+    _assert_stdlib_bytes(a)
+
+
+def _ulps_around(values, ulps: int) -> np.ndarray:
+    """The finite doubles within ulps steps of each value, both signs."""
+    bits = np.asarray(values, dtype=float).view(np.int64)[:, None] + np.arange(-ulps, ulps + 1)
+    near = bits[bits >= 0].view(np.float64)
+    near = near[np.isfinite(near)]
+    return np.concatenate([near, -near])
+
+
+def test_matrix_rows_match_stdlib_bytes_around_every_power_of_ten():
+    """±10^e for e = -323..308, each ±3 ulps: every decimal exponent that
+    json.dumps and the fast formatter could spell differently."""
+    _assert_stdlib_bytes(_symmetric(_ulps_around([float(f"1e{e}") for e in range(-323, 309)], 3)))
+
+
+@pytest.mark.parametrize("edge", [1e-9, 1e-4, 1e16])
+def test_matrix_rows_match_stdlib_bytes_at_the_respelled_band_edges(edge):
+    """The doubles on both sides of each edge of the magnitudes whose fast
+    spelling differs from float.__repr__ (1e-9 <= |v| < 1e-4, |v| >= 1e16)."""
+    _assert_stdlib_bytes(_symmetric(_ulps_around([edge], 1)))
+
+
+def test_matrix_rows_match_stdlib_bytes_for_an_f_ordered_matrix():
+    a = np.asfortranarray(_symmetric([1e-5, 2.5, -1e17, 0.1, 3e-300, 7.0]))
+    m = SymmetricMatrix(a)
+    assert m._entries.flags.f_contiguous and not m._entries.flags.c_contiguous
+    assert dump_json(dump_matrix(m)) == _stdlib_text(dump_matrix(m))
+
+
+def test_matrix_non_finite_entries_fall_back_to_json_spelling():
+    """json.dumps spells an infinite entry Infinity; the matrix of such an
+    entry is written by json.dumps whole, so 1e-05 keeps its spelling too.
+    A NaN entry never reaches the writer: the matrix is rejected."""
+    m = SymmetricMatrix([[np.inf, 1e-5], [1e-5, -np.inf]])
+    text = dump_json(dump_matrix(m))
+    assert text == _stdlib_text(dump_matrix(m))
+    assert "Infinity" in text and "-Infinity" in text and "1e-05" in text
+    with pytest.raises(DomainError):
+        SymmetricMatrix([[np.nan]])
 
 
 def test_matrix_parse_rejects_bad_shape():

@@ -1,6 +1,9 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).parent.parent / "src" / "findiag"
@@ -41,6 +44,33 @@ def test_package_imports_no_contextvars():
     """Statistics are passed to each call explicitly: no module keeps them in
     a context variable, where one caller's table could reach another call."""
     assert [where for where, module in _imports() if module == "contextvars"] == []
+
+
+def test_only_serialize_imports_orjson():
+    """The fast float formatter is a detail of the matrix writer."""
+    found = [where for where, module in _imports() if module == "orjson"]
+    assert found and all(where.startswith("serialize.py:") for where in found)
+
+
+def test_witnesses_run_leaves_orjson_unloaded():
+    """Only writing a matrix loads orjson: a witnesses call, which writes
+    none, does not pay its import."""
+    script = (
+        "import contextlib, io, sys\n"
+        "import findiag.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = findiag.cli.main(['witnesses', '--seq', sys.argv[1], '--spectrum', '0,1/2,1'])\n"
+        "print(code, 'orjson' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(Path(__file__).parent / "data" / "dyadic.json")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "False"]
 
 
 def test_construction_kernels_run_on_integers():
