@@ -359,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="shift a spectrum not starting at 0 (and the sequence) to [0, B]",
             )
-        p.add_argument("--workers", type=int, default=1, help="accepted and ignored")
 
     p = sub.add_parser("decide", help="full feasibility decision")
     common(p)

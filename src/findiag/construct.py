@@ -59,7 +59,7 @@ class GivensRotation:
 class SymmetricMatrix:
     """A real symmetric matrix with provenance and an exact diagonal record.
 
-    entries is float64 and symmetric by value (0.0 may face -0.0);
+    entries is finite float64 and symmetric by value (0.0 may face -0.0);
     exact_diagonal, when present, holds the rational values the float
     diagonal was assigned from.
     """
@@ -73,6 +73,8 @@ class SymmetricMatrix:
         arr = np.array(entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DomainError(f"matrix must be square, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise DomainError("matrix entries must be finite")
         if not np.array_equal(arr, arr.T):
             raise DomainError("matrix entries are not symmetric")
         if exact_diagonal is not None and len(exact_diagonal) != arr.shape[0]:
@@ -90,9 +92,6 @@ class SymmetricMatrix:
 
     def as_array(self) -> np.ndarray:
         return self._entries.copy()
-
-    def rows(self) -> List[List[float]]:
-        return self._entries.tolist()
 
     def text_grid(self) -> str:
         """Aligned fixed-point grid for human inspection."""
@@ -400,23 +399,18 @@ def _build_problem(
 def _assemble_split(prob: _FiniteProblem, m0: int) -> Tuple[np.ndarray, List[GivensRotation]]:
     """Window minimum at m0: drain delta_{m0} from the bottom into the top,
     split into two finite constructions at m0, undo the move.  At the right
-    end m0 = M0 + sigma the top block fills to exact Bs, so it is B·I."""
+    end m0 = M0 + sigma the top block fills to exact Bs, and _horn builds it
+    with no rotation."""
     L = len(prob.G)
     Q = prob.Q
-    split = prob.M0 + prob.sigma
     donors = list(range(prob.M0))
-    recipients = list(range(L - 1, split - 1, -1))
+    recipients = list(range(L - 1, prob.M0 + prob.sigma - 1, -1))
     newG, transfers = _water_fill(prob.G, prob.B, donors, recipients, prob.deltas[m0])
 
     entries = np.zeros((L, L))
     entries[:m0, :m0], rotations = _horn(prob.Lam[:m0], newG[:m0], Q)
-    if m0 == split:
-        _require(all(v == prob.B for v in newG[split:]), "top block must fill exactly")
-        for i in range(split, L):
-            entries[i, i] = prob.B / Q
-    else:
-        entries[m0:, m0:], upper = _horn(prob.Lam[m0:], newG[m0:], Q)
-        rotations += [GivensRotation(r.p + m0, r.q + m0, r.c, r.s) for r in upper]
+    entries[m0:, m0:], upper = _horn(prob.Lam[m0:], newG[m0:], Q)
+    rotations += [GivensRotation(r.p + m0, r.q + m0, r.c, r.s) for r in upper]
     exact = list(newG)
     for i, j, amt in reversed(transfers):
         x, y = exact[i], exact[j]

@@ -180,21 +180,22 @@ def _lattice_search(
 
 def _case(seq: DiagonalSequence) -> Optional[Verdict]:
     """The theorem's case split, read from divergence_flags with no statistic
-    evaluated: OUT_OF_SCOPE unless Σ d_i and Σ (B − d_i) both diverge,
-    FEASIBLE_CASE_I when C(B/2) or D(B/2) diverges, and None for Case II,
-    where the trace congruence and mass bounds decide."""
+    evaluated: FEASIBLE_CASE_I when C(B/2) or D(B/2) diverges (a divergent
+    tail makes Σ d_i and Σ (B − d_i) both diverge), else OUT_OF_SCOPE unless
+    both sums diverge, and None for Case II, where the trace congruence and
+    mass bounds decide."""
     flags = divergence_flags(seq)
-    if not (flags.sum_d_infinite and flags.sum_Bd_infinite):
-        return Verdict.OUT_OF_SCOPE
-    return Verdict.FEASIBLE_CASE_I if flags.C_half_infinite or flags.D_half_infinite else None
+    if flags.C_half_infinite or flags.D_half_infinite:
+        return Verdict.FEASIBLE_CASE_I
+    return None if flags.sum_d_infinite and flags.sum_Bd_infinite else Verdict.OUT_OF_SCOPE
 
 
 def decide(seq: DiagonalSequence, spectrum: SpectrumSpec) -> Decision:
     """Full feasibility decision for a diagonal against a finite spectrum set.
 
-    Routing: two-point spectra go to the projection criterion; the rest
-    follow _case, and in Case II feasibility is equivalent to a nonempty
-    witness list.  The statistics at B/2 and at the interior points come
+    Routing: _case first, so a divergent C(B/2) or D(B/2) is Case I for
+    every spectrum; two-point spectra then go to the projection criterion,
+    and in Case II feasibility is equivalent to a nonempty witness list.  The statistics at B/2 and at the interior points come
     from one _stats_pass, and in Case II one _System is built from them,
     read for the bounds and handed to enumerate_witnesses.
     """
@@ -223,24 +224,23 @@ def _decide(seq: DiagonalSequence, spectrum: SpectrumSpec, W: int, at: Sequence[
     kept = [(a, C, D) for i, (a, (C, D)) in enumerate(zip(alphas, at)) if i == 0 or a != alphas[0]]
     stats = tuple(ThresholdStats(a, _over(C, W), _over(D, W)) for a, C, D in kept)
     half = stats[0]
-    which = "C(B/2)" if half.C is INF else "D(B/2)"
-    if spectrum.n == 0:  # decide_projection
-        if half.C is INF or half.D is INF:
-            return Decision(Verdict.FEASIBLE_CASE_I, stats=stats, note=f"{which} diverges")
+    case = _case(seq)
+    if case is Verdict.FEASIBLE_CASE_I:
+        note = f"{'C(B/2)' if half.C is INF else 'D(B/2)'} diverges"
+        if spectrum.n:
+            note += "; every interior multiplicity choice is realizable"
+        return Decision(case, stats=stats, note=note)
+    if spectrum.n == 0:  # decide_projection, whatever the sums do
         k = (half.C - half.D) / spectrum.B
         if k.denominator == 1:
             return Decision(Verdict.FEASIBLE_CASE_II, (Witness((), int(k)),), stats)
         note = f"C(B/2) − D(B/2) = {half.C - half.D} is not an integer multiple of B"
         return Decision(Verdict.INFEASIBLE, stats=stats, note=note)
-    case = _case(seq)
     if case is Verdict.OUT_OF_SCOPE:
         note = (
             "requires infinite mass on both sides: Σ d_i and Σ (B − d_i) must both diverge; "
             "for summable diagonals see decide_finite or check_finite_rank_tail"
         )
-        return Decision(case, stats=stats, note=note)
-    if case is Verdict.FEASIBLE_CASE_I:
-        note = f"{which} diverges; every interior multiplicity choice is realizable"
         return Decision(case, stats=stats, note=note)
     system = _system(spectrum, W, at[0], at[1:])
     bounds = system.bounds()

@@ -42,16 +42,14 @@ def dump_json(obj) -> str:
     """Canonical rendering: sorted keys, two-space indent, trailing newline.
 
     A SymmetricMatrix value (the "rows" of dump_matrix) is written as its
-    rows, in the bytes json.dumps gives the list of float lists, straight
-    from the float64 entries; everything else goes through json.dumps.
+    rows, in the bytes json.dumps gives the float lists, straight from the
+    finite float64 entries; everything else goes through json.dumps.
     """
     matrices = []
 
     def defer(o):
         if not isinstance(o, SymmetricMatrix):
             raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-        if not np.isfinite(o._entries).all():  # json spells these Infinity/NaN
-            return o.rows()
         matrices.append(o)
         return _ROWS_SLOT
 

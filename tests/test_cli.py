@@ -375,10 +375,24 @@ def test_unknown_flag_exits_64(capsys):
     assert exc.value.code == 64
 
 
-def test_non_integer_workers_exits_64(capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decide", "--spectrum", "0,1/2,1"],
+        ["witnesses", "--spectrum", "0,1/2,1"],
+        ["project"],
+        ["realize", "--spectrum", "0,1/2,1", "--witness", '{"N":[1],"k":-1}', "--trunc", "0"],
+        ["explore3"],
+        ["explore4", "--grid", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_workers_option_exits_64(capsys, argv):
+    # every computation runs in the calling process, so no command takes --workers
     with pytest.raises(SystemExit) as exc:
-        main(["explore3", "--seq", DYADIC, "--workers", "many"])
+        main(argv + ["--seq", DYADIC, "--workers", "1"])
     assert exc.value.code == 64
+    assert "unrecognized arguments: --workers 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -418,7 +432,7 @@ def test_successive_calls_match_fresh_parsers(capsys):
         ["decide", "--seq", DYADIC, "--spectrum", "0,1/2,1"],
         ["explore3", "--seq", DYADIC, "--n-max", "4"],
         ["witnesses", "--seq", DYADIC, "--spectrum", "0,1/4,1/2,1", "--explain"],
-        ["explore4", "--seq", DYADIC, "--grid", "5", "--workers", "2"],
+        ["explore4", "--seq", DYADIC, "--grid", "5"],
         ["explore3", "--seq", DYADIC],
         ["project", "--seq", DYADIC],
         ["witnesses", "--seq", DYADIC, "--spectrum", "0,1/2,1"],

@@ -2,6 +2,7 @@
 
 import bisect
 import functools
+import hashlib
 import math
 from collections import Counter
 from fractions import Fraction
@@ -27,7 +28,7 @@ from findiag import (
     verify_realization,
 )
 from findiag.cli import main
-from findiag.construct import _apply_rotation, _build_problem, _steer, _water_fill
+from findiag.construct import _apply_rotation, _build_problem, _horn, _steer, _water_fill
 from findiag.scalars import _scaled
 from findiag.sequences import _trace_residue
 
@@ -43,6 +44,15 @@ def test_symmetric_matrix_validation():
         SymmetricMatrix(np.array([[0.0, 1.0], [0.5, 0.0]]))
     with pytest.raises(DomainError):
         SymmetricMatrix(np.eye(2), exact_diagonal=(F(1),))
+
+
+@pytest.mark.parametrize(
+    "rows", [[[np.nan]], [[np.inf, 0.0], [0.0, 1.0]], [[0.0, -np.inf], [-np.inf, 1.0]]]
+)
+def test_symmetric_matrix_rejects_non_finite_entries(rows):
+    # checked before symmetry: NaN faces itself, but the fault is its value
+    with pytest.raises(DomainError, match="finite"):
+        SymmetricMatrix(rows)
 
 
 def test_symmetric_matrix_text_grid():
@@ -378,6 +388,24 @@ def test_realize_pure_diagonal_path():
     assert m.exact_diagonal == (F(0), F(1, 2), F(1, 2), F(1))
     arr = m.as_array()
     assert not np.any(arr - np.diag(np.diag(arr)))
+
+
+def test_realize_right_end_split_keeps_its_bits(dyadic):
+    # dyadic at T = 16 splits at the right end (the window minimum sits at
+    # M0 + sigma), where the top block's eigenvalues and targets are all B:
+    # _horn then hits every target, rotates nothing and writes B·I; the
+    # digests pin the matrix and its rotations bit for bit
+    B, Q = 3, 4
+    block, rotations = _horn([B] * 5, [B] * 5, Q)
+    assert rotations == [] and block.tobytes() == (B / Q * np.eye(5)).tobytes()
+    m = realize_truncated(dyadic, SpectrumSpec((F(0), F(1, 2), F(1))), Witness((1,), -1), 16)
+    prov = repr([(r.p, r.q, r.c.hex(), r.s.hex()) for r in m.provenance]).encode()
+    assert hashlib.sha256(m.as_array().tobytes()).hexdigest() == (
+        "35fb197c84cd74652b7a53617a25925b9f8f80f10f910b5fb4998d92f9fcda1d"
+    )
+    assert hashlib.sha256(prov).hexdigest() == (
+        "2f9c8c64b619fff2bf986f845275f017c87d6a3c6a9d996d23110e1c615ce3e9"
+    )
 
 
 def test_realize_truncation_too_small_with_minimal():

@@ -35,7 +35,7 @@ def _imports():
 
 
 def test_package_starts_no_process_pools():
-    """Every computation runs in the calling process; `--workers` is ignored."""
+    """Every computation runs in the calling process."""
     found = [where for where, module in _imports() if module in ("concurrent", "multiprocessing")]
     assert found == []
 
