@@ -214,6 +214,7 @@ def _stdlib_text(payload):
         [[1.0, 0.25], [0.25, -3.0]],
         [[-0.0, 5e-324, 1e16], [5e-324, 1e-5, -2.5], [1e16, -2.5, -1e-300]],
         [[0.0, 0.0], [-0.0, 1.0]],  # 0.0 opposite -0.0: each entry is written from its own bits
+        [[1.7976931348623157e308, 1.0], [1.0, -1.7976931348623157e308]],  # largest finite floats
         np.asfortranarray([[1e-5, 2.5, 0.1], [2.5, -1e17, 3e-300], [0.1, 3e-300, 7.0]]),
     ],
 )
