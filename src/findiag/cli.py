@@ -88,7 +88,11 @@ def _rational_list(value: str, label: str) -> List[Fraction]:
     tokens = [t.strip() for t in value.split(",")]
     if tokens and all(_RATIONAL_RE.match(t) for t in tokens):
         return [parse_rational(t, label) for t in tokens]
-    data = load_json(_read_text(value, label), label)
+    return _rational_array(load_json(_read_text(value, label), label), label)
+
+
+def _rational_array(data, label: str) -> List[Fraction]:
+    """A parsed JSON array of rationals, each parsed at its own path."""
     if not isinstance(data, list):
         raise SchemaError("expected an array of rationals", label)
     return [_parse_scalar(v, f"{label}[{i}]") for i, v in enumerate(data)]
@@ -148,14 +152,13 @@ def _verdict_exit(verdict: Verdict) -> int:
 
 def _explain_payload(seq: DiagonalSequence, spectrum: SpectrumSpec, witnesses):
     """Per-witness canonical shifts and partial-sum profiles, when the sequence
-    admits a ℤ-indexed arrangement."""
+    admits a ℤ-indexed arrangement.  The witnesses of decide balance the
+    trace modulo B at B/2, and C(α) − D(α) mod B does not depend on α, so
+    canonical_shift finds an integer shift for each of them."""
     try:
         profiles = []
         for w in witnesses:
             shift = canonical_shift(seq, spectrum, w.N)
-            if shift is None:
-                profiles.append({"witness": dump_witness(w), "shift": None})
-                continue
             ok, profile = riemann_check(seq, spectrum, Witness(w.N, shift))
             profiles.append(
                 {
@@ -197,17 +200,17 @@ def _cmd_witnesses(args) -> int:
     seq = _shift_sequence(_load_sequence(args.seq), shift)
     decision = decide(seq, spectrum)
     if decision.verdict is Verdict.OUT_OF_SCOPE:
-        _print(dump_decision(decision))
-        return 2
-    payload = {
-        "witnesses": [dump_witness(w) for w in decision.witnesses],
-        "bounds": list(decision.bounds),
-        "verdict": decision.verdict.value,
-    }
-    if args.explain:
-        payload["explain"] = _explain_payload(seq, spectrum, decision.witnesses)
+        payload = dump_decision(decision)
+    else:
+        payload = {
+            "witnesses": [dump_witness(w) for w in decision.witnesses],
+            "bounds": list(decision.bounds),
+            "verdict": decision.verdict.value,
+        }
+        if args.explain:
+            payload["explain"] = _explain_payload(seq, spectrum, decision.witnesses)
     _print(payload)
-    return 0 if decision.witnesses else 1
+    return _verdict_exit(decision.verdict)
 
 
 def _cmd_project(args) -> int:
@@ -269,10 +272,7 @@ def _cmd_verify(args) -> int:
     exact_from_file = None
     if isinstance(raw, dict) and "matrix" in raw:
         if "diagonal_exact" in raw:
-            exact_from_file = [
-                _parse_scalar(v, f"--matrix.diagonal_exact[{i}]")
-                for i, v in enumerate(raw["diagonal_exact"])
-            ]
+            exact_from_file = _rational_array(raw["diagonal_exact"], "--matrix.diagonal_exact")
         raw = raw["matrix"]
     matrix = parse_matrix(raw, "--matrix")
 

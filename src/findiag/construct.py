@@ -292,31 +292,28 @@ def _steer(
     values, all integers over Q.  Unlike the fresh-pair case, the (p, q)
     coupling β = bn/bd (the float's exact ratio) may be nonzero; the rotation
     parameter solves t²(y−τ) − 2βt + (x−τ) = 0, whose discriminant
-    β² − (y−τ)(x−τ) = (bn²Q² − a·b·bd²)/(bd²Q²) is nonnegative whenever
-    x ≤ τ ≤ y (clipped at 0 against float dust).  Both new diagonal entries
-    are assigned exactly.
+    β² − (y−τ)(x−τ) = (bn²Q² − a·b·bd²)/(bd²Q²) has an exact integer
+    numerator, positive because x < τ < y (a > 0 > b; anything else raises
+    ConstructionError before arr is touched).  Both new diagonal entries are
+    assigned exactly.
+
+    _assemble_split meets x < τ < y: it undoes a water fill from donors i
+    into recipients j > i of an ascending diagonal, each transfer moving
+    amt > 0, in reverse order.  So at each undo x = x₀ − amt, y = y₀ + amt
+    and τ = x₀ with x₀ ≤ G_i ≤ G_j ≤ y₀ (donors only lose mass, recipients
+    only gain it), which gives b = −amt < 0 and a = y₀ − x₀ + amt > 0.
     """
     bn, bd = arr[p, q].as_integer_ratio()
     a = y - target
     b = x - target
-    if a == 0:
-        if bn == 0:
-            if b == 0:
-                c, s = 1.0, 0.0
-            else:
-                c, s = 0.0, 1.0  # plain swap of the two coordinates
-        else:
-            t = b * bd / (2 * bn * Q)
-            c = 1.0 / math.sqrt(1.0 + t * t)
-            s = t * c
-    else:
-        root = math.sqrt(max(bn * bn * Q * Q - a * b * bd * bd, 0) / (bd * bd * Q * Q))
-        af, bf = a / Q, bn / bd
-        t1 = (bf + root) / af
-        t2 = (bf - root) / af
-        t = t1 if abs(t1) <= abs(t2) else t2
-        c = 1.0 / math.sqrt(1.0 + t * t)
-        s = t * c
+    _require(a > 0 > b, "a steering target must lie strictly between the two diagonal values")
+    root = math.sqrt((bn * bn * Q * Q - a * b * bd * bd) / (bd * bd * Q * Q))
+    af, bf = a / Q, bn / bd
+    t1 = (bf + root) / af
+    t2 = (bf - root) / af
+    t = t1 if abs(t1) <= abs(t2) else t2
+    c = 1.0 / math.sqrt(1.0 + t * t)
+    s = t * c
     _apply_rotation(arr, p, q, c, s)
     arr[p, p] = target / Q
     arr[q, q] = (x + y - target) / Q

@@ -30,9 +30,6 @@ class Infinite:
     def __repr__(self) -> str:
         return "INF"
 
-    def __bool__(self) -> bool:
-        return True
-
     # Order: INF is greater than every rational and equal only to itself.
     def __eq__(self, other: object) -> bool:
         return other is self

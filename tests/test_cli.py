@@ -144,10 +144,82 @@ def test_untranslated_spectrum_is_schema_error(capsys):
     assert "--translate" in err
 
 
+def test_spectrum_from_a_json_file(capsys, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(["0", "1/2", "1"]))
+    _, want, _ = run(capsys, "decide", "--seq", DYADIC, "--spectrum", "0,1/2,1")
+    code, out, _ = run(capsys, "decide", "--seq", DYADIC, "--spectrum", str(spec))
+    assert code == 0
+    assert out == want
+
+    spec.write_text("[]")
+    code, out, err = run(capsys, "decide", "--seq", DYADIC, "--spectrum", str(spec))
+    assert code == 64
+    assert out == ""
+    assert "--spectrum: spectrum cannot be empty" in err
+
+
+def test_non_increasing_spectrum_exits_64(capsys):
+    code, out, err = run(capsys, "decide", "--seq", DYADIC, "--spectrum", "0,1/2,1/4,1")
+    assert code == 64
+    assert out == ""
+    assert "--spectrum: " in err and "increasing" in err
+
+
+_CASE_ONE = {
+    "B": "1",
+    "explicit": ["1/2"],
+    "zero_tail": {"kind": "divergent"},
+    "b_tail": {"kind": "geometric", "first": "1/4", "ratio": "1/2"},
+}
+
+
 def test_witnesses_command(capsys):
     code, out, _ = run(capsys, "witnesses", "--seq", DYADIC, "--spectrum", "0,1/2,1")
     assert code == 0
     assert json.loads(out)["witnesses"] == [{"N": [1], "k": -1}, {"N": [3], "k": -2}]
+
+
+def test_witnesses_case_one_exits_zero(capsys, tmp_path):
+    # feasible outright, with no witness list: the exit code follows the
+    # verdict, as for decide
+    seq = write_seq(tmp_path, _CASE_ONE)
+    code, out, _ = run(capsys, "witnesses", "--seq", seq, "--spectrum", "0,1/2,1")
+    assert code == 0
+    assert json.loads(out) == {"bounds": [], "verdict": "FeasibleCaseI", "witnesses": []}
+    decide_code, _, _ = run(capsys, "decide", "--seq", seq, "--spectrum", "0,1/2,1")
+    assert decide_code == code
+
+
+def test_witnesses_out_of_scope_prints_the_decision(capsys, tmp_path):
+    seq = write_seq(tmp_path, {"B": "1", "explicit": ["1/2"]})
+    code, out, _ = run(capsys, "witnesses", "--seq", seq, "--spectrum", "0,1/2,1")
+    assert code == 2
+    _, decided, _ = run(capsys, "decide", "--seq", seq, "--spectrum", "0,1/2,1")
+    assert out == decided
+    assert json.loads(out)["verdict"] == "OutOfTheoremScope"
+
+
+@pytest.mark.parametrize("command", ["decide", "witnesses"])
+def test_explain_without_a_z_layout_reports_the_reason(capsys, tmp_path, command):
+    # exact zeros next to a zero tail: Case II with witnesses, but no
+    # nondecreasing ℤ-indexed arrangement to profile
+    seq = write_seq(
+        tmp_path,
+        {
+            "B": "1",
+            "explicit": ["1/2"],
+            "zero_count": 3,
+            "zero_tail": {"kind": "geometric", "first": "1/4", "ratio": "1/2"},
+            "b_tail": {"kind": "geometric", "first": "1/4", "ratio": "1/2"},
+        },
+    )
+    code, out, _ = run(capsys, command, "--seq", seq, "--spectrum", "0,1/2,1", "--explain")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "FeasibleCaseII"
+    assert payload["explain"]["profiles"] is None
+    assert "both exact zeros and a zero tail" in payload["explain"]["note"]
 
 
 def test_project_command(capsys):
@@ -191,6 +263,29 @@ def test_realize_verify_round_trip(capsys, tmp_path):
     assert report["diagonal_exact_match"] is True
     assert report["within_tolerance"] is True
     assert report["witness_multiplicities_ok"] is True
+
+
+def test_realize_stdout_matches_the_out_file(capsys, tmp_path):
+    argv = ["realize", "--seq", DYADIC, "--spectrum", "0,1/2,1"]
+    argv += ["--witness", '{"N": [1], "k": -1}', "--trunc", "4"]
+    out_path = tmp_path / "real.json"
+    code, out, _ = run(capsys, *argv, "--out", str(out_path))
+    assert (code, out) == (0, "")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == out_path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("value", [5, {"a": 1}], ids=["number", "object"])
+def test_verify_diagonal_exact_not_an_array_exits_64(capsys, tmp_path, value):
+    mat = tmp_path / "m.json"
+    mat.write_text(
+        json.dumps({"matrix": {"dim": 1, "rows": [[0.5]]}, "diagonal_exact": value})
+    )
+    code, out, err = run(capsys, "verify", "--matrix", str(mat), "--spectrum", "0,1/2,1")
+    assert code == 64
+    assert out == ""
+    assert "--matrix.diagonal_exact: expected an array of rationals" in err
 
 
 def test_verify_failure_exits_one(capsys, tmp_path):
@@ -322,15 +417,7 @@ def test_realize_evaluates_half_once(monkeypatch, tmp_path):
 def test_realize_case_one_skips_the_witness_check(capsys, tmp_path):
     # C(B/2) diverges: the witness gate must not run the threshold-statistic
     # check, and the construction then refuses the divergent tail
-    seq = write_seq(
-        tmp_path,
-        {
-            "B": "1",
-            "explicit": ["1/2"],
-            "zero_tail": {"kind": "divergent"},
-            "b_tail": {"kind": "geometric", "first": "1/4", "ratio": "1/2"},
-        },
-    )
+    seq = write_seq(tmp_path, _CASE_ONE)
     code, out, err = run(
         capsys,
         "realize",
@@ -481,6 +568,13 @@ def test_explore3_command(capsys):
     payload = json.loads(out)
     assert payload["count"] == 7
     assert payload["points"] == ["1/8", "1/6", "1/4", "1/2", "3/4", "5/6", "7/8"]
+
+
+def test_explore3_case_one_is_all_of_interval(capsys, tmp_path):
+    seq = write_seq(tmp_path, _CASE_ONE)
+    code, out, _ = run(capsys, "explore3", "--seq", seq)
+    assert code == 0
+    assert json.loads(out) == {"all_of_interval": {"B": "1"}}
 
 
 def test_explore4_command(capsys, tmp_path):

@@ -13,6 +13,7 @@ import pytest
 
 from findiag import (
     INF,
+    ConstructionError,
     DiagonalSequence,
     DomainError,
     GeometricTail,
@@ -168,22 +169,13 @@ def rational_steer(arr, p, q, x, y, target):
     beta = Fraction(float(arr[p, q]))
     a = y - target
     b = x - target
-    if a == 0:
-        if beta == 0:
-            c, s = (1.0, 0.0) if b == 0 else (0.0, 1.0)
-        else:
-            t = float(b / (2 * beta))
-            c = 1.0 / math.sqrt(1.0 + t * t)
-            s = t * c
-    else:
-        disc = max(beta * beta - a * b, Fraction(0))
-        root = math.sqrt(float(disc))
-        af, bf = float(a), float(beta)
-        t1 = (bf + root) / af
-        t2 = (bf - root) / af
-        t = t1 if abs(t1) <= abs(t2) else t2
-        c = 1.0 / math.sqrt(1.0 + t * t)
-        s = t * c
+    root = math.sqrt(float(beta * beta - a * b))
+    af, bf = float(a), float(beta)
+    t1 = (bf + root) / af
+    t2 = (bf - root) / af
+    t = t1 if abs(t1) <= abs(t2) else t2
+    c = 1.0 / math.sqrt(1.0 + t * t)
+    s = t * c
     _apply_rotation(arr, p, q, c, s)
     arr[p, p] = float(target)
     arr[q, q] = float(x + y - target)
@@ -230,7 +222,8 @@ def test_horn_matches_the_rational_construction_bit_for_bit():
 
 
 def _steer_case(rng: Random, branch: str):
-    """(x, y, τ, β) on which _steer takes the named branch."""
+    """(x, y, τ, β): τ strictly between x and y for "positive", and for the
+    other names a target that _steer refuses."""
     den = rng.choice([64 * 10 ** rng.randint(0, 4), 4 ** rng.randint(1, 12), 3 ** rng.randint(1, 9)])
     lo, mid, hi = sorted(F(v, den) for v in rng.sample(range(-den, 2 * den), 3))
     beta = rng.choice([-1, 1]) * rng.random() * 2.0 ** -rng.randint(0, 30)
@@ -243,19 +236,17 @@ def _steer_case(rng: Random, branch: str):
     return lo, hi, mid, beta  # x < τ < y
 
 
-@pytest.mark.parametrize("branch", ["identity", "swap", "coupled", "clipped", "positive"])
+def _steer_start(x, y, beta):
+    return np.array([[float(x), beta, 0.25], [beta, float(y), -0.5], [0.25, -0.5, 0.75]])
+
+
+@pytest.mark.parametrize("branch", ["positive"])
 def test_steer_matches_the_rational_steering_bit_for_bit(branch):
     rng = Random(f"steer:{branch}")
     for _ in range(60):
         x, y, target, beta = _steer_case(rng, branch)
-        # the branch from the exact values: y = τ with or without a coupling,
-        # else the sign of the discriminant β² − (y − τ)(x − τ)
-        a, b, coupling = y - target, x - target, F(beta)
-        if a == 0:
-            assert branch == ("coupled" if beta else "identity" if b == 0 else "swap")
-        else:
-            assert branch == ("clipped" if coupling * coupling < a * b else "positive")
-        start = np.array([[float(x), beta, 0.25], [beta, float(y), -0.5], [0.25, -0.5, 0.75]])
+        assert x < target < y
+        start = _steer_start(x, y, beta)
         ref = start.copy()
         want = rational_steer(ref, 0, 1, x, y, target)
         Q, (qx, qy, qt) = _scaled(x, y, target)
@@ -264,6 +255,23 @@ def test_steer_matches_the_rational_steering_bit_for_bit(branch):
             got = _steer(arr, 0, 1, qx * m, qy * m, qt * m, Q * m)
             assert arr.tobytes() == ref.tobytes()
             assert _bits([got]) == _bits([want])
+
+
+@pytest.mark.parametrize("branch", ["identity", "swap", "coupled", "clipped"])
+def test_steer_refuses_a_target_outside_the_open_interval(branch):
+    # y = τ with or without a coupling, or τ < x < y with a negative
+    # discriminant: _assemble_split never asks for these, and _steer raises
+    # before it writes anything
+    rng = Random(f"steer:{branch}")
+    for _ in range(60):
+        x, y, target, beta = _steer_case(rng, branch)
+        assert not x < target < y
+        arr = _steer_start(x, y, beta)
+        before = arr.tobytes()
+        Q, (qx, qy, qt) = _scaled(x, y, target)
+        with pytest.raises(ConstructionError, match="strictly between"):
+            _steer(arr, 0, 1, qx, qy, qt, Q)
+        assert arr.tobytes() == before
 
 
 def test_water_fill_on_integers_is_the_rational_fill_times_q():

@@ -24,6 +24,7 @@ from findiag import (
     riemann_check,
     threshold_stats,
 )
+from findiag.majorize import _ZLayout
 
 from conftest import random_sequence, random_spectrum, robin_hood_pair
 
@@ -180,6 +181,30 @@ def test_anti_transfer_breaks_majorization():
         ok, prof = riemann_check(seq, spec, Witness(N, shift))
         assert ok is False  # … but a partial sum dips below zero
         assert prof.min_delta < 0
+
+
+@pytest.mark.parametrize("point, split", [(F(1, 8), -2), (F(7, 8), 2)])
+def test_split_index_inside_a_tail(dyadic, point, split):
+    # A_n = 1/8 falls among the zero-tail elements 1/4, 1/8, 1/16, …, and
+    # 7/8 among the b-tail elements 3/4, 7/8, 15/16, …, so the split index
+    # is read from a tail, not from the explicit entries
+    spec = SpectrumSpec((F(0), point, F(1)))
+    assert _ZLayout(dyadic).largest_index_below(point) == split
+    outcomes = []
+    for n in range(1, 30):
+        shift = canonical_shift(dyadic, spec, (n,))
+        if shift is None:
+            assert lebesgue_check(dyadic, spec, Witness((n,), 0)) is False
+            continue
+        w = Witness((n,), shift)
+        ok, prof = riemann_check(dyadic, spec, w)
+        assert prof.trace_residual == 0
+        assert ok == lebesgue_check(dyadic, spec, w)
+        wide = dict(delta_range(dyadic, spec, w, shift - 12, shift + n + 12))
+        assert all(wide[m] == d for m, d in prof.checked_indices)
+        assert ok == (min(wide.values()) >= 0)
+        outcomes.append((n, ok))
+    assert outcomes == [(4, True), (12, False), (20, False), (28, False)]
 
 
 def test_riemann_equals_lebesgue_randomized():
