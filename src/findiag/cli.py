@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 feasible / success, 1 infeasible / failed verification,
-2 out of scope, 64 malformed input (schema, arguments, spectra), 65 witness
-rejected by the feasibility check before realization, 70 other errors.
+2 out of scope, 64 malformed input (schema, arguments, spectra, and a
+sequence, witness or diagonal that does not fit the spectrum or matrix), 65
+witness rejected by the feasibility check before realization, 70 other
+errors.
 """
 
 from __future__ import annotations
@@ -25,12 +27,7 @@ from .construct import (
     verify_realization,
 )
 from .decide import Verdict, _case, _subset_decisions, decide, decide_projection, lebesgue_check
-from .errors import (
-    DomainError,
-    SchemaError,
-    TruncationTooSmallError,
-    UnsupportedOperationError,
-)
+from .errors import DomainError, SchemaError, TruncationTooSmallError
 from .explore import emit_region, four_point_region, three_point_spectra, AllOfInterval, RegionSample
 from .majorize import Witness, canonical_shift, riemann_check
 from .scalars import _RATIONAL_RE, format_rational, parse_rational
@@ -138,6 +135,20 @@ def _shift_sequence(seq: DiagonalSequence, shift: Fraction) -> DiagonalSequence:
         raise SchemaError(f"sequence does not fit the translated interval: {exc}", "--seq") from exc
 
 
+def _load_problem(args) -> Tuple[DiagonalSequence, SpectrumSpec, Fraction]:
+    """(sequence, spectrum, shift) from --seq and --spectrum, both translated
+    by the shift of _load_spectrum; the sequence's B must be the spectrum's."""
+    spectrum, shift = _load_spectrum(args)
+    seq = _load_sequence(args.seq)
+    if seq.B != spectrum.B + shift:
+        raise SchemaError(
+            f"the sequence's B={format_rational(seq.B)} differs from the spectrum's "
+            f"last point {format_rational(spectrum.B + shift)}",
+            "--spectrum",
+        )
+    return _shift_sequence(seq, shift), spectrum, shift
+
+
 def _print(payload) -> None:
     sys.stdout.write(dump_json(payload))
 
@@ -174,8 +185,7 @@ def _explain_payload(seq: DiagonalSequence, spectrum: SpectrumSpec, witnesses):
 
 
 def _cmd_decide(args) -> int:
-    spectrum, shift = _load_spectrum(args)
-    seq = _shift_sequence(_load_sequence(args.seq), shift)
+    seq, spectrum, shift = _load_problem(args)
     decision = decide(seq, spectrum)
     payload = dump_decision(decision)
     if shift:
@@ -196,8 +206,7 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_witnesses(args) -> int:
-    spectrum, shift = _load_spectrum(args)
-    seq = _shift_sequence(_load_sequence(args.seq), shift)
+    seq, spectrum, _ = _load_problem(args)
     decision = decide(seq, spectrum)
     if decision.verdict is Verdict.OUT_OF_SCOPE:
         payload = dump_decision(decision)
@@ -221,9 +230,11 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_realize(args) -> int:
-    spectrum, shift = _load_spectrum(args)
-    seq = _shift_sequence(_load_sequence(args.seq), shift)
+    seq, spectrum, shift = _load_problem(args)
     witness = parse_witness(load_json(args.witness, "--witness"), "--witness")
+    if len(witness.N) != spectrum.n:
+        message = f"expected one multiplicity per interior point ({spectrum.n}), got {len(witness.N)}"
+        raise SchemaError(message, "--witness.N")
 
     # only Case II has a witness system to check
     if spectrum.n >= 1 and _case(seq) is None and not lebesgue_check(seq, spectrum, witness):
@@ -277,11 +288,13 @@ def _cmd_verify(args) -> int:
     matrix = parse_matrix(raw, "--matrix")
 
     if args.diag is not None:
-        expected = _rational_list(args.diag, "--diag")
+        expected, label = _rational_list(args.diag, "--diag"), "--diag"
     elif exact_from_file is not None:
-        expected = exact_from_file
+        expected, label = exact_from_file, "--matrix.diagonal_exact"
     else:
-        expected = [Fraction(matrix.entry(i, i)) for i in range(matrix.dimension)]
+        expected, label = [Fraction(matrix.entry(i, i)) for i in range(matrix.dimension)], "--matrix"
+    if len(expected) != matrix.dimension:
+        raise SchemaError(f"expected one entry per row ({matrix.dimension}), got {len(expected)}", label)
 
     witness = None
     if args.witness is not None:
@@ -430,7 +443,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64
-    except (DomainError, TruncationTooSmallError, UnsupportedOperationError) as exc:
+    except (DomainError, TruncationTooSmallError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 70
     except Exception as exc:  # keep exit codes meaningful even on surprises

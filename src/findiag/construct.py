@@ -215,8 +215,8 @@ def _water_fill(
     """Move total mass eta out of donor positions (taken in the given order,
     each emptied to 0 before the next) into recipient positions (each filled
     to B before the next).  Returns the new values and the transfer list
-    [(donor, recipient, amount)] in event order.  Runs on rationals for
-    move_mass and on integers over one denominator for the assembly."""
+    [(donor, recipient, amount)] in event order.  The assembly runs it on
+    integers over one denominator; on rationals it moves the same mass."""
     new = list(values)
     transfers: List[Tuple[int, int, Exact]] = []
     if eta < 0:
@@ -241,37 +241,6 @@ def _water_fill(
         transfers.append((i, j, amt))
         remaining -= amt
     return new, transfers
-
-
-def move_mass(seq: DiagonalSequence, I0, I1, eta0) -> DiagonalSequence:
-    """Shift total mass eta0 from the explicit entries indexed by I0 onto the
-    explicit entries indexed by I1 (indices into the normalized explicit
-    tuple).  Donors empty smallest-value first; recipients fill largest-value
-    first.  Requires disjoint index sets, every donor value ≤ every recipient
-    value, and eta0 within both the donor mass and the recipient headroom."""
-    eta = Fraction(eta0)
-    values = list(seq.explicit)
-    I0 = sorted(set(int(i) for i in I0))
-    I1 = sorted(set(int(i) for i in I1))
-    for idx in I0 + I1:
-        if not 0 <= idx < len(values):
-            raise DomainError(f"index {idx} outside the explicit entries")
-    if set(I0) & set(I1):
-        raise DomainError("donor and recipient index sets must be disjoint")
-    if eta > 0 and I0 and I1:
-        if max(values[i] for i in I0) > min(values[j] for j in I1):
-            raise DomainError("donor entries must not exceed recipient entries")
-    donors = sorted(I0, key=lambda i: (values[i], i))
-    recipients = sorted(I1, key=lambda j: (-values[j], j))
-    new, _ = _water_fill(values, seq.B, donors, recipients, eta)
-    return DiagonalSequence(
-        B=seq.B,
-        explicit=tuple(new),
-        zero_count=seq.zero_count,
-        b_count=seq.b_count,
-        zero_tail=seq.zero_tail,
-        b_tail=seq.b_tail,
-    )
 
 
 # --------------------------------------------------------------------------

@@ -86,20 +86,6 @@ def _system(spectrum: SpectrumSpec, W: int, gap: Tuple, at: Sequence[Tuple]) -> 
     return _System(qB, (gap[0] - gap[1]) * k, qa, qw, qcap)
 
 
-def witness_bounds(stats: Sequence[ThresholdStats], spectrum: SpectrumSpec) -> Tuple[int, ...]:
-    """Per-coordinate caps on candidate multiplicities (_System.bounds), from
-    the finite statistics at the interior points, looked up in stats by α;
-    () for a two-point spectrum.  The bounds read no gap, so it is 0."""
-    by_alpha = {st.alpha: st for st in stats}
-    missing = [a for a in spectrum.interior if a not in by_alpha]
-    if missing:
-        raise DomainError(f"stats hold no threshold statistics at interior point α = {missing[0]}")
-    at = [by_alpha[a][1:] for a in spectrum.interior]
-    W = math.lcm(*(x.denominator for pair in at for x in pair if x is not INF))
-    at = [tuple(x if x is INF else x.numerator * (W // x.denominator) for x in pair) for pair in at]
-    return _system(spectrum, W, (0, 0), at).bounds()
-
-
 def lebesgue_check(seq: DiagonalSequence, spectrum: SpectrumSpec, witness: Witness) -> bool:
     """Decide interior majorization from threshold statistics alone.
 
@@ -125,7 +111,7 @@ def enumerate_witnesses(
 
     N is kept iff it passes the trace congruence and every mass bound of
     lebesgue_check; the search is _lattice_search, which stays inside the
-    box of witness_bounds.  system, keyword-only and private to decide, is
+    box of _System.bounds.  system, keyword-only and private to decide, is
     the _System with the gap at B/2, built here when left out.
     """
     _require_compatible(seq, spectrum)

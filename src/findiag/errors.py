@@ -12,15 +12,6 @@ class DomainError(ValueError):
     """
 
 
-class UnsupportedOperationError(RuntimeError):
-    """The requested quantity is not computable for this input.
-
-    Distinct from DomainError: the input is well-formed, but the operation
-    (e.g. counting entries of a divergent tail inside an interior interval)
-    has no finite answer the package can produce.
-    """
-
-
 class ConstructionError(RuntimeError):
     """An internal invariant of a realization failed: a defect, not bad input."""
 

@@ -292,19 +292,6 @@ def riemann_check(
     return ok, DeltaProfile(tuple(checked), residual)
 
 
-def delta_range(
-    seq: DiagonalSequence,
-    spectrum: SpectrumSpec,
-    witness: Witness,
-    lo: int,
-    hi: int,
-) -> Tuple[Tuple[int, Fraction], ...]:
-    """Exact δ_m over an arbitrary index range; diagnostic companion to riemann_check."""
-    layout = _ZLayout(seq)
-    step = StepSequence(spectrum, witness)
-    return tuple((m, layout.prefix(m) - step.prefix(m)) for m in range(lo, hi + 1))
-
-
 def canonical_shift(
     seq: DiagonalSequence, spectrum: SpectrumSpec, N: Sequence[int]
 ) -> Optional[int]:

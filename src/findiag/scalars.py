@@ -10,15 +10,16 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import List, Tuple, Union
+from typing import List, Tuple
 
 from .errors import SchemaError
 
-__all__ = ["INF", "Infinite", "ExtendedRational", "parse_rational", "format_rational"]
+__all__ = ["INF", "Infinite", "parse_rational", "format_rational"]
 
 
 class Infinite:
-    """Positive infinity for counts and sums.  A singleton: compare with ``is``."""
+    """Positive infinity for counts and sums.  A singleton: compare with ``is``.
+    INF plus a count is INF (an explicit 0 joining infinitely many); no order."""
 
     _instance: "Infinite | None" = None
 
@@ -30,44 +31,13 @@ class Infinite:
     def __repr__(self) -> str:
         return "INF"
 
-    # Order: INF is greater than every rational and equal only to itself.
-    def __eq__(self, other: object) -> bool:
-        return other is self
-
-    def __hash__(self) -> int:
-        return hash("findiag.INF")
-
-    def __lt__(self, other: object) -> bool:
-        return False
-
-    def __le__(self, other: object) -> bool:
-        return other is self
-
-    def __gt__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)) or other is self:
-            return other is not self
-        return NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)) or other is self:
-            return True
-        return NotImplemented
-
     def __add__(self, other: object):
         if isinstance(other, (int, Fraction)) or other is self:
             return self
         return NotImplemented
 
-    __radd__ = __add__
-
-    def __reduce__(self):
-        # Keeps the singleton property across pickling and copying.
-        return (Infinite, ())
-
 
 INF = Infinite()
-
-ExtendedRational = Union[Fraction, Infinite]
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 

@@ -17,7 +17,7 @@ from itertools import accumulate
 from operator import itemgetter
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .errors import DomainError, UnsupportedOperationError
+from .errors import DomainError
 from .scalars import INF, Infinite, _scaled
 
 Count = Union[int, Infinite]
@@ -111,7 +111,7 @@ class DivergentTail:
     Carries no element values: only the divergence fact is ever used.  By
     convention its entries lie beyond every interior threshold, so it
     contributes Infinite to its own endpoint's statistic and nothing to the
-    opposite one; interior range counts against it are unsupported.
+    opposite one.
     """
 
 
@@ -240,7 +240,7 @@ def materialize_tails(seq: DiagonalSequence, low: Fraction, high: Fraction) -> D
     if not (0 < low <= high < seq.B):
         raise DomainError("materialization bounds must satisfy 0 < low ≤ high < B")
     if isinstance(seq.zero_tail, DivergentTail) or isinstance(seq.b_tail, DivergentTail):
-        raise UnsupportedOperationError("divergent tails have no elements to materialize")
+        raise DomainError("divergent tails have no elements to materialize")
     explicit = list(seq.explicit)
     zero_tail, b_tail = seq.zero_tail, seq.b_tail
     if isinstance(zero_tail, GeometricTail):
@@ -311,49 +311,6 @@ def _trace_residue(seq: DiagonalSequence) -> Fraction:
     total += zt.total() if zt is not None else 0
     total -= bt.total() if bt is not None else 0
     return total % seq.B
-
-
-def count_range(seq: DiagonalSequence, a: Fraction, b: Fraction):
-    """Exact |{i : a ≤ d_i < b}|, possibly Infinite.
-
-    Half-open on the right, so entries equal to B are never counted and
-    entries equal to 0 are counted exactly when a = 0.
-    """
-    a, b = Fraction(a), Fraction(b)
-    B = seq.B
-    if not (0 <= a <= b <= B):
-        raise DomainError("range bounds must satisfy 0 ≤ a ≤ b ≤ B")
-    if a == b:
-        return 0
-
-    count: Count = sum(1 for v in seq.explicit if a <= v < b)
-    if a == 0:
-        if seq.zero_count is INF:
-            return INF
-        count += seq.zero_count
-
-    zt = seq.zero_tail
-    if isinstance(zt, DivergentTail):
-        if a == 0:
-            return INF  # infinitely many entries below any positive b
-        raise UnsupportedOperationError("cannot count a divergent zero tail above a positive bound")
-    if isinstance(zt, GeometricTail):
-        if a == 0:
-            return INF
-        count += zt.count_at_least(a) - zt.count_at_least(b)
-
-    bt = seq.b_tail
-    if isinstance(bt, DivergentTail):
-        if b == B:
-            return INF  # infinitely many entries above any a < B
-        raise UnsupportedOperationError("cannot count a divergent b-tail below an interior bound")
-    if isinstance(bt, GeometricTail):
-        if b == B:
-            return INF
-        # B − first·ratio^t ∈ [a, b) ⟺ B−b < first·ratio^t ≤ B−a
-        count += bt.count_greater(B - b) - bt.count_greater(B - a)
-
-    return count
 
 
 def divergence_flags(seq: DiagonalSequence) -> DivergenceFlags:

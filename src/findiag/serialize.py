@@ -1,6 +1,7 @@
-"""JSON (de)serialization for every public object, with path-anchored schema
-errors.  Rationals travel as exact "p/q" strings, infinite counts as "inf",
-and dumps are key-sorted upstream so reruns are byte-identical."""
+"""JSON (de)serialization of sequences, witnesses, matrices and the CLI's
+reports, with path-anchored schema errors.  Rationals travel as exact "p/q"
+strings, infinite counts as "inf", and dumps are key-sorted upstream so
+reruns are byte-identical."""
 
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ from .sequences import (
     DiagonalSequence,
     DivergentTail,
     GeometricTail,
-    SpectrumSpec,
     ThresholdStats,
 )
 
@@ -194,20 +194,6 @@ def dump_sequence(seq: DiagonalSequence) -> Dict:
         "zero_tail": _dump_tail(seq.zero_tail),
         "b_tail": _dump_tail(seq.b_tail),
     }
-
-
-def parse_spectrum(obj, path: str = "$") -> SpectrumSpec:
-    if not isinstance(obj, list):
-        raise SchemaError("expected an array of spectrum points", path)
-    points = tuple(_parse_scalar(v, f"{path}[{i}]") for i, v in enumerate(obj))
-    try:
-        return SpectrumSpec(points)
-    except DomainError as exc:
-        raise SchemaError(str(exc), path) from exc
-
-
-def dump_spectrum(spectrum: SpectrumSpec) -> List[str]:
-    return [format_rational(p) for p in spectrum.points]
 
 
 def parse_witness(obj, path: str = "$") -> Witness:

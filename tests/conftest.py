@@ -11,6 +11,8 @@ from typing import List, Optional, Tuple
 import pytest
 
 from findiag import INF, DiagonalSequence, GeometricTail, SpectrumSpec
+from findiag.decide import _system
+from findiag.sequences import _stats_pass
 
 
 @pytest.fixture
@@ -22,6 +24,13 @@ def dyadic() -> DiagonalSequence:
         zero_tail=GeometricTail(Fraction(1, 4), Fraction(1, 2)),
         b_tail=GeometricTail(Fraction(1, 4), Fraction(1, 2)),
     )
+
+
+def witness_box(seq: DiagonalSequence, spectrum: SpectrumSpec) -> Tuple[int, ...]:
+    """The per-coordinate caps on witness multiplicities that decide reads,
+    from one statistics pass at B/2 and the interior points."""
+    W, at = _stats_pass(seq, [spectrum.B / 2, *spectrum.interior])
+    return _system(spectrum, W, at[0], at[1:]).bounds()
 
 
 def random_fraction(rng: Random, lo: Fraction, hi: Fraction, den: int = 64) -> Fraction:

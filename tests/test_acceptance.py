@@ -32,10 +32,9 @@ from findiag import (
     threshold_stats,
     three_point_spectra,
     verify_realization,
-    witness_bounds,
 )
 
-from conftest import random_fraction, random_sequence, random_spectrum, robin_hood_pair
+from conftest import random_fraction, random_sequence, random_spectrum, robin_hood_pair, witness_box
 
 F = Fraction
 
@@ -104,10 +103,7 @@ def test_criterion_4_dual_oracle_equivalence():
     pairs = 0
     while instances < 1000:
         seq, spec = _criterion4_instance(rng)
-        stats = [threshold_stats(seq, spec.B / 2)] + [
-            threshold_stats(seq, a) for a in spec.interior
-        ]
-        bounds = witness_bounds(stats[1:], spec)
+        bounds = witness_box(seq, spec)
         if any(b < 1 for b in bounds):
             continue
         instances += 1

@@ -354,6 +354,53 @@ def test_verify_diag_override(capsys, tmp_path):
     assert json.loads(out)["diagonal_exact_match"] is True
 
 
+@pytest.mark.parametrize("command", ["decide", "witnesses", "realize"])
+@pytest.mark.parametrize(
+    "spectrum, flags", [("0,2", ()), ("1/4,3/4", ("--translate",))], ids=["plain", "translated"]
+)
+def test_spectrum_with_another_b_exits_64(capsys, command, spectrum, flags):
+    extra = ["--witness", '{"N": [], "k": 0}', "--trunc", "4"] if command == "realize" else []
+    code, out, err = run(capsys, command, "--seq", DYADIC, "--spectrum", spectrum, *flags, *extra)
+    assert (code, out) == (64, "")
+    last = spectrum.split(",")[-1]
+    assert f"--spectrum: the sequence's B=1 differs from the spectrum's last point {last}" in err
+
+
+def test_realize_witness_of_the_wrong_length_exits_64(capsys):
+    code, out, err = run(
+        capsys,
+        "realize",
+        "--seq",
+        DYADIC,
+        "--spectrum",
+        "0,1/2,1",
+        "--witness",
+        '{"N": [1, 1], "k": 0}',
+        "--trunc",
+        "4",
+    )
+    assert (code, out) == (64, "")
+    assert "--witness.N: expected one multiplicity per interior point (1), got 2" in err
+
+
+def test_verify_diagonal_of_the_wrong_length_exits_64(capsys, tmp_path):
+    real = tmp_path / "real.json"
+    argv = ["--seq", DYADIC, "--spectrum", "0,1/2,1", "--witness", '{"N": [1], "k": -1}']
+    assert run(capsys, "realize", *argv, "--trunc", "4", "--out", str(real))[0] == 0
+    payload = json.loads(real.read_text())
+    dim = payload["matrix"]["dim"]
+    payload["diagonal_exact"].pop()
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps(payload))
+    for matrix, extra, where in (
+        (real, ["--diag", "1/2,1/2"], "--diag"),
+        (short, [], "--matrix.diagonal_exact"),
+    ):
+        code, out, err = run(capsys, "verify", "--matrix", str(matrix), "--spectrum", "0,1/2,1", *extra)
+        assert (code, out) == (64, "")
+        assert f"{where}: expected one entry per row ({dim}), got {2 if extra else dim - 1}" in err
+
+
 def test_realize_rejected_witness_exits_65(capsys, tmp_path):
     code, _, err = run(
         capsys,

@@ -24,7 +24,6 @@ from findiag import (
     Witness,
     horn_construct,
     lebesgue_check,
-    move_mass,
     realize_truncated,
     verify_realization,
 )
@@ -296,51 +295,47 @@ def test_water_fill_on_integers_is_the_rational_fill_times_q():
     assert moved >= 100
 
 
-def test_move_mass_noop_at_zero(dyadic):
-    seq = DiagonalSequence(B=F(1), explicit=(F(1, 4), F(3, 4)))
-    assert move_mass(seq, [0], [1], F(0)) == seq
+def test_move_mass_noop_at_zero():
+    values = [F(1, 4), F(3, 4)]
+    assert _water_fill(values, F(1), [0], [1], F(0)) == (values, [])
 
 
 def test_move_mass_single_pair():
-    seq = DiagonalSequence(B=F(1), explicit=(F(3, 10), F(4, 5)))
-    out = move_mass(seq, [0], [1], F(1, 5))
-    # 3/10 − 1/5 = 1/10 stays explicit; 4/5 + 1/5 = 1 folds into the B count
-    assert out.explicit == (F(1, 10),)
-    assert out.b_count == 1
+    new, transfers = _water_fill([F(3, 10), F(4, 5)], F(1), [0], [1], F(1, 5))
+    assert new == [F(1, 10), F(1)]
+    assert transfers == [(0, 1, F(1, 5))]
 
 
 def test_move_mass_greedy_donor_order():
-    seq = DiagonalSequence(B=F(1), explicit=(F(1, 10), F(3, 10), F(4, 5)))
-    out = move_mass(seq, [0, 1], [2], F(1, 5))
-    # smallest donor empties first: (1/10, 3/10) → (0, 1/5)
-    assert out.explicit == (F(1, 5),)
-    assert out.zero_count == 1
-    assert out.b_count == 1
+    # the first donor empties before the next gives: (1/10, 3/10) → (0, 1/5)
+    new, transfers = _water_fill([F(1, 10), F(3, 10), F(4, 5)], F(1), [0, 1], [2], F(1, 5))
+    assert new == [F(0), F(1, 5), F(1)]
+    assert transfers == [(0, 2, F(1, 10)), (1, 2, F(1, 10))]
 
 
 def test_move_mass_conserves_total():
     rng = Random(9)
     for _ in range(60):
         vals = sorted(F(rng.randint(1, 31), 32) for _ in range(6))
-        seq = DiagonalSequence(B=F(1), explicit=tuple(vals))
         k = rng.randint(1, 3)
-        I0, I1 = list(range(k)), list(range(k, 6))
+        donors, recipients = list(range(k)), list(range(5, k - 1, -1))
         cap = min(sum(vals[:k]), sum(1 - v for v in vals[k:]))
         eta = cap * F(rng.randint(0, 4), 4)
-        out = move_mass(seq, I0, I1, eta)
-        before = sum(vals)
-        after = sum(out.explicit) + out.b_count * F(1)
-        assert after == before
+        new, transfers = _water_fill(vals, F(1), donors, recipients, eta)
+        assert sum(new) == sum(vals)
+        assert sum(amt for _, _, amt in transfers) == eta
+        assert all(0 <= new[i] <= vals[i] for i in donors)
+        assert all(vals[j] <= new[j] <= 1 for j in recipients)
 
 
 def test_move_mass_precondition_errors():
-    seq = DiagonalSequence(B=F(1), explicit=(F(1, 4), F(3, 4)))
+    values = [F(1, 4), F(3, 4)]
     with pytest.raises(DomainError):
-        move_mass(seq, [0], [0], F(1, 8))  # not disjoint
+        _water_fill(values, F(1), [0], [1], F(-1, 8))  # negative mass
     with pytest.raises(DomainError):
-        move_mass(seq, [1], [0], F(1, 8))  # donors sit above recipients
+        _water_fill(values, F(1), [0], [1], F(1))  # exceeds donor capacity
     with pytest.raises(DomainError):
-        move_mass(seq, [0], [1], F(1))  # exceeds donor capacity
+        _water_fill([*values, F(3, 4)], F(1), [1, 2], [0], F(1))  # exceeds recipient headroom
 
 
 def test_realize_dyadic_small_truncations(dyadic):

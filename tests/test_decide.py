@@ -22,10 +22,9 @@ from findiag import (
     enumerate_witnesses,
     lebesgue_check,
     threshold_stats,
-    witness_bounds,
 )
 
-from conftest import random_sequence, random_spectrum
+from conftest import random_sequence, random_spectrum, witness_box
 
 F = Fraction
 
@@ -53,15 +52,7 @@ def test_projection_divergent_half_stat():
 
 def test_witness_bounds_frozen(dyadic):
     spec = SpectrumSpec((F(0), F(1, 2), F(1)))
-    stats = [threshold_stats(dyadic, F(1, 2))]
-    assert witness_bounds(stats, spec) == (3,)
-
-
-def test_witness_bounds_names_a_missing_alpha(dyadic):
-    """Statistics lacking an interior point are a malformed argument, not a
-    bare KeyError."""
-    with pytest.raises(DomainError, match="α = 1/3"):
-        witness_bounds([threshold_stats(dyadic, F(1, 2))], SpectrumSpec((F(0), F(1, 3), F(1))))
+    assert decide(dyadic, spec).bounds == witness_box(dyadic, spec) == (3,)
 
 
 def test_enumerate_witnesses_frozen(dyadic):
@@ -90,7 +81,7 @@ def test_enumerate_witnesses_takes_no_positional_statistics(dyadic):
 
 def test_two_point_spectrum_checks_the_trace_alone():
     """n = 0: lebesgue_check is the congruence C(B/2) − D(B/2) ≡ 0 (mod B),
-    the criterion of decide_projection, and witness_bounds is ()."""
+    the criterion of decide_projection, and the decision has no bounds."""
     rng = Random(17)
     outcomes = set()
     for _ in range(150):
@@ -104,7 +95,7 @@ def test_two_point_spectrum_checks_the_trace_alone():
             assert lebesgue_check(s, spec, Witness((), 0)) is expected
             out = decide_projection(s)
             assert (out.verdict is Verdict.FEASIBLE_CASE_II) is expected
-            assert witness_bounds(out.stats, spec) == ()
+            assert out.bounds == ()
             outcomes.add(expected)
     assert outcomes == {True, False}
     seq = DiagonalSequence(B=F(1), explicit=(F(1, 2), F(1, 2)), zero_count=INF)
@@ -205,7 +196,7 @@ def test_decide_evaluates_bounds_and_stats_once(dyadic, monkeypatch):
         assert out.verdict is verdict
         assert calls == {"passes": [[F(1, 2), *spectrum.interior]], "systems": 1, "scalings": 1}
         assert [st.alpha for st in out.stats] == [F(1, 2)] + [a for a in spectrum.interior if a != F(1, 2)]
-        assert out.bounds == witness_bounds(out.stats, spectrum)
+        assert out.bounds == witness_box(dyadic, spectrum)
 
 
 def test_decide_finite_examples():

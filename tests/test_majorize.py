@@ -18,9 +18,8 @@ from findiag import (
     canonical_shift,
     check_finite_majorization,
     check_finite_rank_tail,
-    count_range,
-    delta_range,
     lebesgue_check,
+    materialize_tails,
     riemann_check,
     threshold_stats,
 )
@@ -110,6 +109,13 @@ def test_riemann_frozen_profiles(dyadic):
     assert ok is False
     assert prof.trace_residual == 0
     assert prof.min_delta == F(-1, 2)
+
+
+def delta_range(seq, spectrum, witness, lo, hi):
+    """Exact δ_m for m = lo, …, hi, on any index range: the wide-window
+    companion of the window riemann_check reads."""
+    layout, step = _ZLayout(seq), StepSequence(spectrum, witness)
+    return tuple((m, layout.prefix(m) - step.prefix(m)) for m in range(lo, hi + 1))
 
 
 def test_delta_range_wide_window(dyadic):
@@ -231,7 +237,9 @@ def anchored_lebesgue(seq, spec, N):
 
     Needs an integer k_0 with C(A_n) − D(A_n) = Σ A_j N_j + k_0 B, and for
     each r the mass bound
-      C(A_r) ≥ Σ_{j≤r} A_j N_j + A_r·(k_0 − |{i : A_r ≤ d_i < A_n}| + Σ_{j>r} N_j).
+      C(A_r) ≥ Σ_{j≤r} A_j N_j + A_r·(k_0 − |{i : A_r ≤ d_i < A_n}| + Σ_{j>r} N_j),
+    counting the entries in [A_r, A_n) among the explicit ones once the tails
+    are materialized down to A_r and up to A_n.
     """
     pts, a_top = spec.points, spec.points[-2]
     top = threshold_stats(seq, a_top)
@@ -241,7 +249,8 @@ def anchored_lebesgue(seq, spec, N):
     for r in range(1, spec.n + 1):
         a_r = pts[r]
         lower = sum(a * nj for a, nj in zip(spec.interior[:r], N))
-        rhs = lower + a_r * (k0 - count_range(seq, a_r, a_top) + sum(N[r:]))
+        between = sum(1 for v in materialize_tails(seq, a_r, a_top).explicit if a_r <= v < a_top)
+        rhs = lower + a_r * (k0 - between + sum(N[r:]))
         if threshold_stats(seq, a_r).C < rhs:
             return False
     return True

@@ -1,4 +1,4 @@
-"""Sequence model: tails, threshold statistics, counting, symmetries."""
+"""Sequence model: tails, threshold statistics, materialization, symmetries."""
 
 from bisect import bisect_left
 from collections import Counter
@@ -16,10 +16,8 @@ from findiag import (
     DomainError,
     GeometricTail,
     SpectrumSpec,
-    UnsupportedOperationError,
     Verdict,
     Witness,
-    count_range,
     decide,
     divergence_flags,
     materialize_tails,
@@ -520,42 +518,6 @@ def test_stats_pass_rejects_abscissae_outside_the_interval(dyadic):
     assert _stats_pass(dyadic, [])[1] == []
 
 
-def test_count_range_against_materialized(dyadic):
-    # every dyadic entry in [1/16, 1/2): tail elements 1/4, 1/8, 1/16
-    assert count_range(dyadic, F(1, 16), F(1, 2)) == 3
-    # adding the midpoint: half-open keeps 1/2 out on the right …
-    assert count_range(dyadic, F(1, 2), F(3, 4)) == 1  # … and in on the left
-    # b-side: entries 3/4, 7/8 in [3/4, 15/16)
-    assert count_range(dyadic, F(3, 4), F(15, 16)) == 2
-
-
-def test_count_range_randomized_oracle():
-    rng = Random(77)
-    for _ in range(200):
-        seq = random_sequence(rng)
-        lo = random_fraction(rng, seq.B / 32, seq.B / 2, den=64)
-        hi = random_fraction(rng, lo, seq.B - seq.B / 32, den=64)
-        got = count_range(seq, lo, hi)
-        mat = materialize_tails(seq, min(lo, seq.B / 64), max(hi, seq.B - seq.B / 64))
-        expected = sum(1 for v in mat.explicit if lo <= v < hi)
-        assert got == expected
-
-
-def test_count_range_infinite_ends():
-    seq = DiagonalSequence(B=F(1), zero_count=INF, b_count=INF)
-    assert count_range(seq, F(0), F(1, 2)) is INF
-    assert count_range(seq, F(1, 2), F(1)) == 0  # B entries excluded by the open right end
-    tailed = DiagonalSequence(B=F(1), b_tail=GeometricTail(F(1, 4), F(1, 2)), zero_count=INF)
-    assert count_range(tailed, F(1, 2), F(1)) is INF
-
-
-def test_count_range_divergent_interior_unsupported():
-    seq = DiagonalSequence(B=F(1), zero_tail=DivergentTail(), b_tail=DivergentTail())
-    assert count_range(seq, F(0), F(1, 2)) is INF
-    with pytest.raises(UnsupportedOperationError):
-        count_range(seq, F(1, 4), F(1, 2))
-
-
 def test_materialize_tails_preserves_stats(dyadic):
     mat = materialize_tails(dyadic, F(1, 16), F(15, 16))
     assert mat.explicit == (F(1, 16), F(1, 8), F(1, 4), F(1, 2), F(3, 4), F(7, 8), F(15, 16))
@@ -575,6 +537,17 @@ def test_materialize_tails_keeps_the_multiset_on_a_slow_tail():
     assert mat.zero_tail == zt.drop(c0) and mat.b_tail == bt.drop(cB)
     for alpha in (F(1, 20), F(1, 16), F(1, 3), F(7, 8), F(19, 20)):
         assert threshold_stats(mat, alpha) == threshold_stats(seq, alpha)
+
+
+@pytest.mark.parametrize("side", ["zero_tail", "b_tail"])
+def test_materialize_tails_refuses_a_divergent_tail(side):
+    """A divergent tail has no elements: materializing it is outside the
+    routine's domain, on either side."""
+    tails = {"zero_tail": GeometricTail(F(1, 4), F(1, 2)), "b_tail": GeometricTail(F(1, 4), F(1, 2))}
+    tails[side] = DivergentTail()
+    seq = DiagonalSequence(B=F(1), explicit=(F(1, 2),), **tails)
+    with pytest.raises(DomainError, match="divergent tails have no elements"):
+        materialize_tails(seq, F(1, 16), F(15, 16))
 
 
 def test_reflect_involution_and_stats():

@@ -1,5 +1,6 @@
 """JSON serialization: round-trips, strict schemas, error paths."""
 
+import argparse
 import json
 from fractions import Fraction
 
@@ -25,14 +26,13 @@ from findiag import (
     dump_json,
     dump_matrix,
     dump_sequence,
-    dump_spectrum,
     dump_witness,
     load_json,
     parse_matrix,
     parse_sequence,
-    parse_spectrum,
     parse_witness,
 )
+from findiag import cli
 
 from conftest import random_sequence
 from random import Random
@@ -136,16 +136,21 @@ def test_missing_required_key():
     assert "'B'" in str(exc.value)
 
 
+def _load_spectrum(text):
+    """The package's one spectrum reader, the CLI's --spectrum."""
+    return cli._load_spectrum(argparse.Namespace(spectrum=text, translate=False))
+
+
 def test_spectrum_round_trip():
     spec = SpectrumSpec((F(0), F(1, 4), F(1, 2), F(1)))
-    assert parse_spectrum(dump_spectrum(spec)) == spec
+    assert _load_spectrum(",".join(format_rational(p) for p in spec.points)) == (spec, 0)
 
 
 def test_spectrum_rejects_unsorted():
-    with pytest.raises(SchemaError):
-        parse_spectrum(["0", "1/2", "1/4", "1"])
-    with pytest.raises(SchemaError):
-        parse_spectrum(["1/4", "1/2"])  # must start at 0
+    with pytest.raises(SchemaError, match="--spectrum"):
+        _load_spectrum("0,1/2,1/4,1")
+    with pytest.raises(SchemaError, match="--spectrum"):
+        _load_spectrum("1/4,1/2")  # must start at 0
 
 
 def test_witness_round_trip():

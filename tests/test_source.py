@@ -227,3 +227,74 @@ def test_every_f_string_has_a_placeholder():
             and not any(isinstance(v, ast.FormattedValue) for v in node.values)
         ]
     assert found == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """An import whose name nothing reads is a leftover of a deleted use.  The
+    package's __init__ uses a name by listing it in __all__."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # bare names, which include the roots of attribute chains
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        if path.name == "__init__.py":
+            (exported,) = [
+                node.value
+                for node in tree.body
+                if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]
+            ]
+            used |= set(ast.literal_eval(exported))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        found.append(f"{path.name}:{node.lineno}:{bound}")
+    assert found == []
+
+
+# Public functions of the package that no code path of the CLI and no
+# benchmark file calls: the library entry points for finite matrices,
+# summable diagonals, the two symmetries and sequence output.
+LIBRARY_ENTRY_POINTS = frozenset(
+    {"horn_construct", "decide_finite", "check_finite_rank_tail", "reflect", "scale", "dump_sequence"}
+)
+
+
+def test_every_public_function_has_a_caller():
+    """Each public top-level function is read by some package module (its own,
+    outside its body, or one that imports it), imported or looked up as an
+    attribute by a benchmark file, or is a listed library entry point; so a
+    helper that only the tests call cannot come back unnoticed."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    trees.pop("__init__")
+    imported = {
+        (node.module, alias.name)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    bench = set()
+    for path in (SRC.parent.parent / "perfbench").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("findiag"):
+                bench |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                bench.add(node.attr)
+    public, uncalled = set(), set()
+    for module, tree in trees.items():
+        for func in tree.body:
+            if not isinstance(func, ast.FunctionDef) or func.name.startswith("_"):
+                continue
+            public.add(func.name)
+            if func.name in LIBRARY_ENTRY_POINTS:
+                continue
+            inside = {id(n) for n in ast.walk(func)}
+            own = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and id(n) not in inside}
+            if func.name not in own and (module, func.name) not in imported and func.name not in bench:
+                uncalled.add(f"{module}.{func.name}")
+    assert LIBRARY_ENTRY_POINTS <= public
+    assert sorted(uncalled) == []

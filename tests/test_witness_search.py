@@ -1,7 +1,7 @@
 """The witness search against a box-scan oracle, on a seeded corpus with planted witnesses.
 
-The oracle tests every point of the witness_bounds box with exact Fraction
-arithmetic: the trace equation and the mass bounds (mass_bound_holds) are
+The oracle tests every point of the box that witness_box gives with exact
+Fraction arithmetic: the trace equation and the mass bounds (mass_bound_holds) are
 written out here, independently of the package.  Randomly drawn instances
 are feasible only rarely, so most of the corpus plants a witness N* by
 adding one explicit entry that moves C(B/2) − D(B/2) onto Σ A_j N*_j
@@ -19,10 +19,9 @@ from findiag import (
     Witness,
     enumerate_witnesses,
     threshold_stats,
-    witness_bounds,
 )
 
-from conftest import random_fraction, random_spectrum
+from conftest import random_fraction, random_spectrum, witness_box
 
 F = Fraction
 MAX_BOX = 2500
@@ -51,13 +50,13 @@ def mass_bound_holds(stats_at, spectrum, N, r):
 
 
 def box_scan(seq, spectrum):
-    """Every N in the witness_bounds box that passes the trace equation and
+    """Every N in the box of witness_box that passes the trace equation and
     the mass bounds, in lexicographic order."""
     B = spectrum.B
     half = threshold_stats(seq, B / 2)
     gap = half.C - half.D
     stats_at = interior_stats(seq, spectrum)
-    bounds = witness_bounds(list(stats_at.values()), spectrum)
+    bounds = witness_box(seq, spectrum)
     out = []
     for N in product(*(range(1, b + 1) for b in bounds)):
         k = (gap - weighted(spectrum, N)) / B
@@ -109,8 +108,7 @@ def _corpus(seed=2024, per_n=50):
         while made < per_n:
             kind = ("planted", "planted", "off", "plain")[made % 4]
             seq, spectrum, planted = _instance(rng, n, kind)
-            stats = [threshold_stats(seq, a) for a in spectrum.interior]
-            bounds = witness_bounds(stats, spectrum)
+            bounds = witness_box(seq, spectrum)
             if math.prod(max(b, 0) for b in bounds) > MAX_BOX:
                 continue
             cases.append((seq, spectrum, planted, kind))
@@ -145,7 +143,7 @@ def test_bounds_are_sound():
     checked = 0
     for seq, spectrum, _, _ in _corpus(seed=7, per_n=12):
         stats_at = interior_stats(seq, spectrum)
-        bounds = witness_bounds(list(stats_at.values()), spectrum)
+        bounds = witness_box(seq, spectrum)
         if min(bounds) < 1:
             continue
         for j in range(spectrum.n):
