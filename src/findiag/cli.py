@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 feasible / success, 1 infeasible / failed verification,
-2 out of scope, 64 malformed input (schema, arguments, spectra, and a
-sequence, witness or diagonal that does not fit the spectrum or matrix), 65
-witness rejected by the feasibility check before realization, 70 other
-errors.
+Exit codes by cause, read from the verdict (_verdict_exit) or the exception
+(main) only: 0 feasible / success, 1 infeasible / failed verification, 2 a
+question outside the theorem's scope, 64 malformed input (a broken
+precondition), 65 a witness that no truncation level realizes, 70 a level
+below the smallest sufficient one, a construction defect or any other error.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from .construct import (
     realize_truncated,
     verify_realization,
 )
-from .decide import Verdict, _case, _subset_decisions, decide, decide_projection, lebesgue_check
-from .errors import DomainError, SchemaError, TruncationTooSmallError
+from .decide import Verdict, _subset_decisions, decide, decide_projection
+from .errors import ConstructionError, DomainError, OutOfScopeError, SchemaError, TruncationTooSmallError
 from .explore import emit_region, four_point_region, three_point_spectra, AllOfInterval, RegionSample
 from .majorize import Witness, canonical_shift, riemann_check
 from .scalars import _RATIONAL_RE, format_rational, parse_rational
@@ -149,16 +149,21 @@ def _load_problem(args) -> Tuple[DiagonalSequence, SpectrumSpec, Fraction]:
     return _shift_sequence(seq, shift), spectrum, shift
 
 
+def _load_witness(text: str, spectrum: SpectrumSpec) -> Witness:
+    """--witness, with one multiplicity per interior point of the spectrum."""
+    witness = parse_witness(load_json(text, "--witness"), "--witness")
+    if len(witness.N) != spectrum.n:
+        message = f"expected one multiplicity per interior point ({spectrum.n}), got {len(witness.N)}"
+        raise SchemaError(message, "--witness.N")
+    return witness
+
+
 def _print(payload) -> None:
     sys.stdout.write(dump_json(payload))
 
 
 def _verdict_exit(verdict: Verdict) -> int:
-    if verdict is Verdict.INFEASIBLE:
-        return 1
-    if verdict is Verdict.OUT_OF_SCOPE:
-        return 2
-    return 0
+    return {Verdict.INFEASIBLE: 1, Verdict.OUT_OF_SCOPE: 2}.get(verdict, 0)
 
 
 def _explain_payload(seq: DiagonalSequence, spectrum: SpectrumSpec, witnesses):
@@ -231,16 +236,7 @@ def _cmd_project(args) -> int:
 
 def _cmd_realize(args) -> int:
     seq, spectrum, shift = _load_problem(args)
-    witness = parse_witness(load_json(args.witness, "--witness"), "--witness")
-    if len(witness.N) != spectrum.n:
-        message = f"expected one multiplicity per interior point ({spectrum.n}), got {len(witness.N)}"
-        raise SchemaError(message, "--witness.N")
-
-    # only Case II has a witness system to check
-    if spectrum.n >= 1 and _case(seq) is None and not lebesgue_check(seq, spectrum, witness):
-        print("error: witness fails the feasibility check for this sequence", file=sys.stderr)
-        return 65
-
+    witness = _load_witness(args.witness, spectrum)
     matrix = realize_truncated(seq, spectrum, witness, args.trunc)
     report = verify_realization(
         matrix, spectrum, matrix.exact_diagonal, witness=witness
@@ -296,9 +292,7 @@ def _cmd_verify(args) -> int:
     if len(expected) != matrix.dimension:
         raise SchemaError(f"expected one entry per row ({matrix.dimension}), got {len(expected)}", label)
 
-    witness = None
-    if args.witness is not None:
-        witness = parse_witness(load_json(args.witness, "--witness"), "--witness")
+    witness = None if args.witness is None else _load_witness(args.witness, spectrum)
 
     # the diagonal is checked on the matrix as given; only the eigenvalues
     # are read in the frame of the (possibly translated) spectrum
@@ -440,15 +434,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 64
-    except (DomainError, TruncationTooSmallError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 70
+    except OutOfScopeError as exc:  # a question outside the theorem's scope
+        error, code = exc, 2
+    except (SchemaError, DomainError) as exc:  # a broken precondition: malformed input
+        error, code = exc, 64
+    except TruncationTooSmallError as exc:  # no level realizes the witness, or T is too small
+        error, code = exc, 65 if exc.minimal is None else 70
+    except ConstructionError as exc:  # a failed invariant of the construction: a defect
+        error, code = exc, 70
     except Exception as exc:  # keep exit codes meaningful even on surprises
         print(f"unexpected error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 70
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError, TruncationTooSmallError
+from .errors import ConstructionError, DomainError, OutOfScopeError, TruncationTooSmallError
 from .majorize import Witness, _require_compatible, _weighted_sum, check_finite_majorization
 from .scalars import INF, _scaled
 from .sequences import (
@@ -219,14 +219,11 @@ def _water_fill(
     integers over one denominator; on rationals it moves the same mass."""
     new = list(values)
     transfers: List[Tuple[int, int, Exact]] = []
-    if eta < 0:
-        raise DomainError("mass to move must be nonnegative")
+    _require(eta >= 0, "mass to move must be nonnegative")
     if eta == 0:
         return new, transfers
-    if eta > sum(new[i] for i in donors):
-        raise DomainError("donor entries cannot supply the requested mass")
-    if eta > sum(B - new[j] for j in recipients):
-        raise DomainError("recipient entries cannot absorb the requested mass")
+    _require(eta <= sum(new[i] for i in donors), "donor entries cannot supply the requested mass")
+    _require(eta <= sum(B - new[j] for j in recipients), "recipient entries cannot absorb the requested mass")
     remaining = eta
     di, ri = 0, 0
     while remaining > 0:
@@ -443,15 +440,15 @@ def realize_truncated(
     partial-sum gaps are nonnegative at one such level iff at all of them,
     iff lebesgue_check holds.
 
-    Raises TruncationTooSmallError when level T does not suffice: its
-    ``minimal`` is first when that build succeeds and first > T, and None
-    when no level can work (the trace congruence or a mass bound fails).
+    Raises OutOfScopeError on a divergent tail, and TruncationTooSmallError
+    when level T does not suffice: ``minimal`` is first when that build
+    succeeds above T, and None when the trace congruence or a mass bound fails.
     """
     _require_compatible(seq, spectrum, witness)
     if not isinstance(T, int) or isinstance(T, bool) or T < 0:
         raise DomainError(f"truncation level must be an integer ≥ 0, got {T!r}")
     if isinstance(seq.zero_tail, DivergentTail) or isinstance(seq.b_tail, DivergentTail):
-        raise DomainError("divergent tails admit no finite truncation")
+        raise OutOfScopeError("divergent tails admit no finite truncation")
 
     lowcut = spectrum.points[1] if spectrum.n >= 1 else spectrum.B / 2
     highcut = spectrum.points[-2] if spectrum.n >= 1 else spectrum.B / 2

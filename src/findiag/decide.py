@@ -164,6 +164,10 @@ def _lattice_search(
     return found
 
 
+_OUT_OF_SCOPE_NOTE = ("requires infinite mass on both sides: Σ d_i and Σ (B − d_i) must both diverge; "
+                      "for summable diagonals see decide_finite or check_finite_rank_tail")
+
+
 def _case(seq: DiagonalSequence) -> Optional[Verdict]:
     """The theorem's case split, read from divergence_flags with no statistic
     evaluated: FEASIBLE_CASE_I when C(B/2) or D(B/2) diverges (a divergent
@@ -223,11 +227,7 @@ def _decide(seq: DiagonalSequence, spectrum: SpectrumSpec, W: int, at: Sequence[
         note = f"C(B/2) − D(B/2) = {half.C - half.D} is not an integer multiple of B"
         return Decision(Verdict.INFEASIBLE, stats=stats, note=note)
     if case is Verdict.OUT_OF_SCOPE:
-        note = (
-            "requires infinite mass on both sides: Σ d_i and Σ (B − d_i) must both diverge; "
-            "for summable diagonals see decide_finite or check_finite_rank_tail"
-        )
-        return Decision(case, stats=stats, note=note)
+        return Decision(case, stats=stats, note=_OUT_OF_SCOPE_NOTE)
     system = _system(spectrum, W, at[0], at[1:])
     bounds = system.bounds()
     witnesses = enumerate_witnesses(seq, spectrum, system=system)

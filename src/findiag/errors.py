@@ -12,6 +12,10 @@ class DomainError(ValueError):
     """
 
 
+class OutOfScopeError(DomainError):
+    """A question outside the theorem's scope: a summable side, or a divergent tail to truncate."""
+
+
 class ConstructionError(RuntimeError):
     """An internal invariant of a realization failed: a defect, not bad input."""
 

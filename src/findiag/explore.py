@@ -8,8 +8,8 @@ from fractions import Fraction
 from itertools import repeat
 from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from .decide import Verdict, _case, _lattice_search, _system
-from .errors import DomainError
+from .decide import _OUT_OF_SCOPE_NOTE, Verdict, _case, _lattice_search, _system
+from .errors import DomainError, OutOfScopeError
 from .scalars import _scaled, format_rational
 from .sequences import DiagonalSequence, GeometricTail, SpectrumSpec, materialize_tails
 from .sequences import _stats_pass, _trace_residue
@@ -88,10 +88,10 @@ def three_point_spectra(
 ) -> Union[AllOfInterval, FrozenSet[Fraction]]:
     """The exact set of interior points A making {0, A, B} feasible.
 
-    Returns AllOfInterval when a statistic at B/2 diverges (then every A
-    works).  Otherwise the candidates are A = (C − D − kB)/N for N up to the
-    multiplicity cap (n_max overrides it), so the returned set is exact: no
-    tolerance, no sampling.  For {0, A, B} the system has one congruence,
+    Returns AllOfInterval when a statistic at B/2 diverges (every A works)
+    and raises OutOfScopeError when Σ d_i or Σ (B − d_i) converges.  The
+    candidates are A = (C − D − kB)/N for N up to the multiplicity cap
+    (n_max overrides it), so the set is exact.  {0, A, B} has one congruence,
     N·A ≡ C − D (mod B), read from the trace residue, and one mass bound,
     N·A·(B−A) ≤ (B−A)·C(A) + A·D(A), whose left side alone grows with N;
     so A is feasible iff some N that produces it meets the bound.  Each pair
@@ -101,7 +101,7 @@ def three_point_spectra(
     """
     case = _case(seq)
     if case is Verdict.OUT_OF_SCOPE:
-        raise DomainError("three-point exploration needs Σ d_i and Σ (B − d_i) both infinite")
+        raise OutOfScopeError(_OUT_OF_SCOPE_NOTE)
     if case is Verdict.FEASIBLE_CASE_I:
         return AllOfInterval(seq.B)
     cap = n_max if n_max is not None else candidate_multiplicity_bound(seq)
@@ -148,8 +148,8 @@ def four_point_region(seq: DiagonalSequence, grid: int) -> List[RegionSample]:
     q-division grid, in lexicographic (p, r) order, with the verdict and
     witness count that decide gives.
 
-    Out-of-scope sequences give infeasible rows and a divergent statistic
-    at B/2 feasible rows, without witnesses.  Otherwise one statistics pass
+    A divergent statistic at B/2 gives feasible rows without witnesses; a
+    summable side raises OutOfScopeError.  Otherwise one statistics pass
     evaluates every abscissa p·B/q into one integer system, and each cell runs
     the witness search of enumerate_witnesses on its two rows and columns,
     with the gap C − D at B/q in place of C(B/2) − D(B/2): that moves only
@@ -165,8 +165,10 @@ def four_point_region(seq: DiagonalSequence, grid: int) -> List[RegionSample]:
         return [RegionSample(abscissae[p], abscissae[r], *verdict(p, r)) for p, r in cells]
 
     case = _case(seq)
-    if case is not None:
-        return rows(lambda p, r: (case is Verdict.FEASIBLE_CASE_I, 0))
+    if case is Verdict.OUT_OF_SCOPE:
+        raise OutOfScopeError(_OUT_OF_SCOPE_NOTE)
+    if case is Verdict.FEASIBLE_CASE_I:
+        return rows(lambda p, r: (True, 0))
     # the system of every abscissa as an interior point, with the gap at B/q
     W, at = _stats_pass(seq, abscissae[1:])
     qB, qgap, qa, qw, qcap = _system(SpectrumSpec((0, *abscissae[1:], B)), W, at[0], at)

@@ -1,12 +1,18 @@
 """Command-line interface: exit codes, payload shapes, file round-trips."""
 
+import copy
+import functools
 import importlib
 import json
+import operator
+import tempfile
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from findiag import ConstructionError, cli
 from findiag.cli import main
@@ -15,6 +21,7 @@ F = Fraction
 
 DATA = Path(__file__).parent / "data"
 DYADIC = str(DATA / "dyadic.json")
+DYADIC_DOC = json.loads(Path(DYADIC).read_text())
 
 
 def run(capsys, *argv):
@@ -366,19 +373,17 @@ def test_spectrum_with_another_b_exits_64(capsys, command, spectrum, flags):
     assert f"--spectrum: the sequence's B=1 differs from the spectrum's last point {last}" in err
 
 
-def test_realize_witness_of_the_wrong_length_exits_64(capsys):
-    code, out, err = run(
-        capsys,
-        "realize",
-        "--seq",
-        DYADIC,
-        "--spectrum",
-        "0,1/2,1",
-        "--witness",
-        '{"N": [1, 1], "k": 0}',
-        "--trunc",
-        "4",
-    )
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["realize", "--seq", DYADIC, "--trunc", "4"],
+        ["verify", "--matrix", str(DATA / "golden" / "realize_t8.json")],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_realize_witness_of_the_wrong_length_exits_64(capsys, argv):
+    # realize and verify read --witness through one loader, which checks its length
+    code, out, err = run(capsys, *argv, "--spectrum", "0,1/2,1", "--witness", '{"N": [1, 1], "k": 0}')
     assert (code, out) == (64, "")
     assert "--witness.N: expected one multiplicity per interior point (1), got 2" in err
 
@@ -402,6 +407,7 @@ def test_verify_diagonal_of_the_wrong_length_exits_64(capsys, tmp_path):
 
 
 def test_realize_rejected_witness_exits_65(capsys, tmp_path):
+    # N = 2 fails the trace congruence, so no truncation level realizes it
     code, _, err = run(
         capsys,
         "realize",
@@ -415,7 +421,47 @@ def test_realize_rejected_witness_exits_65(capsys, tmp_path):
         "4",
     )
     assert code == 65
-    assert "witness" in err.lower()
+    assert "error: the trace equation has no integer solution for this sequence and witness" in err
+
+
+# the dyadic sequence without its b-tail: Σ d_i converges
+_NO_B_TAIL = {k: v for k, v in DYADIC_DOC.items() if k != "b_tail"}
+
+
+@pytest.mark.parametrize(
+    "spectrum, witness, message",
+    [
+        # a two-point spectrum: the trace congruence alone fails
+        ("0,1", '{"N": [], "k": 0}', "the trace equation has no integer solution"),
+        # a summable side: the trace balances but a mass bound fails
+        ("0,1/3,1", '{"N": [3], "k": -2}', "the witness fails a mass bound"),
+    ],
+    ids=["two-point", "summable"],
+)
+def test_realize_witness_no_level_realizes_exits_65(capsys, tmp_path, spectrum, witness, message):
+    seq = DYADIC if spectrum == "0,1" else write_seq(tmp_path, _NO_B_TAIL)
+    code, out, err = run(
+        capsys, "realize", "--seq", seq, "--spectrum", spectrum, "--witness", witness, "--trunc", "0"
+    )
+    assert (code, out) == (65, "")
+    assert f"error: {message}" in err and "no truncation level" in err
+
+
+def test_summable_side_exits_2_on_every_command(capsys, tmp_path):
+    # decide answers OUT_OF_SCOPE; the sweeps say so with the same note and
+    # print no rows and write no file
+    seq = write_seq(tmp_path, _NO_B_TAIL)
+    code, out, _ = run(capsys, "decide", "--seq", seq, "--spectrum", "0,1/2,1")
+    assert code == 2
+    note = json.loads(out)["note"]
+    csv, svg = tmp_path / "region.csv", tmp_path / "region.svg"
+    for argv in (
+        ["explore3", "--seq", seq, "--svg", str(svg)],
+        ["explore4", "--seq", seq, "--grid", "4", "--out", str(csv), "--svg", str(svg)],
+        ["explore4", "--seq", seq, "--grid", "4"],
+    ):
+        assert run(capsys, *argv) == (2, "", f"error: {note}\n")
+    assert not csv.exists() and not svg.exists()
 
 
 def test_realize_truncation_too_small_exits_70(capsys, tmp_path):
@@ -443,27 +489,30 @@ def test_realize_truncation_too_small_exits_70(capsys, tmp_path):
     assert "1" in err  # reports the minimal working truncation
 
 
-def test_realize_evaluates_half_once(monkeypatch, tmp_path):
-    # the Case II witness gate reads the case from the divergence flags, so
-    # C(B/2) and D(B/2) are evaluated once, by the one statistics pass of the
-    # threshold-statistic check
-    mod = importlib.import_module("findiag.decide")
+def test_realize_runs_no_statistics_pass(monkeypatch, tmp_path):
+    # realize_truncated checks the witness on its one finite build, from the
+    # trace residue and the partial sums, so no threshold statistic is evaluated
     passes = []
-    real = mod._stats_pass
+    for name in ("findiag.sequences", "findiag.decide", "findiag.explore"):
+        mod = importlib.import_module(name)
+        real = mod._stats_pass
 
-    def counted(seq, alphas):
-        passes.append(Counter(alphas))
-        return real(seq, alphas)
+        def counted(seq, alphas, real=real):
+            passes.append(Counter(alphas))
+            return real(seq, alphas)
 
-    monkeypatch.setattr(mod, "_stats_pass", counted)
+        monkeypatch.setattr(mod, "_stats_pass", counted)
     argv = ["realize", "--seq", DYADIC, "--spectrum", "0,1/2,1", "--witness", '{"N":[1],"k":-1}']
     assert main(argv + ["--trunc", "8", "--out", str(tmp_path / "real.json")]) == 0
-    assert passes == [Counter({F(1, 2): 1})]
+    assert passes == []
+    # the counters see the passes that decide makes
+    assert main(["decide", "--seq", DYADIC, "--spectrum", "0,1/2,1"]) == 0
+    assert passes == [Counter({F(1, 2): 2})]
 
 
 def test_realize_case_one_skips_the_witness_check(capsys, tmp_path):
-    # C(B/2) diverges: the witness gate must not run the threshold-statistic
-    # check, and the construction then refuses the divergent tail
+    # C(B/2) diverges: the construction refuses the divergent tail before it
+    # reads the witness, and a finite truncation of it is out of scope
     seq = write_seq(tmp_path, _CASE_ONE)
     code, out, err = run(
         capsys,
@@ -477,9 +526,9 @@ def test_realize_case_one_skips_the_witness_check(capsys, tmp_path):
         "--trunc",
         "4",
     )
-    assert code == 70
+    assert code == 2
     assert out == ""
-    assert "divergent tails admit no finite truncation" in err
+    assert "error: divergent tails admit no finite truncation" in err
 
 
 def test_malformed_sequence_exits_64(capsys, tmp_path):
@@ -758,3 +807,105 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# --------------------------------------------------------------------------
+# Exit codes by cause, under schema-level mutations of the golden inputs
+# --------------------------------------------------------------------------
+
+_REAL_DOC = json.loads((DATA / "golden" / "realize_t8.json").read_text())
+_DROP = "<drop>"  # the mutation that deletes a node
+
+
+def _paths(node, path=()):
+    """The path of every node below the root of a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _mutated(doc, mutations):
+    """A copy of doc with each (path, value) applied in turn; a path that an
+    earlier mutation took away is skipped."""
+    doc = copy.deepcopy(doc)
+    for (*parents, last), value in mutations:
+        try:
+            node = functools.reduce(operator.getitem, parents, doc)
+            if value == _DROP:
+                del node[last]
+            else:
+                node[last] = copy.deepcopy(value)
+        except (KeyError, IndexError, TypeError):
+            pass
+    return doc
+
+
+# a deleted node half the time (a missing tail leaves a summable side), else
+# wrong types, rationals out of range, ratios ≥ 1, a first element ≥ B,
+# another B, and whole tails
+_VALUES = st.just(_DROP) | st.sampled_from(
+    [
+        None, True, 0, 3, -1, 1.5, "x", "1/0", "-1/4", "0", "1/3", "3/4", "9/10", "1", "3/2", "2", "inf",
+        [], {}, ["1/2", "3/4"], {"kind": "divergent"}, {"kind": "geometric", "first": "1/8", "ratio": "3/4"},
+    ]
+)
+_SEQ_PATHS = [*_paths(DYADIC_DOC), ("unknown",), ("zero_tail", "unknown")]
+_REAL_PATHS = [p for p in _paths(_REAL_DOC) if p[0] != "report"]
+# the first two spectra and witnesses pair up: the dyadic sequence realizes
+# them, the second from level 2 on
+_SPECTRA = [
+    "0,1/2,1", "0,1/8,1", "0,1", "0,1/3,1", "0,1/4,1/2,3/4,1", "0,2", "1/4,3/4", "0,1/2,1/4,1",
+    "0,1/2,1/2,1", "", "0,x,1",
+]
+_WITNESSES = [
+    '{"N": [1], "k": -1}', '{"N": [4], "k": -1}', '{"N": [3], "k": -2}', '{"N": [2], "k": -1}',
+    '{"N": [], "k": 0}', '{"N": [1, 1], "k": 0}', '{"N": [0], "k": 0}', '{"N": ["1"], "k": 0}',
+    '{"N": [1], "k": 0.5}', '{"N": [1]}', "[1]", "not json",
+]
+
+
+@st.composite
+def _calls(draw):
+    """(files, argv) for one command on mutated golden inputs; {dir} in argv
+    is the directory the files are written to."""
+    mutations = st.lists(st.tuples(st.sampled_from(_SEQ_PATHS), _VALUES), max_size=2)
+    files = {"seq.json": _mutated(DYADIC_DOC, draw(mutations))}
+    i = draw(st.integers(0, len(_SPECTRA) - 1))
+    j = i if i < 2 and draw(st.booleans()) else draw(st.integers(0, len(_WITNESSES) - 1))
+    seq, spectrum = ["--seq", "{dir}/seq.json"], ["--spectrum", _SPECTRA[i]]
+    witness = ["--witness", _WITNESSES[j]]
+    translate = ["--translate"] if draw(st.booleans()) else []
+    commands = ["decide", "witnesses", "project", "realize", "verify", "explore3", "explore4"]
+    command = draw(st.sampled_from(commands))
+    if command in ("decide", "witnesses"):
+        return files, [command, *seq, *spectrum, *translate, *draw(st.sampled_from([[], ["--explain"]]))]
+    if command == "project":
+        return files, [command, *seq]
+    if command == "realize":
+        trunc = ["--trunc", str(draw(st.integers(0, 4)))]
+        return files, [command, *seq, *spectrum, *translate, *witness, *trunc, "--out", "{dir}/real.json"]
+    if command == "verify":
+        mutations = st.lists(st.tuples(st.sampled_from(_REAL_PATHS), _VALUES), max_size=2)
+        files["real.json"] = _mutated(_REAL_DOC, draw(mutations))
+        diag = draw(st.sampled_from([[], ["--diag", "1/2,1/2"]]))
+        optional = draw(st.sampled_from([[], witness]))
+        return files, [command, "--matrix", "{dir}/real.json", *spectrum, *translate, *diag, *optional]
+    if command == "explore3":
+        return files, [command, *seq, "--n-max", str(draw(st.integers(1, 8))), "--svg", "{dir}/p.svg"]
+    return files, [command, *seq, "--grid", str(draw(st.integers(3, 6))), "--out", "{dir}/r.csv"]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(call=_calls())
+def test_exit_codes_follow_the_cause_under_input_mutations(capsys, call):
+    """Every command, run in-process on golden inputs with up to two
+    schema-level mutations, exits by cause: never an unexpected error, and
+    70 only for a truncation level below the smallest sufficient one."""
+    files, argv = call
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in files.items():
+            Path(tmp, name).write_text(json.dumps(doc))
+        code, _, err = _outcome(capsys, [a.replace("{dir}", tmp) for a in argv])
+    assert "unexpected error" not in err
+    assert code in (0, 1, 2, 64, 65) or (code == 70 and "smallest sufficient level" in err), (code, err)

@@ -15,9 +15,11 @@ from findiag import (
     INF,
     ConstructionError,
     DiagonalSequence,
+    DivergentTail,
     DomainError,
     GeometricTail,
     GivensRotation,
+    OutOfScopeError,
     SpectrumSpec,
     SymmetricMatrix,
     TruncationTooSmallError,
@@ -329,12 +331,13 @@ def test_move_mass_conserves_total():
 
 
 def test_move_mass_precondition_errors():
+    # only the assembly calls _water_fill, so a broken precondition is a defect
     values = [F(1, 4), F(3, 4)]
-    with pytest.raises(DomainError):
+    with pytest.raises(ConstructionError):
         _water_fill(values, F(1), [0], [1], F(-1, 8))  # negative mass
-    with pytest.raises(DomainError):
+    with pytest.raises(ConstructionError):
         _water_fill(values, F(1), [0], [1], F(1))  # exceeds donor capacity
-    with pytest.raises(DomainError):
+    with pytest.raises(ConstructionError):
         _water_fill([*values, F(3, 4)], F(1), [1, 2], [0], F(1))  # exceeds recipient headroom
 
 
@@ -577,9 +580,16 @@ def test_realize_trace_imbalance_is_reported_before_any_level(tmp_path, capsys):
         '{"B": "1", "explicit": ["1/2"], "zero_tail": {"kind": "geometric", "first": "1/4", "ratio": "9/10"}}'
     )
     argv = ["realize", "--seq", str(path), "--spectrum", "0,1/16,1", "--witness", '{"N":[1],"k":0}']
-    assert main(argv + ["--trunc", "2"]) == 70
+    assert main(argv + ["--trunc", "2"]) == 65  # no level can realize the witness
     err = capsys.readouterr().err
     assert "no integer solution" in err and "too small" not in err
+
+
+def test_realize_refuses_a_divergent_tail_as_out_of_scope():
+    # Case I is feasible outright, but a divergent tail has no finite truncation
+    seq = DiagonalSequence(B=F(1), zero_tail=DivergentTail(), b_tail=GeometricTail(F(1, 4), F(1, 2)))
+    with pytest.raises(OutOfScopeError, match="divergent tails admit no finite truncation"):
+        realize_truncated(seq, SpectrumSpec((F(0), F(1, 2), F(1))), Witness((1,), 0), 4)
 
 
 def test_verify_trivial_diagonal():

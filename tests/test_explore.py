@@ -17,6 +17,7 @@ from findiag import (
     DivergentTail,
     DomainError,
     GeometricTail,
+    OutOfScopeError,
     RegionSample,
     SpectrumSpec,
     Witness,
@@ -282,9 +283,6 @@ def test_three_point_extreme_candidates_at_a_nonzero_residue():
         (DiagonalSequence(B=F(1), explicit=(F(1, 3),), zero_tail=DivergentTail(),
                           b_tail=GeometricTail(F(1, 4), F(1, 2))), True),
         (DiagonalSequence(B=F(2), zero_tail=GeometricTail(F(1, 4), F(2, 3)), b_tail=DivergentTail()), True),
-        # out of scope: Σ d_i or Σ (B − d_i) is finite
-        (DiagonalSequence(B=F(1), explicit=(F(1, 2),), zero_tail=GeometricTail(F(1, 4), F(1, 2))), False),
-        (DiagonalSequence(B=F(1), explicit=(F(1, 3), F(2, 3))), False),
     ],
 )
 def test_four_point_region_outright_rows_match_decide(seq, feasible):
@@ -293,6 +291,24 @@ def test_four_point_region_outright_rows_match_decide(seq, feasible):
     for row in rows:
         out = decide(seq, SpectrumSpec((F(0), row.A1, row.A2, seq.B)))
         assert (row.feasible, row.witness_count) == (out.feasible, len(out.witnesses)) == (feasible, 0)
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [
+        # Σ d_i is finite, then both sums are
+        DiagonalSequence(B=F(1), explicit=(F(1, 2),), zero_tail=GeometricTail(F(1, 4), F(1, 2))),
+        DiagonalSequence(B=F(1), explicit=(F(1, 3), F(2, 3))),
+    ],
+)
+def test_sweeps_refuse_a_summable_side(seq):
+    # decide answers OUT_OF_SCOPE for every cell, so both sweeps refuse the
+    # sequence with decide's note instead of reporting rows
+    note = decide(seq, SpectrumSpec((F(0), F(1, 3), F(2, 3), F(1)))).note
+    for sweep in (lambda: four_point_region(seq, 6), lambda: three_point_spectra(seq)):
+        with pytest.raises(OutOfScopeError) as exc:
+            sweep()
+        assert str(exc.value) == note
 
 
 @pytest.mark.parametrize("q", [7, 8])
@@ -353,7 +369,7 @@ def test_three_point_divergent_everything():
 
 def test_three_point_rejects_finite_mass():
     seq = DiagonalSequence(B=F(1), explicit=(F(1, 2),))
-    with pytest.raises(DomainError):
+    with pytest.raises(OutOfScopeError):
         three_point_spectra(seq)
 
 

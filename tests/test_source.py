@@ -257,9 +257,18 @@ def test_no_module_imports_a_name_it_never_uses():
 
 # Public functions of the package that no code path of the CLI and no
 # benchmark file calls: the library entry points for finite matrices,
-# summable diagonals, the two symmetries and sequence output.
+# summable diagonals, one witness's threshold-statistic criterion, the two
+# symmetries and sequence output.
 LIBRARY_ENTRY_POINTS = frozenset(
-    {"horn_construct", "decide_finite", "check_finite_rank_tail", "reflect", "scale", "dump_sequence"}
+    {
+        "horn_construct",
+        "decide_finite",
+        "check_finite_rank_tail",
+        "lebesgue_check",
+        "reflect",
+        "scale",
+        "dump_sequence",
+    }
 )
 
 
