@@ -40,10 +40,10 @@ from .serialize import (
     dump_report,
     dump_witness,
     load_json,
-    parse_matrix,
+    parse_matrix_document,
     parse_sequence,
     parse_witness,
-    _parse_scalar,
+    _rational_array,
 )
 
 
@@ -73,7 +73,7 @@ def _read_text(path: str, label: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a missing file, or one that is not UTF-8 text
         raise SchemaError(f"cannot read {path}: {exc}", label) from exc
 
 
@@ -86,13 +86,6 @@ def _rational_list(value: str, label: str) -> List[Fraction]:
     if tokens and all(_RATIONAL_RE.match(t) for t in tokens):
         return [parse_rational(t, label) for t in tokens]
     return _rational_array(load_json(_read_text(value, label), label), label)
-
-
-def _rational_array(data, label: str) -> List[Fraction]:
-    """A parsed JSON array of rationals, each parsed at its own path."""
-    if not isinstance(data, list):
-        raise SchemaError("expected an array of rationals", label)
-    return [_parse_scalar(v, f"{label}[{i}]") for i, v in enumerate(data)]
 
 
 def _load_spectrum(args) -> Tuple[SpectrumSpec, Fraction]:
@@ -275,13 +268,7 @@ def _cmd_realize(args) -> int:
 
 def _cmd_verify(args) -> int:
     spectrum, shift = _load_spectrum(args)
-    raw = load_json(_read_text(args.matrix, "--matrix"), "--matrix")
-    exact_from_file = None
-    if isinstance(raw, dict) and "matrix" in raw:
-        if "diagonal_exact" in raw:
-            exact_from_file = _rational_array(raw["diagonal_exact"], "--matrix.diagonal_exact")
-        raw = raw["matrix"]
-    matrix = parse_matrix(raw, "--matrix")
+    matrix, exact_from_file = parse_matrix_document(_read_text(args.matrix, "--matrix"), "--matrix")
 
     if args.diag is not None:
         expected, label = _rational_list(args.diag, "--diag"), "--diag"

@@ -497,7 +497,7 @@ def verify_realization(
 
 
 def _diagonal_matches(matrix: SymmetricMatrix, expected_diagonal: Sequence) -> bool:
-    expected = tuple(Fraction(x) for x in expected_diagonal)
+    expected = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in expected_diagonal)
     if len(expected) != matrix.dimension:
         raise DomainError("expected diagonal length differs from matrix dimension")
     floats_ok = all(float(e) == matrix.entry(i, i) for i, e in enumerate(expected))

@@ -106,6 +106,13 @@ def _parse_scalar(value, path: str) -> Fraction:
     )
 
 
+def _rational_array(data, path: str) -> List[Fraction]:
+    """A parsed JSON array of rationals, each parsed at its own path."""
+    if not isinstance(data, list):
+        raise SchemaError("expected an array of rationals", path)
+    return [_parse_scalar(v, f"{path}[{i}]") for i, v in enumerate(data)]
+
+
 def _parse_count(value, path: str):
     if value == "inf":
         return INF
@@ -285,6 +292,66 @@ def parse_matrix(obj, path: str = "$") -> SymmetricMatrix:
     if not np.array_equal(arr, arr.T):
         raise SchemaError("matrix is not symmetric", f"{path}.rows")
     return SymmetricMatrix(arr)
+
+
+# orjson 3.8 recurses on the C stack with no depth limit (200,000 nested
+# arrays overflow an 8 MB stack), and nesting is at most the number of
+# opening brackets: a text with more of them is read by json.loads alone.
+_ORJSON_MAX_OPENERS = 10_000
+# json.loads refuses nesting past the recursion limit, which orjson reads: a
+# value the schema leaves unread is taken from orjson only this shallow.
+_UNREAD_DEPTH = 32
+
+
+def parse_matrix_document(text: str, path: str = "$"):
+    """(matrix, exact diagonal or None) of a JSON text holding a bare matrix
+    or a realize payload, whose "diagonal_exact" is read at path.diagonal_exact.
+
+    The text is read with orjson, several times faster than json.loads on a
+    multi-megabyte matrix, and read again with load_json whenever orjson or
+    the schema refuses the first reading, so that the result or the error is
+    the one load_json gives.  Apart from deep nesting, which the two
+    constants above send to load_json, the readings differ only where orjson
+    refuses (NaN, Infinity, a number beyond the float range, a lone
+    surrogate) or reads an integer outside [−2⁶³, 2⁶⁴) as a float.  The
+    schema refuses such a float wherever it wants an integer or a rational,
+    and a matrix entry becomes the same float either way.
+    """
+    import orjson  # here, so that callers that read no matrix never load it
+
+    if text.count("[") + text.count("{") <= _ORJSON_MAX_OPENERS:
+        try:
+            matrix, exact, unread = _matrix_document(orjson.loads(text), path)
+            if not _nests_deeper(unread, _UNREAD_DEPTH):
+                return matrix, exact
+        except (orjson.JSONDecodeError, SchemaError):
+            pass
+    matrix, exact, _ = _matrix_document(load_json(text, path), path)
+    return matrix, exact
+
+
+def _matrix_document(doc, path: str):
+    """(matrix, exact diagonal or None, values left unread) of a parsed
+    matrix document: a realize payload's "matrix" is read, else the whole."""
+    if not (isinstance(doc, dict) and "matrix" in doc):
+        return parse_matrix(doc, path), None, []
+    exact = None
+    if "diagonal_exact" in doc:
+        exact = _rational_array(doc["diagonal_exact"], f"{path}.diagonal_exact")
+    unread = [v for k, v in doc.items() if k not in ("matrix", "diagonal_exact")]
+    return parse_matrix(doc["matrix"], path), exact, unread
+
+
+def _nests_deeper(values: list, depth: int) -> bool:
+    """Whether some value in values lies inside more than depth nested arrays
+    and objects; one list comprehension per level."""
+    for _ in range(depth + 1):
+        values = [
+            v for c in values if isinstance(c, (list, dict)) for v in (c.values() if isinstance(c, dict) else c)
+        ]
+        if not values:
+            return False
+    return True
 
 
 def dump_matrix(matrix: SymmetricMatrix) -> Dict:

@@ -22,6 +22,7 @@ F = Fraction
 DATA = Path(__file__).parent / "data"
 DYADIC = str(DATA / "dyadic.json")
 DYADIC_DOC = json.loads(Path(DYADIC).read_text())
+_REAL_DOC = json.loads((DATA / "golden" / "realize_t8.json").read_text())
 
 
 def run(capsys, *argv):
@@ -552,6 +553,53 @@ def test_deeply_nested_json_exits_64(capsys, tmp_path, command, flag):
     assert f"{flag}: invalid JSON" in err
 
 
+@pytest.mark.parametrize("flag", ["--seq", "--matrix", "--spectrum"])
+def test_file_that_is_not_utf8_exits_64(capsys, tmp_path, flag):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe" + "[0, 1]".encode("utf-16-le"))
+    argv = {
+        "--seq": ["decide", "--seq", str(bad), "--spectrum", "0,1/2,1"],
+        "--matrix": ["verify", "--matrix", str(bad), "--spectrum", "0,1/2,1"],
+        "--spectrum": ["decide", "--seq", DYADIC, "--spectrum", str(bad)],
+    }[flag]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (64, "")
+    assert f"error: {flag}: cannot read {bad}: 'utf-8' codec can't decode byte 0xff" in err
+
+
+def _verify_golden(capsys):
+    golden = str(DATA / "golden" / "realize_t8.json")
+    return run(capsys, "verify", "--matrix", golden, "--spectrum", "0,1/2,1", "--witness", '{"N": [1], "k": -1}')
+
+
+def test_verify_reads_the_same_without_orjson(capsys, monkeypatch):
+    # every document orjson refuses is read by json.loads, to the same bytes
+    import orjson
+
+    first = _verify_golden(capsys)
+    refused = []
+
+    def refuse(text):
+        refused.append(len(text))
+        raise orjson.JSONDecodeError("refused", text, 0)
+
+    monkeypatch.setattr(orjson, "loads", refuse)
+    assert _verify_golden(capsys) == first
+    assert first[0] == 0 and len(refused) == 1
+
+
+def test_verify_diagonal_past_64_bits_keeps_its_verdict(capsys, tmp_path):
+    # orjson reads 2**64 as a float, which the diagonal refuses: json.loads's
+    # integer is compared, and it is not the float on the diagonal
+    doc = copy.deepcopy(_REAL_DOC)
+    doc["diagonal_exact"][0] = 2**64
+    real = tmp_path / "real.json"
+    real.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", "--matrix", str(real), "--spectrum", "0,1/2,1")
+    assert code == 1
+    assert json.loads(out)["diagonal_exact_match"] is False
+
+
 def test_unknown_flag_exits_64(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["decide", "--seq", DYADIC, "--spectrum", "0,1/2,1", "--frobnicate"])
@@ -813,7 +861,6 @@ def test_version_flag(capsys):
 # Exit codes by cause, under schema-level mutations of the golden inputs
 # --------------------------------------------------------------------------
 
-_REAL_DOC = json.loads((DATA / "golden" / "realize_t8.json").read_text())
 _DROP = "<drop>"  # the mutation that deletes a node
 
 

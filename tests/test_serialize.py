@@ -1,8 +1,10 @@
 """JSON serialization: round-trips, strict schemas, error paths."""
 
 import argparse
+import copy
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,10 +31,12 @@ from findiag import (
     dump_witness,
     load_json,
     parse_matrix,
+    parse_matrix_document,
     parse_sequence,
     parse_witness,
 )
 from findiag import cli
+from findiag.serialize import _rational_array
 
 from conftest import random_sequence
 from random import Random
@@ -348,3 +352,144 @@ def test_parse_rational_reads_what_fraction_reads(before, sign, p, q, after):
             parse_rational(text)
     else:
         assert parse_rational(text) == expected
+
+
+# --------------------------------------------------------------------------
+# parse_matrix_document: orjson first, json.loads on any rejection
+# --------------------------------------------------------------------------
+
+_REAL_DOC = json.loads((Path(__file__).parent / "data" / "golden" / "realize_t8.json").read_text())
+
+
+def _json_reading(text, path="--matrix"):
+    """The document read by json.loads alone: verify's reading before orjson."""
+    raw = load_json(text, path)
+    exact = None
+    if isinstance(raw, dict) and "matrix" in raw:
+        if "diagonal_exact" in raw:
+            exact = _rational_array(raw["diagonal_exact"], f"{path}.diagonal_exact")
+        raw = raw["matrix"]
+    return parse_matrix(raw, path), exact
+
+
+def _reading(read, text):
+    """What read gives for text, comparable across readers: the matrix bits
+    and the exact diagonal with its types, or the schema error and path."""
+    try:
+        matrix, exact = read(text, "--matrix")
+    except SchemaError as exc:
+        return "error", str(exc), exc.path
+    arr = matrix.as_array()
+    exact = None if exact is None else [(type(v), v) for v in exact]
+    return "read", arr.dtype.str, arr.shape, arr.tobytes(), exact
+
+
+def _assert_reads_as_json_loads(text):
+    assert _reading(parse_matrix_document, text) == _reading(_json_reading, text)
+
+
+# Number and string literals where orjson and json.loads part ways: refusals
+# (non-finite, past the float range, lone surrogates), integers outside
+# [−2⁶³, 2⁶⁴) that orjson reads as floats, and floats in the two bands where
+# the writers spell digits differently.
+_ODD_LITERALS = [
+    "NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" + "0" * 400, "-1" + "0" * 30,
+    str(2**64), str(2**64 - 1), str(2**63), str(-(2**63)), str(-(2**63) - 1), "1" + "0" * 5000,
+    "1e-05", "0.00001", "1e16", "1e+16", "-0", "-0.0", "4.9e-324", "1E2", "0.5",
+    '"\\ud800"', '"\\udc00x"', '"\ud800"', '"−Σ"', '"1/2"', '"1/0"', "true", "null", "[]", "{}",
+]
+_LITERALS = (
+    st.sampled_from(_ODD_LITERALS)
+    | st.integers(-(2**70), 2**70).map(str)
+    | st.integers(2**64, 10**300).map(str)
+    | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    | st.floats(1e-9, 1e-4).map(repr)
+    | st.floats(1e16, 1e300).map(repr)
+    | st.tuples(st.text(st.characters(blacklist_categories=()), max_size=4), st.booleans()).map(
+        lambda t: json.dumps(t[0], ensure_ascii=t[1])
+    )
+)
+_DEEP = st.sampled_from([1, 31, 32, 33, 990, 1100, 20_000]).map(lambda n: "[" * n + "0" + "]" * n)
+_JSON_TEXT = st.recursive(
+    _LITERALS | _DEEP,
+    lambda kids: st.lists(kids, max_size=4).map(lambda xs: "[" + ",".join(xs) + "]")
+    | st.lists(st.tuples(st.sampled_from(['"dim"', '"rows"', '"matrix"', '"diagonal_exact"', '"x"']), kids), max_size=4).map(
+        lambda kv: "{" + ",".join(f"{k}:{v}" for k, v in kv) + "}"
+    ),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _mutated_realize_text(draw):
+    """The text of the golden realize payload with up to three nodes replaced
+    by literal texts; a matrix entry changes with its mirror entry."""
+    doc = json.loads(json.dumps(_REAL_DOC))
+    dim = doc["matrix"]["dim"]
+    wheres = st.sampled_from(["dim", "entry", "diagonal_exact", "report", "new key", "matrix"])
+    slots = {}
+    # whole values are replaced last, after the mutations inside them
+    for k, where in enumerate(sorted(draw(st.lists(wheres, max_size=3)), key=lambda w: w in ("new key", "matrix"))):
+        slot = f"\x00{k}\x00"
+        slots[json.dumps(slot)] = draw(_LITERALS | _DEEP | _JSON_TEXT)
+        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        if where == "dim":
+            doc["matrix"]["dim"] = slot
+        elif where == "entry":
+            doc["matrix"]["rows"][i][j] = doc["matrix"]["rows"][j][i] = slot
+        elif where == "diagonal_exact":
+            doc["diagonal_exact"][i] = slot
+        elif where == "report":
+            doc["report"]["eigenvalues"][i] = slot
+        elif where == "new key":
+            doc[draw(st.sampled_from(["translation", "x", "diagonal_exact"]))] = slot
+        else:
+            doc["matrix"] = slot
+    text = json.dumps(doc, indent=draw(st.sampled_from([None, 2])), ensure_ascii=draw(st.booleans()))
+    for quoted, literal in slots.items():
+        text = text.replace(quoted, literal)
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_realize_text())
+def test_matrix_document_reads_as_json_loads_on_mutated_realize_payloads(text):
+    """Matrix bits and exact diagonal, or the schema error and its path, are
+    those of json.loads for realize payloads carrying big integers, floats in
+    both respelled bands, non-ASCII text, NaN, Infinity, 1e400, lone
+    surrogates and deep nesting."""
+    _assert_reads_as_json_loads(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_TEXT)
+def test_matrix_document_reads_as_json_loads_on_any_json_text(text):
+    _assert_reads_as_json_loads(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 200_000 + "]" * 200_000,  # past orjson's C stack
+        '{"a":' * 60_000 + "0" + "}" * 60_000,
+        # an unread value nested past json.loads's recursion limit
+        json.dumps({**_REAL_DOC, "report": "<deep>"}).replace('"<deep>"', "[" * 2000 + "]" * 2000),
+        json.dumps({**_REAL_DOC, "report": "<deep>"}).replace('"<deep>"', "[" * 33 + "]" * 33),
+    ],
+    ids=["arrays", "objects", "unread past the limit", "unread just past the orjson depth"],
+)
+def test_matrix_document_deep_nesting_reads_as_json_loads(text):
+    _assert_reads_as_json_loads(text)
+
+
+def test_matrix_document_pinned_disagreements():
+    # 2⁶⁴ is a float to orjson, which the diagonal refuses: json.loads's integer is read
+    doc = copy.deepcopy(_REAL_DOC)
+    doc["diagonal_exact"][0] = 2**64
+    _, exact = parse_matrix_document(json.dumps(doc), "--matrix")
+    assert exact[0] == 2**64 and type(exact[0]) is Fraction
+    # 10⁴⁰⁰ is refused by orjson, and json.loads's integer cannot be a float
+    text = '{"dim": 2, "rows": [[0.5, 0.0], [0.0, 1%s]]}' % ("0" * 400)
+    with pytest.raises(SchemaError, match="integer too large for a float") as exc:
+        parse_matrix_document(text, "--matrix")
+    assert exc.value.path == "--matrix.rows[1][1]"
