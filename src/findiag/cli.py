@@ -10,6 +10,7 @@ below the smallest sufficient one, a construction defect or any other error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
@@ -75,6 +76,16 @@ def _read_text(path: str, label: str) -> str:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:  # a missing file, or one that is not UTF-8 text
         raise SchemaError(f"cannot read {path}: {exc}", label) from exc
+
+
+@contextlib.contextmanager
+def _in_float_range(label: str, what: str = "a rational"):
+    """Turn the OverflowError of float() on a rational past the float range
+    into a SchemaError at label (exit 64), where the float is taken."""
+    try:
+        yield
+    except OverflowError:
+        raise SchemaError(f"{what} is too large for a float", label) from None
 
 
 def _load_sequence(path: str) -> DiagonalSequence:
@@ -284,9 +295,12 @@ def _cmd_verify(args) -> int:
     # the diagonal is checked on the matrix as given; only the eigenvalues
     # are read in the frame of the (possibly translated) spectrum
     arr = matrix.as_array()
-    arr[np.diag_indices_from(arr)] -= float(shift)
-    diag_ok = _diagonal_matches(matrix, expected)
-    report = _spectrum_report(arr, spectrum, diag_ok, witness, args.tol)
+    with _in_float_range("--translate"):
+        arr[np.diag_indices_from(arr)] -= float(shift)
+    with _in_float_range(label):
+        diag_ok = _diagonal_matches(matrix, expected)
+    with _in_float_range("--spectrum"):
+        report = _spectrum_report(arr, spectrum, diag_ok, witness, args.tol)
     if args.pretty:
         sys.stdout.write(matrix.text_grid() + "\n")
     else:
@@ -303,6 +317,16 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _write_svg(path: Optional[str], rows, B: Fraction) -> None:
+    """Write the --svg scatter of rows when a path is given; the commands
+    call this before any other output."""
+    if path:
+        with _in_float_range("--svg", "the sequence's B"):  # the coordinates are floats over B
+            svg = emit_region(rows, "svg", B=B)
+        with open(path, "wb") as fh:
+            fh.write(svg)
+
+
 def _cmd_explore3(args) -> int:
     seq = _load_sequence(args.seq)
     result = three_point_spectra(seq, n_max=args.n_max)
@@ -310,17 +334,15 @@ def _cmd_explore3(args) -> int:
         _print({"all_of_interval": {"B": format_rational(result.B)}})
         return 0
     points = sorted(result)
+    _write_svg(args.svg, [RegionSample(p, None, True, 0) for p in points], seq.B)
     _print({"points": [format_rational(p) for p in points], "count": len(points)})
-    if args.svg:
-        rows = [RegionSample(p, None, True, 0) for p in points]
-        with open(args.svg, "wb") as fh:
-            fh.write(emit_region(rows, "svg", B=seq.B))
     return 0
 
 
 def _cmd_explore4(args) -> int:
     seq = _load_sequence(args.seq)
     rows = four_point_region(seq, args.grid)
+    _write_svg(args.svg, rows, seq.B)
     csv = emit_region(rows, "csv")
     if args.out:
         with open(args.out, "wb") as fh:
@@ -328,9 +350,6 @@ def _cmd_explore4(args) -> int:
     else:
         sys.stdout.buffer.write(csv)
         sys.stdout.flush()
-    if args.svg:
-        with open(args.svg, "wb") as fh:
-            fh.write(emit_region(rows, "svg", B=seq.B))
     return 0
 
 

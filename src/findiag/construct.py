@@ -500,7 +500,8 @@ def _diagonal_matches(matrix: SymmetricMatrix, expected_diagonal: Sequence) -> b
     expected = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in expected_diagonal)
     if len(expected) != matrix.dimension:
         raise DomainError("expected diagonal length differs from matrix dimension")
-    floats_ok = all(float(e) == matrix.entry(i, i) for i, e in enumerate(expected))
+    # every entry is converted, so one past the float range raises wherever it is
+    floats_ok = np.array_equal(np.array([float(e) for e in expected]), np.diagonal(matrix._entries))
     return floats_ok and matrix.exact_diagonal in (None, expected)
 
 

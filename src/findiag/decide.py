@@ -4,7 +4,7 @@ The doubly infinite setting splits into a divergence case (feasible outright),
 an exact lattice-plus-majorization case decided by witness enumeration, and
 everything else (infeasible).  Compact/finite settings get their own entry
 points (decide_projection for two-point spectra, decide_finite for finite
-matrices).
+matrices, on the same lattice search).
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError
-from .majorize import Witness, _require_compatible, check_finite_majorization
+from .majorize import Witness, _require_compatible
 from .scalars import INF, _scaled
 from .sequences import (
     DiagonalSequence,
@@ -52,7 +52,8 @@ class Decision:
 class _System(NamedTuple):
     """The Case II system in integers: N passes the trace congruence iff
     (qgap − Σ_j qa_j·N_j) % qB == 0, and the mass bounds iff
-    Σ_j qw[r][j]·N_j ≤ qcap[r] for every r (_system)."""
+    Σ_j qw[r][j]·N_j ≤ qcap[r] for every r (_system: one row per coordinate,
+    which bounds reads; rows given to _lattice_search may outnumber them)."""
 
     qB: int
     qgap: int
@@ -129,7 +130,8 @@ def _lattice_search(
     """Every N ≥ 1 with (qgap − Σ_j qa_j·N_j) % qB == 0 and
     Σ_j qw[r][j]·N_j ≤ qcap[r] for every r, as Witness(N, k) with k the
     quotient, in lexicographic N order.  The trace and the mass bounds may
-    be scaled by different factors.
+    be scaled by different factors, and rows may outnumber coordinates:
+    every row bounds every coordinate.
 
     The bounds have positive coefficients, so a depth-first search over N_1,
     N_2, … stops each coordinate at the largest value that still fits with
@@ -149,10 +151,11 @@ def _lattice_search(
     inv = [pow(qa[i] // g[i], -1, step[i]) for i in range(n)]
     # rest[i][r]: the load of coordinates i.. on mass bound r, all at 1
     rest = [[sum(row[i:]) for row in qw] for i in range(n + 1)]
+    rows = range(len(qw))
     found: List[Witness] = []
 
     def search(i: int, N: Tuple[int, ...], used: List[int], res: int) -> None:
-        hi = min((qcap[r] - used[r] - rest[i + 1][r]) // qw[r][i] for r in range(n))
+        hi = min((qcap[r] - used[r] - rest[i + 1][r]) // qw[r][i] for r in rows)
         for v in range((res // g[i]) * inv[i] % step[i] or step[i], hi + 1, step[i]):
             left = res - qa[i] * v
             if i == n - 1:
@@ -160,7 +163,7 @@ def _lattice_search(
             else:
                 search(i + 1, N + (v,), [u + row[i] * v for u, row in zip(used, qw)], left)
 
-    search(0, (), [0] * n, qgap)
+    search(0, (), [0] * len(qw), qgap)
     return found
 
 
@@ -246,16 +249,6 @@ def decide_projection(seq: DiagonalSequence) -> Decision:
     return _decide(seq, SpectrumSpec((0, seq.B)), *_stats_pass(seq, [seq.B / 2]))
 
 
-def _compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
-    """All tuples of `parts` integers ≥ 1 summing to `total`, lexicographically."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def decide_finite(
     d: Sequence, spectrum: SpectrumSpec
 ) -> Tuple[bool, Optional[Tuple[int, ...]]]:
@@ -265,18 +258,24 @@ def decide_finite(
     Returns (feasible, M) with M the lexicographically-first multiplicity
     vector (M_0, …, M_{n+1}), each ≥ 1, summing to len(d); (False, None) when
     no vector works or len(d) < n + 2.
+
+    d ≺ λ iff Σd = Σλ and Σ(t − d_i)₊ ≤ Σ(t − λ_i)₊ for every t (Hardy–
+    Littlewood–Pólya); the right side is linear between spectrum points and
+    the left convex, so t = A_1, …, A_n suffice.  The trace gives M_B, and
+    eliminating M_0 by L and #{d_i < A_r} by the trace turns the inequality
+    at A_r into mass bound r of _System.  So this is _lattice_search on the
+    _System of d with the gap Σd (k = M_B) and two more rows, M_B ≥ 1 and
+    M_0 ≥ 1: Σ A_j N_j ≤ Σd − B and Σ (B − A_j)·N_j ≤ (L − 1)·B − Σd.
     """
-    values = [Fraction(x) for x in d]
-    B = spectrum.B
-    for v in values:
-        if v < 0 or v > B:
-            raise DomainError(f"diagonal entry {v} outside [0, {B}]")
-    L = len(values)
-    parts = len(spectrum.points)
-    if L < parts:
-        return False, None
-    for M in _compositions(L, parts):
-        lam = [p for p, m in zip(spectrum.points, M) for _ in range(m)]
-        if check_finite_majorization(values, lam):
-            return True, M
-    return False, None
+    seq = DiagonalSequence(spectrum.B, tuple(d))  # raises on an entry outside [0, B]
+    _, qB, P = seq._prefix
+    L, total = len(d), P[-1] + seq.b_count * qB  # Q·Σd, with the entries at B counted apart
+    if spectrum.n == 0:
+        k, r = divmod(total, qB)
+        return (True, (L - k, k)) if r == 0 and 0 < k < L else (False, None)
+    W, at = _stats_pass(seq, spectrum.interior)  # W == Q: d has no tails
+    qB, qgap, qa, qw, qcap = _system(spectrum, W, (total, 0), at)
+    rows, caps = qw + [qa, [qB - a for a in qa]], qcap + [qgap - qB, (L - 1) * qB - qgap]
+    found = _lattice_search(qB, qgap, qa, rows, caps)
+    M = min(((L - sum(w.N) - w.k, *w.N, w.k) for w in found), default=None)
+    return M is not None, M

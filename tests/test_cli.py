@@ -345,6 +345,34 @@ def test_rational_past_the_digit_limit_exits_64(capsys, tmp_path, where):
     assert path + "invalid rational" in err and "digits" in err
 
 
+_PAST_THE_FLOAT_RANGE = "1" + "0" * 400  # a rational whose float() overflows
+
+
+@pytest.mark.parametrize(
+    "where", ["--diag", "--matrix.diagonal_exact", "--spectrum", "--translate", "explore3 --svg", "explore4 --svg"]
+)
+def test_rational_past_the_float_range_exits_64_before_any_output(capsys, tmp_path, where):
+    mat = tmp_path / "m.json"
+    matrix = {"dim": 2, "rows": [[0.5, 0.0], [0.0, 1.0]]}
+    exact = ["1/2", _PAST_THE_FLOAT_RANGE] if where == "--matrix.diagonal_exact" else ["1/2", "1"]
+    mat.write_text(json.dumps({"matrix": matrix, "diagonal_exact": exact}))
+    big = write_seq(tmp_path, {**DYADIC_DOC, "B": _PAST_THE_FLOAT_RANGE})
+    svg = tmp_path / "region.svg"
+    verify = ["verify", "--matrix", str(mat)]
+    argv = {
+        "--diag": [*verify, "--spectrum", "0,1/2,1", "--diag", f"1/2,{_PAST_THE_FLOAT_RANGE}"],
+        "--matrix.diagonal_exact": [*verify, "--spectrum", "0,1/2,1"],
+        "--spectrum": [*verify, "--spectrum", f"0,1/2,{_PAST_THE_FLOAT_RANGE}"],
+        "--translate": [*verify, f"--spectrum=-{_PAST_THE_FLOAT_RANGE},1/2,1", "--translate"],
+        "explore3 --svg": ["explore3", "--seq", big, "--svg", str(svg)],
+        "explore4 --svg": ["explore4", "--seq", big, "--grid", "4", "--svg", str(svg)],
+    }[where]
+    code, out, err = run(capsys, *argv)
+    assert code == 64
+    assert out == "" and not svg.exists()
+    assert f"{where.split()[-1]}: " in err and "too large for a float" in err
+
+
 def test_verify_diag_override(capsys, tmp_path):
     mat = tmp_path / "m.json"
     mat.write_text(json.dumps({"dim": 2, "rows": [[0.5, 0.0], [0.0, 1.0]]}))

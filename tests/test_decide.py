@@ -1,6 +1,7 @@
 """Feasibility decisions: the projection case, witness enumeration, routing."""
 
 import importlib
+import time
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
@@ -16,6 +17,7 @@ from findiag import (
     SpectrumSpec,
     Verdict,
     Witness,
+    check_finite_majorization,
     decide,
     decide_finite,
     decide_projection,
@@ -226,3 +228,79 @@ def test_decide_finite_interior_levels():
 def test_decide_finite_rejects_out_of_range_entries():
     with pytest.raises(DomainError):
         decide_finite([F(3, 2)], SpectrumSpec((F(0), F(1))))
+
+
+def compositions(total, parts):
+    """All tuples of `parts` integers ≥ 1 summing to `total`, lexicographically."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def finite_by_compositions(d, spectrum):
+    """The reference decision: the first composition M of len(d) into n + 2
+    parts whose step list majorizes d, by sorted prefix sums (a step list
+    with another trace is skipped before sorting)."""
+    total = sum(d, F(0))
+    for M in compositions(len(d), len(spectrum.points)):
+        lam = [p for p, m in zip(spectrum.points, M) for _ in range(m)]
+        if sum(lam) == total and check_finite_majorization(d, lam):
+            return True, M
+    return False, None
+
+
+def _finite_instance(rng, planted):
+    """(d, spectrum) with n = 0..3 and len(d) ≤ 9.  A planted d is a step list
+    of the spectrum moved by T-transforms, so d ≺ λ.  Otherwise d is, half
+    the time, a planted d with one transfer that spreads two entries apart,
+    which keeps the trace and may break majorization, and else a draw from
+    a grid of step B/q, endpoints included."""
+    B = rng.choice([F(1), F(2), F(3, 2), F(5, 3)])
+    spectrum = SpectrumSpec((F(0), B)) if rng.random() < 0.2 else random_spectrum(rng, B, rng.randint(1, 3))
+    L = rng.randint(len(spectrum.points) - 2, 9)
+    if not planted and rng.random() < 0.5:
+        q = rng.randint(2, 8)
+        return [B * F(rng.randint(0, q), q) for _ in range(L)], spectrum
+    L = max(L, len(spectrum.points))
+    cut = sorted(rng.sample(range(1, L), len(spectrum.points) - 1))
+    M = [b - a for a, b in zip([0, *cut], [*cut, L])]
+    d = [p for p, m in zip(spectrum.points, M) for _ in range(m)]
+    for _ in range(rng.randint(0, 2 * L)):
+        i, j = rng.randrange(L), rng.randrange(L)
+        t = F(rng.randint(0, 8), 8)
+        d[i], d[j] = t * d[i] + (1 - t) * d[j], (1 - t) * d[i] + t * d[j]
+    if not planted:
+        i, j = sorted(rng.sample(range(L), 2), key=d.__getitem__, reverse=True)
+        move = min(B - d[i], d[j]) * F(rng.randint(1, 8), 8)
+        d[i], d[j] = d[i] + move, d[j] - move
+    rng.shuffle(d)
+    return d, spectrum
+
+
+def test_decide_finite_matches_the_composition_scan():
+    rng = Random(11)
+    feasible = {True: 0, False: 0}
+    for i in range(3000):
+        d, spectrum = _finite_instance(rng, planted=i % 2 == 0)
+        expected = finite_by_compositions(d, spectrum)
+        assert decide_finite(d, spectrum) == expected, (d, spectrum)
+        if i % 2 == 0:
+            assert expected[0], (d, spectrum)
+        feasible[expected[0]] += 1
+    assert min(feasible.values()) >= 500, feasible
+
+
+@pytest.mark.parametrize(
+    "d, points",
+    [
+        ([F(1, 7)] * 30, (F(0), F(1, 5), F(2, 5), F(3, 5), F(1))),  # 23,751 compositions
+        ([F(1, 7)] * 24, (F(0), F(1, 6), F(1, 3), F(1, 2), F(2, 3), F(1))),  # 33,649 compositions
+    ],
+)
+def test_decide_finite_answers_without_scanning_compositions(d, points):
+    start = time.perf_counter()
+    assert decide_finite(d, SpectrumSpec(points)) == (False, None)
+    assert time.perf_counter() - start < 1.0

@@ -164,6 +164,27 @@ def test_only_geometric_tail_walks_a_tail():
     assert comparing == ["_walk", "_walk"]  # the loop over the cuts and its advance
 
 
+def test_one_lattice_search_answers_every_multiplicity_question():
+    """decide_finite, enumerate_witnesses and four_point_region each call
+    _lattice_search, and decide.py holds no generator function, so no second
+    enumeration (a composition scan, say) can come back beside it."""
+    for module, name in (("decide", "decide_finite"), ("decide", "enumerate_witnesses"), ("explore", "four_point_region")):
+        calls = [
+            n
+            for n in ast.walk(_function(SRC / f"{module}.py", name))
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "_lattice_search"
+        ]
+        assert calls, f"{module}.{name}"
+    tree = ast.parse((SRC / "decide.py").read_text(encoding="utf-8"))
+    generators = [
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in ast.walk(func))
+    ]
+    assert generators == []
+
+
 def _function(path: Path, name: str, cls: str = None) -> ast.FunctionDef:
     tree = ast.parse(path.read_text(encoding="utf-8"))
     scope = tree.body

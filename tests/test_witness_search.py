@@ -20,6 +20,7 @@ from findiag import (
     enumerate_witnesses,
     threshold_stats,
 )
+from findiag.decide import _lattice_search
 
 from conftest import random_fraction, random_spectrum, witness_box
 
@@ -152,3 +153,32 @@ def test_bounds_are_sound():
             checked += 1
     assert checked >= 30
 
+
+
+def test_lattice_search_reads_every_row():
+    """With more rows than coordinates, every row prunes: the search equals a
+    box scan filtered by the congruence and every row, and on some systems
+    the rows past the n-th remove points that the first n rows keep."""
+    rng = Random(5)
+    pruned = 0
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        qB = rng.randint(2, 12)
+        qa = [rng.randint(1, 3 * qB) for _ in range(n)]
+        qw = [[rng.randint(1, 9) for _ in range(n)] for _ in range(n + rng.randint(1, 3))]
+        qcap = [rng.randint(0, 80) for _ in qw]
+        qgap = sum(a * rng.randint(1, 4) for a in qa) + qB * rng.randint(-3, 3)  # some N balances
+
+        def scan(rows):
+            box = [min(qcap[r] // qw[r][j] for r in rows) for j in range(n)]
+            return [
+                Witness(N, (qgap - sum(a * v for a, v in zip(qa, N))) // qB)
+                for N in product(*(range(1, b + 1) for b in box))
+                if (qgap - sum(a * v for a, v in zip(qa, N))) % qB == 0
+                and all(sum(w * v for w, v in zip(qw[r], N)) <= qcap[r] for r in rows)
+            ]
+
+        got = _lattice_search(qB, qgap, qa, qw, qcap)
+        assert got == scan(range(len(qw))), (qB, qgap, qa, qw, qcap)
+        pruned += got != scan(range(n))
+    assert pruned >= 50, pruned  # 120 in this corpus
