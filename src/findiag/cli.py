@@ -241,18 +241,18 @@ def _cmd_project(args) -> int:
 def _cmd_realize(args) -> int:
     seq, spectrum, shift = _load_problem(args)
     witness = _load_witness(args.witness, spectrum)
-    matrix = realize_truncated(seq, spectrum, witness, args.trunc)
-    report = verify_realization(
-        matrix, spectrum, matrix.exact_diagonal, witness=witness
-    )
+    with _in_float_range("--seq", "the sequence's B"):  # the entries are floats up to B
+        matrix = realize_truncated(seq, spectrum, witness, args.trunc)
+        report = verify_realization(matrix, spectrum, matrix.exact_diagonal, witness=witness)
 
     out_matrix = matrix
     exact = list(matrix.exact_diagonal)
     if shift:
-        arr = matrix.as_array() + float(shift) * np.eye(matrix.dimension)
         exact = [v + shift for v in exact]
-        for i, v in enumerate(exact):
-            arr[i, i] = float(v)
+        with _in_float_range("--translate"):
+            arr = matrix.as_array() + float(shift) * np.eye(matrix.dimension)
+            for i, v in enumerate(exact):
+                arr[i, i] = float(v)
         out_matrix = SymmetricMatrix(arr, matrix.provenance, tuple(exact))
 
     if args.pretty:

@@ -6,6 +6,7 @@ reruns are byte-identical."""
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
@@ -32,19 +33,36 @@ def load_json(text: str, path: str = "$"):
         raise SchemaError(f"invalid JSON: {exc}", path) from exc
 
 
-# Stands in for a matrix's rows while json.dumps renders the rest of a payload.
-# No payload string holds a NUL, so the quoted slot cannot occur by chance.
+# Stands in for a matrix's rows while the rest of a payload is rendered.  No
+# payload string holds a NUL, so the quoted slot cannot occur by chance; orjson
+# and json.dumps quote it alike.
 _ROWS_SLOT = "\x00rows\x00"
 _QUOTED_ROWS_SLOT = json.dumps(_ROWS_SLOT)
+# orjson spells a float in [1e-9, 1e-4) or from 1e16 on unlike float.__repr__:
+# 0.00001, 3.2e-7 and 1e16 for 1e-05, 3.2e-07 and 1e+16.  Each such text holds
+# "0.0000" or a match of this pattern, which begins with a literal "e" that
+# the regex engine finds fast; the digit strings of rationals hold none.
+_ORJSON_EXPONENT = re.compile(r"e(?:\d|-\d(?!\d))")
 
 
 def dump_json(obj) -> str:
-    """Canonical rendering: sorted keys, two-space indent, trailing newline.
+    """Canonical rendering: sorted keys, two-space indent, trailing newline,
+    in exactly the bytes of json.dumps(obj, indent=2, sort_keys=True).
+
+    orjson renders the payload.  json.dumps renders it instead when orjson
+    refuses it (an integer outside 64 bits, a key that is not a string, a
+    lone surrogate, nesting past 255 levels) or when orjson's text may
+    differ from json.dumps's: text that is not ASCII, holds DEL or a null
+    (orjson's NaN and ±Infinity), or spells a float in [1e-9, 1e-4) or from
+    1e16 on.  A value that is not JSON raises TypeError, as in json.dumps,
+    except an Enum or a UUID, which orjson writes by its value.
 
     A SymmetricMatrix value (the "rows" of dump_matrix) is written as its
     rows, in the bytes json.dumps gives the float lists, straight from the
-    finite float64 entries; everything else goes through json.dumps.
+    finite float64 entries.
     """
+    import orjson  # here, so that importing the package never loads it
+
     matrices = []
 
     def defer(o):
@@ -53,7 +71,21 @@ def dump_json(obj) -> str:
         matrices.append(o)
         return _ROWS_SLOT
 
-    text = json.dumps(obj, indent=2, sort_keys=True, default=defer)
+    options = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_PASSTHROUGH_DATACLASS
+    try:
+        text = orjson.dumps(obj, default=defer, option=options).decode()
+    except TypeError:  # orjson.JSONEncodeError: a value orjson refuses
+        text = None
+    if (
+        text is None
+        or not text.isascii()  # json.dumps escapes non-ASCII characters
+        or "\x7f" in text  # and DEL, which orjson writes raw
+        or "null" in text  # orjson writes NaN and ±Infinity as null
+        or "0.0000" in text
+        or _ORJSON_EXPONENT.search(text)
+    ):
+        matrices.clear()
+        text = json.dumps(obj, indent=2, sort_keys=True, default=defer)
     if not matrices:
         return text + "\n"
     parts = text.split(_QUOTED_ROWS_SLOT)
@@ -75,7 +107,7 @@ def _rows_pieces(arr: np.ndarray, pad: str) -> List[str]:
     at magnitudes in [1e-9, 1e-4) and from 1e16 on (0.00001 for 1e-05, 1e16
     for 1e+16): those entries are rewritten with float.__repr__.  One row
     at a time, so that only one row's entry strings are alive at once."""
-    import orjson  # here, so that callers that write no matrix never load it
+    import orjson  # here, so that importing the package never loads it
 
     if arr.shape[0] == 0:
         return ["[]"]

@@ -67,13 +67,27 @@ def test_decide_infeasible_exit(capsys, tmp_path):
     assert json.loads(out)["verdict"] == "Infeasible"
 
 
+_OUT_OF_SCOPE_BYTES = """{
+  "bounds": [],
+  "note": "requires infinite mass on both sides: \\u03a3 d_i and \\u03a3 (B \\u2212 d_i) must both diverge; for summable diagonals see decide_finite or check_finite_rank_tail",
+  "stats": [
+    {
+      "C": "0",
+      "D": "1/2",
+      "alpha": "1/2"
+    }
+  ],
+  "verdict": "OutOfTheoremScope",
+  "witnesses": []
+}
+"""
+
+
 def test_decide_out_of_scope_exit(capsys, tmp_path):
+    # the note holds Σ and −, which orjson would write raw: json.dumps writes
+    # the payload, escaping them
     seq = write_seq(tmp_path, {"B": "1", "explicit": ["1/2"]})
-    code, out, _ = run(capsys, "decide", "--seq", seq, "--spectrum", "0,1/2,1")
-    assert code == 2
-    payload = json.loads(out)
-    assert payload["verdict"] == "OutOfTheoremScope"
-    assert "decide_finite" in payload["note"]
+    assert run(capsys, "decide", "--seq", seq, "--spectrum", "0,1/2,1") == (2, _OUT_OF_SCOPE_BYTES, "")
 
 
 def test_decide_explain(capsys):
@@ -349,7 +363,11 @@ _PAST_THE_FLOAT_RANGE = "1" + "0" * 400  # a rational whose float() overflows
 
 
 @pytest.mark.parametrize(
-    "where", ["--diag", "--matrix.diagonal_exact", "--spectrum", "--translate", "explore3 --svg", "explore4 --svg"]
+    "where",
+    [
+        "--diag", "--matrix.diagonal_exact", "--spectrum", "--translate", "explore3 --svg", "explore4 --svg",
+        "realize --seq", "realize --translate",
+    ],
 )
 def test_rational_past_the_float_range_exits_64_before_any_output(capsys, tmp_path, where):
     mat = tmp_path / "m.json"
@@ -357,19 +375,25 @@ def test_rational_past_the_float_range_exits_64_before_any_output(capsys, tmp_pa
     exact = ["1/2", _PAST_THE_FLOAT_RANGE] if where == "--matrix.diagonal_exact" else ["1/2", "1"]
     mat.write_text(json.dumps({"matrix": matrix, "diagonal_exact": exact}))
     big = write_seq(tmp_path, {**DYADIC_DOC, "B": _PAST_THE_FLOAT_RANGE})
-    svg = tmp_path / "region.svg"
+    # the dyadic sequence moved up by the big value, for realize --translate
+    s = int(_PAST_THE_FLOAT_RANGE)
+    moved = write_seq(tmp_path, {**DYADIC_DOC, "B": str(s + 1), "explicit": [f"{2 * s + 1}/2"]}, "moved.json")
+    written = tmp_path / "written"  # the --svg or --out path, which must stay unwritten
     verify = ["verify", "--matrix", str(mat)]
+    realize = ["realize", "--witness", '{"N": [1], "k": -1}', "--trunc", "4", "--out", str(written)]
     argv = {
         "--diag": [*verify, "--spectrum", "0,1/2,1", "--diag", f"1/2,{_PAST_THE_FLOAT_RANGE}"],
         "--matrix.diagonal_exact": [*verify, "--spectrum", "0,1/2,1"],
         "--spectrum": [*verify, "--spectrum", f"0,1/2,{_PAST_THE_FLOAT_RANGE}"],
         "--translate": [*verify, f"--spectrum=-{_PAST_THE_FLOAT_RANGE},1/2,1", "--translate"],
-        "explore3 --svg": ["explore3", "--seq", big, "--svg", str(svg)],
-        "explore4 --svg": ["explore4", "--seq", big, "--grid", "4", "--svg", str(svg)],
+        "explore3 --svg": ["explore3", "--seq", big, "--svg", str(written)],
+        "explore4 --svg": ["explore4", "--seq", big, "--grid", "4", "--svg", str(written)],
+        "realize --seq": [*realize, "--seq", big, "--spectrum", f"0,1/2,{_PAST_THE_FLOAT_RANGE}"],
+        "realize --translate": [*realize, "--seq", moved, "--spectrum", f"{s},{2 * s + 1}/2,{s + 1}", "--translate"],
     }[where]
     code, out, err = run(capsys, *argv)
     assert code == 64
-    assert out == "" and not svg.exists()
+    assert out == "" and not written.exists()
     assert f"{where.split()[-1]}: " in err and "too large for a float" in err
 
 

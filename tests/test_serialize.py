@@ -302,6 +302,90 @@ def test_matrix_rows_match_stdlib_bytes_at_the_respelled_band_edges(edge):
     _assert_stdlib_bytes(_symmetric(_ulps_around([edge], 1)))
 
 
+# Text of every ASCII character (DEL among them), the BMP with lone
+# surrogates, and the astral planes.
+_TEXT = st.text(
+    st.characters(max_codepoint=127)
+    | st.characters(min_codepoint=128, max_codepoint=0xFFFF, blacklist_categories=())
+    | st.characters(min_codepoint=0x10000),
+    max_size=6,
+)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([2**63, -(2**63), 2**63 - 1, -(2**63) - 1, 2**64, 2**64 - 1, -(2**64), 10**400])
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf")])  # json.dumps's NaN, orjson's null
+    | st.floats(1e-9, 1e-4).flatmap(lambda v: st.sampled_from([v, -v]))
+    | st.floats(1e16, 1e300).flatmap(lambda v: st.sampled_from([v, -v]))
+    | st.sampled_from([-0.0, 5e-324, 1e15, 1e-4, 1e-9, 1e16, 1e-05, 3.2e-07])
+    | _TEXT
+)
+_JSON_VALUE = st.recursive(
+    _SCALARS,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(_TEXT, kids, max_size=4)
+    | st.dictionaries(st.integers(-3, 3), kids, max_size=3),  # keys json.dumps turns into strings
+    max_leaves=20,
+)
+
+
+def _deep(n: int):
+    value = 0
+    for _ in range(n):
+        value = [value]
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUE)
+@example("\x7f")
+@example({"a": "\x00rows", "b": [[], {}, ""]})
+@example([9e-05, 1e15, 5e-324, -0.0])  # orjson's 0.00009
+@example({"a": [-3.2e-07]})  # orjson's -3.2e-7
+@example([1, -1e16])  # orjson's -1e16
+@example({"\u03a3": ["\u2212", "\U0001d400"]})
+@example("\ud800")  # a lone surrogate, which orjson refuses
+@example(_deep(255))
+@example(_deep(256))  # past orjson's nesting limit
+@example(float("nan"))
+@example({"a": [None, float("inf")]})
+def test_dump_json_is_json_dumps_for_any_json_value(value):
+    assert dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_dump_json_refuses_what_json_dumps_refuses():
+    # a dataclass, which orjson would write as an object
+    for value in ({"w": Witness((1,), 0)}, [Fraction(1, 2)], {"a": {1: 0, "b": 0}}):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            dump_json(value)
+
+
+def test_payload_with_matrices_at_two_depths_matches_stdlib_bytes(monkeypatch):
+    m = SymmetricMatrix(_symmetric([0.5, 0.25, -1.5, 1e-5, 2.0, 1e17]))
+    payload = {
+        "matrix": dump_matrix(m),
+        "diagonal_exact": ["1/2", "-3/2", "2"],
+        "report": {"eigenvalues": [-0.25, 1.0, 2.75], "multiplicities": [1, 2], "within_tolerance": True},
+        "runs": [{"matrix": dump_matrix(SymmetricMatrix([[2.0]]))}, 10**18],
+    }
+    expected = _stdlib_text(payload)
+
+    # the same payload where orjson's text would differ: json.dumps writes it
+    for key, value in (("note", "\u03a3 d_i"), ("distance", 3.2e-07), ("distance", float("nan"))):
+        odd = {**payload, key: value}
+        assert dump_json(odd) == _stdlib_text(odd)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called for a payload orjson writes alike")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    assert dump_json(payload) == expected
+
+
 def test_matrix_parse_rejects_bad_shape():
     with pytest.raises(SchemaError):
         parse_matrix({"dim": 3, "rows": [[0.0]]})
