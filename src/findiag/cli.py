@@ -286,7 +286,7 @@ def _cmd_verify(args) -> int:
     elif exact_from_file is not None:
         expected, label = exact_from_file, "--matrix.diagonal_exact"
     else:
-        expected, label = [Fraction(matrix.entry(i, i)) for i in range(matrix.dimension)], "--matrix"
+        expected, label = [matrix.entry(i, i) for i in range(matrix.dimension)], "--matrix"
     if len(expected) != matrix.dimension:
         raise SchemaError(f"expected one entry per row ({matrix.dimension}), got {len(expected)}", label)
 

@@ -497,7 +497,7 @@ def verify_realization(
 
 
 def _diagonal_matches(matrix: SymmetricMatrix, expected_diagonal: Sequence) -> bool:
-    expected = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in expected_diagonal)
+    expected = tuple(expected_diagonal)  # rationals, or floats as verify reads them
     if len(expected) != matrix.dimension:
         raise DomainError("expected diagonal length differs from matrix dimension")
     # every entry is converted, so one past the float range raises wherever it is

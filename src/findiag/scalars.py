@@ -42,8 +42,9 @@ INF = Infinite()
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
-def parse_rational(text: str, path: str = "$") -> Fraction:
-    """Parse ``"p/q"`` or an integer literal into an exact Fraction.
+def parse_rational(text: str, path: str = "$", ratio=Fraction):
+    """Parse ``"p/q"`` or an integer literal into an exact Fraction, or into
+    ratio(p, q) for another reading of the two integers.
 
     Decimal notation is rejected on purpose: 0.1 is not 1/10 in binary
     floating point, and silently accepting it would poison exact checks.
@@ -53,7 +54,7 @@ def parse_rational(text: str, path: str = "$") -> Fraction:
         raise SchemaError(f"expected rational 'p/q' or integer string, got {text!r}", path)
     p, _, q = match[0].partition("/")
     try:
-        return Fraction(int(p), int(q or 1))
+        return ratio(int(p), int(q or 1))
     except ZeroDivisionError:
         raise SchemaError(f"zero denominator in {text!r}", path) from None
     except ValueError as exc:  # int() refuses a part past the interpreter's digit limit

@@ -33,16 +33,11 @@ def load_json(text: str, path: str = "$"):
         raise SchemaError(f"invalid JSON: {exc}", path) from exc
 
 
-# Stands in for a matrix's rows while the rest of a payload is rendered.  No
-# payload string holds a NUL, so the quoted slot cannot occur by chance; orjson
-# and json.dumps quote it alike.
-_ROWS_SLOT = "\x00rows\x00"
-_QUOTED_ROWS_SLOT = json.dumps(_ROWS_SLOT)
 # orjson spells a float in [1e-9, 1e-4) or from 1e16 on unlike float.__repr__:
 # 0.00001, 3.2e-7 and 1e16 for 1e-05, 3.2e-07 and 1e+16.  Each such text holds
 # "0.0000" or a match of this pattern, which begins with a literal "e" that
 # the regex engine finds fast; the digit strings of rationals hold none.
-_ORJSON_EXPONENT = re.compile(r"e(?:\d|-\d(?!\d))")
+_ORJSON_EXPONENT = re.compile(rb"e(?:\d|-\d(?!\d))")
 
 
 def dump_json(obj) -> str:
@@ -57,9 +52,13 @@ def dump_json(obj) -> str:
     1e16 on.  A value that is not JSON raises TypeError, as in json.dumps,
     except an Enum or a UUID, which orjson writes by its value.
 
-    A SymmetricMatrix value (the "rows" of dump_matrix) is written as its
-    rows, in the bytes json.dumps gives the float lists, straight from the
-    finite float64 entries.
+    A SymmetricMatrix value (the "rows" of dump_matrix) is written as the
+    float lists of its entries.  The checks run on a first render that writes
+    each matrix as 0.  If it passes and held a matrix, orjson renders the
+    payload again with each matrix as a NumPy array in which NaN, written as
+    null, marks the entries it spells unlike float.__repr__.  The first
+    render showed the payload has no null of its own, so one split at the
+    nulls and one join with float.__repr__ of each marked entry give the text.
     """
     import orjson  # here, so that importing the package never loads it
 
@@ -69,80 +68,76 @@ def dump_json(obj) -> str:
         if not isinstance(o, SymmetricMatrix):
             raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
         matrices.append(o)
-        return _ROWS_SLOT
+        return 0
 
     options = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_PASSTHROUGH_DATACLASS
+    options |= orjson.OPT_APPEND_NEWLINE
     try:
-        text = orjson.dumps(obj, default=defer, option=options).decode()
+        text = orjson.dumps(obj, default=defer, option=options)
     except TypeError:  # orjson.JSONEncodeError: a value orjson refuses
         text = None
     if (
         text is None
         or not text.isascii()  # json.dumps escapes non-ASCII characters
-        or "\x7f" in text  # and DEL, which orjson writes raw
-        or "null" in text  # orjson writes NaN and ±Infinity as null
-        or "0.0000" in text
+        or b"\x7f" in text  # and DEL, which orjson writes raw
+        or b"null" in text  # orjson writes NaN and ±Infinity as null
+        or b"0.0000" in text
         or _ORJSON_EXPONENT.search(text)
     ):
-        matrices.clear()
-        text = json.dumps(obj, indent=2, sort_keys=True, default=defer)
+        # defer refuses what is not a matrix, and its 0 is falsy: a matrix is written as its float lists
+        return json.dumps(obj, indent=2, sort_keys=True, default=lambda o: defer(o) or o._entries.tolist()) + "\n"
     if not matrices:
-        return text + "\n"
-    parts = text.split(_QUOTED_ROWS_SLOT)
-    if len(parts) != len(matrices) + 1:
-        raise ValueError("a payload string holds the matrix rows placeholder")
-    pieces = [parts[0]]
-    for matrix, after in zip(matrices, parts[1:]):
-        line = pieces[-1][pieces[-1].rfind("\n") + 1 :]
-        pieces += _rows_pieces(matrix._entries, " " * (len(line) - len(line.lstrip(" "))))
-        pieces.append(after)
-    pieces.append("\n")
-    return "".join(pieces)
+        return text.decode()
+    respelled = []
+    options |= orjson.OPT_SERIALIZE_NUMPY
+    parts = orjson.dumps(obj, default=lambda o: _marked(o._entries, respelled), option=options).split(b"null")
+    pieces = [b""] * (2 * len(parts) - 1)
+    pieces[::2] = parts
+    pieces[1::2] = [float.__repr__(v).encode() for v in respelled]
+    text = b"".join(pieces)
+    del parts, pieces  # so that two texts at most are alive at once
+    return text.decode()
 
 
-def _rows_pieces(arr: np.ndarray, pad: str) -> List[str]:
-    """The json.dumps(indent=2) text of the finite arr.tolist(), closing at
-    indent pad, as pieces.  orjson writes every entry in the shortest
-    round-trip digits, as float.__repr__ does, and spells them alike except
-    at magnitudes in [1e-9, 1e-4) and from 1e16 on (0.00001 for 1e-05, 1e16
-    for 1e+16): those entries are rewritten with float.__repr__.  One row
-    at a time, so that only one row's entry strings are alive at once."""
-    import orjson  # here, so that importing the package never loads it
-
-    if arr.shape[0] == 0:
-        return ["[]"]
-    arr = np.ascontiguousarray(arr)  # orjson reads C-ordered arrays only
-    size = np.abs(arr)
-    respell = ((size >= 1e-9) & (size < 1e-4)) | (size >= 1e16)
-    entry_sep = ",\n" + pad + "    "
-    rows = []
-    for row, cols in zip(arr, map(np.flatnonzero, respell)):
-        texts = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
-        for j, value in zip(cols.tolist(), row[cols].tolist()):
-            texts[j] = float.__repr__(value)
-        rows.append(entry_sep.join(texts))
-    row_sep = "\n" + pad + "  ],\n" + pad + "  [\n" + pad + "    "
-    return ["[\n" + pad + "  [\n" + pad + "    ", row_sep.join(rows), "\n" + pad + "  ]\n" + pad + "]"]
+def _marked(entries: np.ndarray, respelled: List[float]) -> np.ndarray:
+    """entries as a C-ordered array with NaN for each entry orjson spells
+    unlike float.__repr__ (1e-9 <= |v| < 1e-4 or |v| >= 1e16), which is
+    appended to respelled; one float buffer holds |v|, then the result."""
+    marked = np.abs(entries, order="C")
+    band = (marked >= 1e16) | ((marked >= 1e-9) & (marked < 1e-4))
+    respelled += entries[band].tolist()
+    np.copyto(marked, entries)
+    marked[band] = np.nan
+    return marked
 
 
-def _parse_scalar(value, path: str) -> Fraction:
+def _parse_scalar(value, path: str, ratio=Fraction):
     if isinstance(value, bool):
         raise SchemaError(f"expected a rational, got {value!r}", path)
     if isinstance(value, int):
-        return Fraction(value)
+        return ratio(value, 1)
     if isinstance(value, str):
-        return parse_rational(value, path)
+        return parse_rational(value, path, ratio)
     raise SchemaError(
         f"expected a rational as an integer or 'p/q' string, got {type(value).__name__}",
         path,
     )
 
 
-def _rational_array(data, path: str) -> List[Fraction]:
+def _rational_array(data, path: str, ratio=Fraction) -> list:
     """A parsed JSON array of rationals, each parsed at its own path."""
     if not isinstance(data, list):
         raise SchemaError("expected an array of rationals", path)
-    return [_parse_scalar(v, f"{path}[{i}]") for i, v in enumerate(data)]
+    return [_parse_scalar(v, f"{path}[{i}]", ratio) for i, v in enumerate(data)]
+
+
+def _float_ratio(p: int, q: int):
+    """p / q, correctly rounded as float(Fraction(p, q)) is; past the float
+    range, the Fraction itself, so that float() raises where verify takes it."""
+    try:
+        return p / q
+    except OverflowError:
+        return Fraction(p, q)
 
 
 def _parse_count(value, path: str):
@@ -337,7 +332,8 @@ _UNREAD_DEPTH = 32
 
 def parse_matrix_document(text: str, path: str = "$"):
     """(matrix, exact diagonal or None) of a JSON text holding a bare matrix
-    or a realize payload, whose "diagonal_exact" is read at path.diagonal_exact.
+    or a realize payload, whose "diagonal_exact" is read at path.diagonal_exact
+    as the floats of its rationals (see _float_ratio).
 
     The text is read with orjson, several times faster than json.loads on a
     multi-megabyte matrix, and read again with load_json whenever orjson or
@@ -363,13 +359,13 @@ def parse_matrix_document(text: str, path: str = "$"):
 
 
 def _matrix_document(doc, path: str):
-    """(matrix, exact diagonal or None, values left unread) of a parsed
+    """(matrix, float diagonal or None, values left unread) of a parsed
     matrix document: a realize payload's "matrix" is read, else the whole."""
     if not (isinstance(doc, dict) and "matrix" in doc):
         return parse_matrix(doc, path), None, []
     exact = None
     if "diagonal_exact" in doc:
-        exact = _rational_array(doc["diagonal_exact"], f"{path}.diagonal_exact")
+        exact = _rational_array(doc["diagonal_exact"], f"{path}.diagonal_exact", _float_ratio)
     unread = [v for k, v in doc.items() if k not in ("matrix", "diagonal_exact")]
     return parse_matrix(doc["matrix"], path), exact, unread
 

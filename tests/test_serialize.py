@@ -386,6 +386,57 @@ def test_payload_with_matrices_at_two_depths_matches_stdlib_bytes(monkeypatch):
     assert dump_json(payload) == expected
 
 
+# The matrix render writes NumPy arrays; these pin that the rest of a payload
+# is written as before, and that each marked entry lands in its own place.
+
+
+@pytest.mark.parametrize("value", [np.zeros(2), {"a": np.zeros((1, 1))}, [np.float32(0.5)], {"a": np.int64(3)}])
+def test_numpy_values_outside_a_matrix_raise_as_in_json_dumps(value):
+    with pytest.raises(TypeError) as stdlib:
+        json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as ours:
+        dump_json(value)
+    assert str(ours.value) == str(stdlib.value)
+
+
+def test_numpy_float64_outside_a_matrix_is_written_as_json_dumps_writes_it():
+    # np.float64 is a float to json.dumps and not to orjson, which refuses it
+    for payload in ({"a": np.float64(0.5)}, {"a": np.float64(1e-5), "m": dump_matrix(SymmetricMatrix([[1e-5]]))}):
+        assert dump_json(payload) == _stdlib_text(payload)
+
+
+def test_marker_like_strings_next_to_a_matrix_with_respelled_entries(monkeypatch):
+    m = SymmetricMatrix([[1e-5, 2.5e17], [2.5e17, -3.2e-7]])
+    for payload in ({"note": "null", "matrix": dump_matrix(m)}, {"a": ["null", "xnullx"], "b": m, "c": None}):
+        assert dump_json(payload) == _stdlib_text(payload)
+    # text that looks like a marker or a format spec is the payload's own
+    payload = {"note": "100% of %r, %s, {} and %%", "%": dump_matrix(m), "m": [m, "nul", "%(x)s"]}
+    expected = _stdlib_text(payload)
+    monkeypatch.setattr(json, "dumps", None)
+    assert dump_json(payload) == expected
+
+
+def test_matrix_with_every_entry_respelled():
+    a = _symmetric([1e-9, -9.99e-5, 1e16, -1.7976931348623157e308, 3.2e-7, 5e-6, -2e20, 1e-5, 7.5e-8, 1e300])
+    a[a == 0] = 1e-6  # no entry outside the band
+    payload = {"z": [dump_matrix(SymmetricMatrix(a)), {"rows": SymmetricMatrix([[1e17]])}]}
+    assert dump_json(payload) == _stdlib_text(payload)
+
+
+@pytest.mark.parametrize(
+    "view",
+    [lambda a: a[::-1, ::-1], lambda a: a[::2, ::2], lambda a: np.asfortranarray(a)[::-1, ::-1], lambda a: a.T],
+    ids=["reversed", "strided", "fortran reversed", "transposed"],
+)
+def test_matrix_entries_held_as_a_non_contiguous_view(view):
+    big = _symmetric(_ulps_around([1e-9, 1e-4, 1e16, 0.1, 3.0], 2))
+    m = SymmetricMatrix(big)
+    m._entries = view(m._entries)
+    assert not m._entries.flags.c_contiguous
+    payload = {"matrix": dump_matrix(m), "twice": m}
+    assert dump_json(payload) == _stdlib_text(payload)
+
+
 def test_matrix_parse_rejects_bad_shape():
     with pytest.raises(SchemaError):
         parse_matrix({"dim": 3, "rows": [[0.0]]})
@@ -445,13 +496,22 @@ def test_parse_rational_reads_what_fraction_reads(before, sign, p, q, after):
 _REAL_DOC = json.loads((Path(__file__).parent / "data" / "golden" / "realize_t8.json").read_text())
 
 
+def _float_or_fraction(x: Fraction):
+    try:
+        return float(x)
+    except OverflowError:
+        return x
+
+
 def _json_reading(text, path="--matrix"):
-    """The document read by json.loads alone: verify's reading before orjson."""
+    """The document read by json.loads alone, with the exact diagonal read as
+    Fractions and then as their floats where they have one: verify's reading
+    before orjson."""
     raw = load_json(text, path)
     exact = None
     if isinstance(raw, dict) and "matrix" in raw:
         if "diagonal_exact" in raw:
-            exact = _rational_array(raw["diagonal_exact"], f"{path}.diagonal_exact")
+            exact = [_float_or_fraction(v) for v in _rational_array(raw["diagonal_exact"], f"{path}.diagonal_exact")]
         raw = raw["matrix"]
     return parse_matrix(raw, path), exact
 
@@ -571,7 +631,11 @@ def test_matrix_document_pinned_disagreements():
     doc = copy.deepcopy(_REAL_DOC)
     doc["diagonal_exact"][0] = 2**64
     _, exact = parse_matrix_document(json.dumps(doc), "--matrix")
-    assert exact[0] == 2**64 and type(exact[0]) is Fraction
+    assert exact[0] == 2**64 and type(exact[0]) is float
+    doc["diagonal_exact"][0] = 0.5
+    with pytest.raises(SchemaError, match="got float") as exc:
+        parse_matrix_document(json.dumps(doc), "--matrix")
+    assert exc.value.path == "--matrix.diagonal_exact[0]"
     # 10⁴⁰⁰ is refused by orjson, and json.loads's integer cannot be a float
     text = '{"dim": 2, "rows": [[0.5, 0.0], [0.0, 1%s]]}' % ("0" * 400)
     with pytest.raises(SchemaError, match="integer too large for a float") as exc:
