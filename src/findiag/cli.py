@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spectrum=True, translate=True):
+    def common(p, spectrum=True):
         p.add_argument("--seq", required=True, help="path to a sequence JSON file")
         if spectrum:
             p.add_argument(
@@ -366,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
                 required=True,
                 help="comma-separated rationals or a path to a JSON array",
             )
-        if translate:
             p.add_argument(
                 "--translate",
                 action="store_true",
@@ -389,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_witnesses)
 
     p = sub.add_parser("project", help="two-point spectrum {0, B} feasibility")
-    common(p, spectrum=False, translate=False)
+    common(p, spectrum=False)
     p.set_defaults(func=_cmd_project)
 
     p = sub.add_parser("realize", help="build a truncated realization matrix")
@@ -415,13 +414,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("explore3", help="exact feasible set of single interior points")
-    common(p, spectrum=False, translate=False)
+    common(p, spectrum=False)
     p.add_argument("--n-max", type=_number(int, 1), help="override the scanned multiplicity cap")
     p.add_argument("--svg", help="also write an SVG scatter to this path")
     p.set_defaults(func=_cmd_explore3)
 
     p = sub.add_parser("explore4", help="feasible region over interior point pairs")
-    common(p, spectrum=False, translate=False)
+    common(p, spectrum=False)
     p.add_argument("--grid", type=_number(int, 3), required=True, help="grid divisions q ≥ 3")
     p.add_argument("--svg", help="also write an SVG scatter to this path")
     p.add_argument("--out", help="write the CSV to a file instead of stdout")

@@ -148,6 +148,11 @@ def horn_construct(lam: Sequence, d: Sequence) -> SymmetricMatrix:
     return SymmetricMatrix(entries, tuple(rotations), tuple(d))
 
 
+def _descending(item: Tuple[int, int]) -> Tuple[int, int]:
+    """The sort key of _horn's working list: larger values first, ties by coordinate."""
+    return -item[0], item[1]
+
+
 def _horn(lam: Sequence[int], d: Sequence[int], Q: int) -> Tuple[np.ndarray, List[GivensRotation]]:
     """horn_construct on eigenvalues and targets given as integers over Q:
     the entries and the rotations.  Every float is one int division, so it
@@ -164,15 +169,15 @@ def _horn(lam: Sequence[int], d: Sequence[int], Q: int) -> Tuple[np.ndarray, Lis
 
     for pos in order:
         target = d[pos]
-        hit = next((idx for idx, (v, _) in enumerate(active) if v == target), None)
-        if hit is not None:
-            _, coord = active.pop(hit)
+        # active is sorted by (−value, coord): the first working value ≤ target
+        below = bisect.bisect_left(active, (-target, -1), key=_descending)
+        if below < len(active) and active[below][0] == target:
+            _, coord = active.pop(below)
             coord_of_position[pos] = coord
             continue
-        below = next((idx for idx, (v, _) in enumerate(active) if v < target), None)
         # the remaining working values majorize the remaining targets, so a
         # bracketing pair exists whenever there is no exact hit
-        _require(below is not None and below >= 1, "majorization invariant violated")
+        _require(0 < below < len(active), "majorization invariant violated")
         alpha, pa = active[below - 1]
         beta, pb = active[below]
         # c² = (τ − β)/(α − β), s² = 1 − c², and the coupling c·s·(α − β)
@@ -188,7 +193,7 @@ def _horn(lam: Sequence[int], d: Sequence[int], Q: int) -> Tuple[np.ndarray, Lis
         rotations.append(GivensRotation(pa, pb, c, s))
         active.pop(below)
         active.pop(below - 1)
-        bisect.insort(active, (merged, pb), key=lambda t: (-t[0], t[1]))
+        bisect.insort(active, (merged, pb), key=_descending)
         coord_of_position[pos] = pa
     _require(not active, "working multiset should be exhausted")
 

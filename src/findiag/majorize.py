@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainError
 from .scalars import INF
@@ -52,10 +52,6 @@ class Witness:
             raise DomainError(f"witness k must be an integer, got {self.k!r}")
         object.__setattr__(self, "N", N)
 
-    def sigma(self, r: int) -> int:
-        """σ_r = N_1 + … + N_r."""
-        return sum(self.N[:r])
-
     @property
     def sigma_total(self) -> int:
         return sum(self.N)
@@ -75,64 +71,11 @@ def _require_compatible(
 
 
 @dataclass(frozen=True)
-class StepSequence:
-    """The nondecreasing step sequence λ over ℤ determined by (spectrum, witness).
-
-    λ_i = 0 for i ≤ k, λ_i = A_r on the block k+σ_{r−1}+1 … k+σ_r, and
-    λ_i = B for i ≥ k+σ_n+1; every spectrum value is attained.
-    """
-
-    spectrum: SpectrumSpec
-    witness: Witness
-
-    def __post_init__(self):
-        if len(self.witness.N) != self.spectrum.n:
-            raise DomainError(
-                f"witness has {len(self.witness.N)} multiplicities for "
-                f"{self.spectrum.n} interior spectrum points"
-            )
-
-    @property
-    def first_b_index(self) -> int:
-        return self.witness.k + self.witness.sigma_total + 1
-
-    def value(self, i: int) -> Fraction:
-        k = self.witness.k
-        if i <= k:
-            return Fraction(0)
-        offset = i - k
-        sigma = 0
-        for r, nr in enumerate(self.witness.N, start=1):
-            sigma += nr
-            if offset <= sigma:
-                return self.spectrum.points[r]
-        return self.spectrum.B
-
-    def prefix(self, m: int) -> Fraction:
-        """Σ_{i≤m} λ_i (all terms below k+1 vanish)."""
-        k = self.witness.k
-        total = Fraction(0)
-        if m <= k:
-            return total
-        sigma_prev = 0
-        for r, nr in enumerate(self.witness.N, start=1):
-            taken = max(0, min(m - k, sigma_prev + nr) - sigma_prev)
-            total += self.spectrum.points[r] * taken
-            sigma_prev += nr
-        total += self.spectrum.B * max(0, m - k - sigma_prev)
-        return total
-
-
-@dataclass(frozen=True)
 class DeltaProfile:
     """Exact partial-sum gaps δ_m on the checked window, plus the trace residual."""
 
     checked_indices: Tuple[Tuple[int, Fraction], ...]
     trace_residual: Fraction
-
-    @property
-    def min_delta(self) -> Fraction:
-        return min(d for _, d in self.checked_indices)
 
 
 # --------------------------------------------------------------------------
@@ -212,6 +155,20 @@ class _ZLayout:
                 total -= self.right.head_sum(count)
         return total
 
+    def entries(self, start: int, count: int) -> List[Fraction]:
+        """d_start, …, d_{start+count−1}, exact.  A tail is read from its first
+        element in the range on, and exact 0s and Bs are constants."""
+        M, stop = len(self.mid), start + count
+        low = max(0, min(stop, 1) - start)  # indices start … start+low−1 are ≤ 0
+        high = max(0, stop - max(start, M + 1))  # the last `high` indices are > M
+        zeros, bs = [Fraction(0)] * low, [self.B] * high
+        if self.left is not None and low:
+            # index i ≤ 0 holds element −i, so these are elements 1−start−low … −start reversed
+            zeros = self.left.drop(1 - start - low)._head(low)[::-1]
+        if self.right is not None and high:
+            bs = [self.B - x for x in self.right.drop(max(start - M - 1, 0))._head(high)]
+        return [*zeros, *self.mid[max(start, 1) - 1 : max(0, min(stop - 1, M))], *bs]
+
     def largest_index_below(self, alpha: Fraction) -> int:
         """The largest index m with d_m < alpha, for 0 < alpha < B."""
         if self.left is not None:
@@ -258,7 +215,9 @@ def riemann_check(
 ) -> Tuple[bool, DeltaProfile]:
     """Decide δ_m = Σ_{i≤m}(d_i − λ_i) ≥ 0 for all m with lim δ_m = 0, exactly.
 
-    witness.k is the step-sequence shift in the canonical alignment (explicit
+    λ is the nondecreasing step sequence of (spectrum, witness): λ_i = 0 for
+    i ≤ k, then A_r on N_r indices for r = 1, …, n in turn, then λ_i = B for
+    i > k+σ_n.  witness.k is its shift in the canonical alignment (explicit
     entries at indices 1..M).  The limit condition is the vanishing of the
     closed-form trace residual; the sign condition is checked on the window
     m ∈ {k, …, k+σ_n} only, which suffices:
@@ -268,28 +227,29 @@ def riemann_check(
         which is ≥ 0 for every m exactly when the residual is ≥ 0 — and the
         residual must be 0 anyway for the limit condition.
 
-    A randomized full-window cross-check of this reduction lives in the tests.
+    The window is one running sum: δ_k = Σ_{i≤k} d_i, and each later δ_m adds
+    d_m − λ_m.  A randomized full-window cross-check of this reduction lives
+    in the tests.
     """
     _require_compatible(seq, spectrum)
     layout = _ZLayout(seq)
-    step = StepSequence(spectrum, witness)
+    if len(witness.N) != spectrum.n:
+        raise DomainError(
+            f"witness has {len(witness.N)} multiplicities for "
+            f"{spectrum.n} interior spectrum points"
+        )
 
     alpha = _split_alpha(spectrum)
     stats = _finite_stats(seq, alpha)
-    sigma = witness.sigma_total
+    k, sigma = witness.k, witness.sigma_total
     m_split = layout.largest_index_below(alpha)
-    residual = stats.C - stats.D - _weighted_sum(spectrum, witness.N) - seq.B * (
-        m_split - sigma - witness.k
-    )
+    residual = stats.C - stats.D - _weighted_sum(spectrum, witness.N) - seq.B * (m_split - sigma - k)
 
-    checked = []
-    ok = residual == 0
-    for m in range(witness.k, witness.k + sigma + 1):
-        delta = layout.prefix(m) - step.prefix(m)
-        checked.append((m, delta))
-        if delta < 0:
-            ok = False
-    return ok, DeltaProfile(tuple(checked), residual)
+    lam = [a for a, nr in zip(spectrum.interior, witness.N) for _ in range(nr)]
+    steps = (d - a for d, a in zip(layout.entries(k + 1, sigma), lam))
+    checked = tuple(zip(range(k, k + sigma + 1), accumulate(steps, initial=layout.prefix(k))))
+    ok = residual == 0 and all(d >= 0 for _, d in checked)
+    return ok, DeltaProfile(checked, residual)
 
 
 def canonical_shift(

@@ -1,4 +1,4 @@
-"""Majorization checks: step sequences, partial-sum tests, finite variants."""
+"""Majorization checks: partial-sum tests against step sequences, finite variants."""
 
 from collections import Counter
 from fractions import Fraction
@@ -13,7 +13,6 @@ from findiag import (
     DomainError,
     GeometricTail,
     SpectrumSpec,
-    StepSequence,
     Witness,
     canonical_shift,
     check_finite_majorization,
@@ -37,25 +36,6 @@ def test_witness_validation():
         Witness((1, -2), 0)
     w = Witness((2, 3), -1)
     assert w.sigma_total == 5
-    assert w.sigma(1) == 2
-    assert w.sigma(2) == 5
-
-
-def test_step_sequence_blocks():
-    spec = SpectrumSpec((F(0), F(1, 4), F(1, 2), F(1)))
-    lam = StepSequence(spec, Witness((2, 3), 0))
-    values = [lam.value(i) for i in range(1, 8)]
-    assert values == [F(1, 4), F(1, 4), F(1, 2), F(1, 2), F(1, 2), F(1), F(1)]
-    assert lam.value(0) == 0
-    assert lam.value(-5) == 0
-    # prefix(m) = Σ_{i ≤ m} λ_i matches direct accumulation
-    acc = F(0)
-    for i in range(1, 8):
-        acc += lam.value(i)
-        assert lam.prefix(i) == acc
-    assert lam.prefix(0) == 0
-    assert lam.prefix(-3) == 0
-    assert lam.first_b_index == 6
 
 
 def test_lebesgue_frozen_dyadic(dyadic):
@@ -93,7 +73,7 @@ def test_riemann_frozen_profiles(dyadic):
     assert ok is True
     assert prof.checked_indices == ((0, F(1, 2)), (1, F(1, 2)))
     assert prof.trace_residual == 0
-    assert prof.min_delta == F(1, 2)
+    assert min(d for _, d in prof.checked_indices) == F(1, 2)
 
     ok, prof = riemann_check(dyadic, spec, Witness((3,), -1))
     assert ok is True
@@ -108,14 +88,25 @@ def test_riemann_frozen_profiles(dyadic):
     ok, prof = riemann_check(dyadic, spec, Witness((5,), -2))
     assert ok is False
     assert prof.trace_residual == 0
-    assert prof.min_delta == F(-1, 2)
+    assert min(d for _, d in prof.checked_indices) == F(-1, 2)
+
+
+def step_prefix(spectrum, witness, m):
+    """Σ_{i≤m} λ_i for the step sequence λ of (spectrum, witness): 0 up to
+    index k, then A_r on the next N_r indices for each r in turn, then B."""
+    total, before = F(0), witness.k
+    for a, nr in zip(spectrum.interior, witness.N):
+        total += a * min(max(m - before, 0), nr)
+        before += nr
+    return total + spectrum.B * max(m - before, 0)
 
 
 def delta_range(seq, spectrum, witness, lo, hi):
-    """Exact δ_m for m = lo, …, hi, on any index range: the wide-window
-    companion of the window riemann_check reads."""
-    layout, step = _ZLayout(seq), StepSequence(spectrum, witness)
-    return tuple((m, layout.prefix(m) - step.prefix(m)) for m in range(lo, hi + 1))
+    """Exact δ_m for m = lo, …, hi, on any index range, each from the two
+    prefix sums in closed form: the wide-window companion of the running sum
+    riemann_check reads."""
+    layout = _ZLayout(seq)
+    return tuple((m, layout.prefix(m) - step_prefix(spectrum, witness, m)) for m in range(lo, hi + 1))
 
 
 def test_delta_range_wide_window(dyadic):
@@ -128,6 +119,57 @@ def test_delta_range_wide_window(dyadic):
             [F(1, 32), F(1, 16), F(1, 8), F(1, 4), F(1, 2), F(1, 2), F(1, 4), F(1, 8), F(1, 16), F(1, 32)],
         )
     )
+
+
+def test_riemann_window_is_the_closed_form_delta():
+    """riemann_check's running sum equals δ_m from the two closed-form prefix
+    sums at every window index, at shifts |k| ≤ 25 and on planted feasible
+    instances at their canonical shift: windows inside the zero tail or the
+    b tail, across the explicit entries, and over exact 0s or Bs."""
+    rng = Random(77)
+    seen = Counter()
+    for draw in range(600):
+        if draw % 4:
+            seq = random_sequence(rng)
+            spec = random_spectrum(rng, seq.B)
+            w = Witness(tuple(rng.randint(1, 4) for _ in spec.interior), rng.randint(-25, 25))
+        else:
+            seq, spec, N = _planted_instance(rng)
+            w = Witness(N, canonical_shift(seq, spec, N))
+        ok, prof = riemann_check(seq, spec, w)
+        top = w.k + w.sigma_total
+        assert prof.checked_indices == delta_range(seq, spec, w, w.k, top)
+        assert ok == (prof.trace_residual == 0 and min(d for _, d in prof.checked_indices) >= 0)
+        M = len(seq.explicit)
+        exact = seq.zero_tail is None if top <= 0 else seq.b_tail is None if w.k > M else None
+        seen["left" if top <= 0 else "right" if w.k > M else "across", exact] += 1
+        seen[ok] += 1
+    assert min(seen[side, exact] for side in ("left", "right") for exact in (True, False)) >= 40
+    assert seen["across", None] >= 150 and seen[True] >= 100
+
+
+def test_layout_entries_are_prefix_differences():
+    """_ZLayout.entries(start, count) is d_start, …, d_{start+count−1}, each
+    entry the difference of two consecutive closed-form prefix sums, for
+    ranges on either side, across the explicit entries, and empty ones."""
+    rng = Random(78)
+    for _ in range(300):
+        layout = _ZLayout(random_sequence(rng))
+        start, count = rng.randint(-30, 30), rng.randint(0, 20)
+        expected = [layout.prefix(i) - layout.prefix(i - 1) for i in range(start, start + count)]
+        assert layout.entries(start, count) == expected
+
+
+def test_riemann_rejects_a_witness_of_the_wrong_length(dyadic):
+    spec = SpectrumSpec((F(0), F(1, 2), F(1)))
+    with pytest.raises(DomainError, match=r"^witness has 2 multiplicities for 1 interior spectrum points$"):
+        riemann_check(dyadic, spec, Witness((1, 1), 0))
+    # the sequence is checked first: a side with exact zeros and a tail has no ℤ layout
+    both = DiagonalSequence(
+        B=F(1), explicit=(F(1, 2),), zero_count=3, zero_tail=GeometricTail(F(1, 4), F(1, 2)), b_count=INF
+    )
+    with pytest.raises(DomainError, match="both exact zeros and a zero tail"):
+        riemann_check(both, spec, Witness((1, 1), 0))
 
 
 def _planted_instance(rng: Random):
@@ -186,7 +228,7 @@ def test_anti_transfer_breaks_majorization():
         assert shift is not None  # the trace is still balanced …
         ok, prof = riemann_check(seq, spec, Witness(N, shift))
         assert ok is False  # … but a partial sum dips below zero
-        assert prof.min_delta < 0
+        assert min(d for _, d in prof.checked_indices) < 0
 
 
 @pytest.mark.parametrize("point, split", [(F(1, 8), -2), (F(7, 8), 2)])

@@ -322,3 +322,31 @@ def test_every_public_function_has_a_caller():
                 uncalled.add(f"{module}.{func.name}")
     assert LIBRARY_ENTRY_POINTS <= public
     assert sorted(uncalled) == []
+
+
+def test_every_public_class_member_is_read():
+    """Each method and property of a public class (dunders aside) is read as
+    an attribute somewhere in the package or by a benchmark file, so a member
+    that only the tests read cannot come back unnoticed.  Names are matched
+    as in test_every_public_function_has_a_caller, so a member whose name is
+    also read on another object passes unseen: a method named `value` would
+    pass on an enum's `.value`, and one named `sigma` on the `.sigma` of
+    construct's finite problem."""
+    paths = [*SRC.glob("*.py"), *(SRC.parent.parent / "perfbench").glob("*.py")]
+    read = {
+        node.attr
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+    }
+    members, unread = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for func in cls.body:
+                if isinstance(func, ast.FunctionDef) and not (func.name.startswith("__") and func.name.endswith("__")):
+                    members += 1
+                    if func.name not in read:
+                        unread.append(f"{path.stem}.{cls.name}.{func.name}")
+    assert members and unread == []
