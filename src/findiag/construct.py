@@ -449,7 +449,7 @@ def realize_truncated(
     when level T does not suffice: ``minimal`` is first when that build
     succeeds above T, and None when the trace congruence or a mass bound fails.
     """
-    _require_compatible(seq, spectrum, witness)
+    _require_compatible(seq, spectrum, witness.N)
     if not isinstance(T, int) or isinstance(T, bool) or T < 0:
         raise DomainError(f"truncation level must be an integer ≥ 0, got {T!r}")
     if isinstance(seq.zero_tail, DivergentTail) or isinstance(seq.b_tail, DivergentTail):

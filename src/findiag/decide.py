@@ -96,7 +96,7 @@ def lebesgue_check(seq: DiagonalSequence, spectrum: SpectrumSpec, witness: Witne
     for a two-point spectrum.  witness.k is ignored: k is determined by the
     trace equation.  The partial-sum form is riemann_check.
     """
-    _require_compatible(seq, spectrum, witness)
+    _require_compatible(seq, spectrum, witness.N)
     N = witness.N
     W, at = _stats_pass(seq, spectrum.interior or (spectrum.B / 2,))
     qB, qgap, qa, qw, qcap = _system(spectrum, W, at[0], at[: spectrum.n])

@@ -186,7 +186,7 @@ def four_point_region(seq: DiagonalSequence, grid: int) -> List[RegionSample]:
 # Emission
 # --------------------------------------------------------------------------
 
-def _svg_scatter(rows: Sequence[RegionSample], B: Optional[Fraction]) -> str:
+def _svg_scatter(rows: Sequence[RegionSample], B: Fraction) -> str:
     size, margin = 800, 60
     span = size - 2 * margin
     parts = [
@@ -195,10 +195,6 @@ def _svg_scatter(rows: Sequence[RegionSample], B: Optional[Fraction]) -> str:
         f'<rect x="0" y="0" width="{size}" height="{size}" fill="white"/>',
     ]
     if rows:
-        if B is None:
-            B = max(
-                [s.A1 for s in rows] + [s.A2 for s in rows if s.A2 is not None]
-            )
         bf = float(B)
 
         def sx(a: Fraction) -> float:
@@ -251,9 +247,9 @@ def emit_region(
     rows: Sequence[RegionSample], format: str = "csv", B: Optional[Fraction] = None
 ) -> bytes:
     """Serialize region samples: ``csv`` (columns A1,A2,feasible; A2 empty for
-    single-point sweeps) or ``svg`` (scatter on the grid square, feasible
-    points filled; single-point sweeps render on a midline).  Empty input
-    gives a header-only CSV or an empty canvas."""
+    single-point sweeps) or ``svg`` (scatter on the grid square [0, B]², so
+    B is required, feasible points filled; single-point sweeps render on a
+    midline).  Empty input gives a header-only CSV or an empty canvas."""
     if format == "csv":
         lines = ["A1,A2,feasible"]
         for s in rows:
@@ -263,5 +259,7 @@ def emit_region(
             )
         return ("\n".join(lines) + "\n").encode("utf-8")
     if format == "svg":
+        if B is None:
+            raise DomainError("svg emission needs the grid endpoint B")
         return _svg_scatter(rows, B).encode("utf-8")
     raise DomainError(f"unknown emission format {format!r} (expected csv or svg)")

@@ -4,11 +4,13 @@ partial-sum form of interior majorization for doubly infinite diagonals.
 The partial-sum (Riemann) form compares a nondecreasing ℤ-indexed
 arrangement of the diagonal against a step sequence taking each spectrum
 value on a block of indices.  It is decided in exact rational arithmetic:
-the limit condition reduces to a closed-form trace residual, and the
-partial-sum condition needs checking only on a finite index window.  The
-threshold-statistic (Lebesgue) form is decide.lebesgue_check, written once
-in integers and shared with the witness search.  The two forms are written
-independently; riemann_check at canonical_shift agrees with it on every
+the limit condition reduces to the closed-form trace residual
+excess − Σ A_j N_j + B·(k + σ), where excess = lim_m (Σ_{i≤m} d_i − B·m) is
+read from the ℤ layout itself, and the partial-sum condition needs checking
+only on a finite index window.  The threshold-statistic (Lebesgue) form is
+decide.lebesgue_check, written once in integers and shared with the witness
+search.  The two forms are written independently, sharing no statistic or
+tail cut search; riemann_check at canonical_shift agrees with it on every
 input.
 """
 
@@ -21,13 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainError
 from .scalars import INF
-from .sequences import (
-    DiagonalSequence,
-    DivergentTail,
-    GeometricTail,
-    SpectrumSpec,
-    threshold_stats,
-)
+from .sequences import DiagonalSequence, DivergentTail, GeometricTail, SpectrumSpec
 
 
 @dataclass(frozen=True)
@@ -58,16 +54,18 @@ class Witness:
 
 
 def _require_compatible(
-    seq: DiagonalSequence, spectrum: SpectrumSpec, witness: Optional[Witness] = None
+    seq: DiagonalSequence, spectrum: SpectrumSpec, N: Optional[Sequence[int]] = None
 ) -> None:
-    """The sequence and the spectrum share B, and a witness has one
-    multiplicity per interior spectrum point."""
+    """The sequence and the spectrum share B, and the witness multiplicities
+    N, when given, are one per interior spectrum point."""
     if seq.B != spectrum.B:
         raise DomainError(
             f"sequence endpoint B={seq.B} differs from spectrum endpoint {spectrum.B}"
         )
-    if witness is not None and len(witness.N) != spectrum.n:
-        raise DomainError("witness length does not match the spectrum")
+    if N is not None and len(N) != spectrum.n:
+        raise DomainError(
+            f"witness has {len(N)} multiplicities for {spectrum.n} interior spectrum points"
+        )
 
 
 @dataclass(frozen=True)
@@ -92,11 +90,15 @@ class _ZLayout:
     M+1+t.  The representation is the alignment: materializing tail elements
     into the explicit part shifts the indexing, and witnesses are relative to
     the representation they were computed against.
+
+    excess = lim_m (Σ_{i≤m} d_i − B·m): the zero side's mass plus Σ explicit,
+    minus B·M and the b side's distance mass.
     """
 
     def __init__(self, seq: DiagonalSequence):
         self.B = seq.B
         self.mid = seq.explicit
+        self.sums = seq._prefix
         M = len(self.mid)
 
         if isinstance(seq.zero_tail, GeometricTail):
@@ -140,14 +142,15 @@ class _ZLayout:
                 "the b side must be a geometric tail (with b_count 0) or "
                 "infinitely many exact Bs (with no tail) to index over ℤ"
             )
+        self.excess = self.prefix(M) - self.B * M - (self.right.total() if self.right is not None else 0)
 
     def prefix(self, m: int) -> Fraction:
-        """Σ_{i≤m} d_i, exact; the zero side contributes a closed-form remainder."""
+        """Σ_{i≤m} d_i, exact; the explicit part is read from the sequence's
+        integer prefix sums and each tail contributes a closed form."""
         if m <= 0:
             return self.left.tail_sum_from(-m) if self.left is not None else Fraction(0)
-        total = self.prefix(0)
-        M = len(self.mid)
-        total += sum(self.mid[: min(m, M)], Fraction(0))
+        (Q, _, P), M = self.sums, len(self.mid)
+        total = self.prefix(0) + Fraction(P[min(m, M)], Q)
         if m > M:
             count = m - M
             total += self.B * count
@@ -168,36 +171,6 @@ class _ZLayout:
         if self.right is not None and high:
             bs = [self.B - x for x in self.right.drop(max(start - M - 1, 0))._head(high)]
         return [*zeros, *self.mid[max(start, 1) - 1 : max(0, min(stop - 1, M))], *bs]
-
-    def largest_index_below(self, alpha: Fraction) -> int:
-        """The largest index m with d_m < alpha, for 0 < alpha < B."""
-        if self.left is not None:
-            c = self.left.count_at_least(alpha)
-            if c > 0:
-                # indices −(c−1)…0 hold elements ≥ alpha; index −c is the first below
-                return -c
-        if self.right is not None:
-            c = self.right.count_greater(self.B - alpha)
-            if c > 0:
-                # c smallest b-side elements lie below alpha
-                return len(self.mid) + c
-        return sum(1 for v in self.mid if v < alpha)
-
-
-def _split_alpha(spectrum: SpectrumSpec) -> Fraction:
-    """The threshold anchoring the trace residual: A_n, or B/2 when there are
-    no interior points (the residual limit is threshold-independent)."""
-    return spectrum.points[-2] if spectrum.n >= 1 else spectrum.B / 2
-
-
-def _finite_stats(seq: DiagonalSequence, alpha: Fraction):
-    stats = threshold_stats(seq, alpha)
-    if stats.C is INF or stats.D is INF:
-        raise DomainError(
-            f"threshold statistics at {alpha} are infinite; divergent inputs are "
-            "feasible outright and are routed before majorization checks"
-        )
-    return stats
 
 
 def _weighted_sum(spectrum: SpectrumSpec, N: Sequence[int]) -> Fraction:
@@ -227,23 +200,18 @@ def riemann_check(
         which is ≥ 0 for every m exactly when the residual is ≥ 0 — and the
         residual must be 0 anyway for the limit condition.
 
-    The window is one running sum: δ_k = Σ_{i≤k} d_i, and each later δ_m adds
-    d_m − λ_m.  A randomized full-window cross-check of this reduction lives
-    in the tests.
+    Right of the window Σ_{i≤m} λ_i = Σ A_j N_j + B·(m − k − σ_n), so the
+    limit of δ_m, the trace residual, is excess − Σ A_j N_j + B·(k + σ_n)
+    with the layout's excess.  The window is one running sum:
+    δ_k = Σ_{i≤k} d_i, and each later δ_m adds d_m − λ_m.  A randomized
+    full-window cross-check of this reduction lives in the tests.
     """
     _require_compatible(seq, spectrum)
-    layout = _ZLayout(seq)
-    if len(witness.N) != spectrum.n:
-        raise DomainError(
-            f"witness has {len(witness.N)} multiplicities for "
-            f"{spectrum.n} interior spectrum points"
-        )
+    layout = _ZLayout(seq)  # a sequence with no ℤ layout is refused before a wrong-length witness
+    _require_compatible(seq, spectrum, witness.N)
 
-    alpha = _split_alpha(spectrum)
-    stats = _finite_stats(seq, alpha)
     k, sigma = witness.k, witness.sigma_total
-    m_split = layout.largest_index_below(alpha)
-    residual = stats.C - stats.D - _weighted_sum(spectrum, witness.N) - seq.B * (m_split - sigma - k)
+    residual = layout.excess - _weighted_sum(spectrum, witness.N) + seq.B * (k + sigma)
 
     lam = [a for a, nr in zip(spectrum.interior, witness.N) for _ in range(nr)]
     steps = (d - a for d, a in zip(layout.entries(k + 1, sigma), lam))
@@ -255,20 +223,18 @@ def riemann_check(
 def canonical_shift(
     seq: DiagonalSequence, spectrum: SpectrumSpec, N: Sequence[int]
 ) -> Optional[int]:
-    """The unique step-sequence shift making the trace residual vanish.
+    """The unique step-sequence shift making the trace residual vanish:
+    k = (Σ A_j N_j − excess)/B − σ_n, with the excess of the ℤ layout.
 
-    Returns None when the trace equation has no integer solution for these
-    multiplicities (then riemann_check fails at every shift: the residual is
-    a nonzero multiple of B plus B times any shift change).
+    Returns None when that k is not an integer (then riemann_check fails at
+    every shift: a shift moves the residual by a multiple of B, and the
+    residual is not one).
     """
     _require_compatible(seq, spectrum)
-    alpha = _split_alpha(spectrum)
-    stats = _finite_stats(seq, alpha)
-    k0 = (stats.C - stats.D - _weighted_sum(spectrum, N)) / seq.B
-    if k0.denominator != 1:
-        return None
-    m_split = _ZLayout(seq).largest_index_below(alpha)
-    return m_split - sum(N) - int(k0)
+    layout = _ZLayout(seq)
+    _require_compatible(seq, spectrum, N)
+    k = (_weighted_sum(spectrum, N) - layout.excess) / seq.B - sum(N)
+    return k.numerator if k.denominator == 1 else None
 
 
 # --------------------------------------------------------------------------

@@ -437,6 +437,11 @@ def test_emit_svg_empty():
     assert "<circle" not in svg
 
 
+def test_emit_svg_needs_B(dyadic):
+    with pytest.raises(DomainError, match="needs the grid endpoint B"):
+        emit_region(four_point_region(dyadic, 8), "svg")
+
+
 def test_emit_unknown_format(dyadic):
     with pytest.raises(DomainError):
         emit_region([], "png")

@@ -19,6 +19,7 @@ from findiag import (
     check_finite_rank_tail,
     lebesgue_check,
     materialize_tails,
+    realize_truncated,
     riemann_check,
     threshold_stats,
 )
@@ -172,6 +173,52 @@ def test_riemann_rejects_a_witness_of_the_wrong_length(dyadic):
         riemann_check(both, spec, Witness((1, 1), 0))
 
 
+def test_every_check_rejects_a_witness_of_the_wrong_length(dyadic):
+    """The partial-sum, threshold-statistic and realization entry points give
+    a wrong-length witness one message."""
+    spec = SpectrumSpec((F(0), F(1, 2), F(1)))
+    for N in ((1, 1), ()):
+        message = rf"^witness has {len(N)} multiplicities for 1 interior spectrum points$"
+        for check in (
+            lambda: canonical_shift(dyadic, spec, N),
+            lambda: lebesgue_check(dyadic, spec, Witness(N, 0)),
+            lambda: realize_truncated(dyadic, spec, Witness(N, 0), 4),
+        ):
+            with pytest.raises(DomainError, match=message):
+                check()
+
+
+def test_canonical_shift_refuses_a_sequence_with_no_layout():
+    """The layout is read before the trace: a trace with no integer solution
+    (N = 2 here) does not hide a sequence that has no ℤ arrangement."""
+    spec = SpectrumSpec((F(0), F(1, 2), F(1)))
+    finite = DiagonalSequence(B=F(1), explicit=(F(1, 2),), zero_tail=GeometricTail(F(1, 4), F(1, 2)), b_count=5)
+    for N in ((1,), (2,)):
+        with pytest.raises(DomainError, match="the b side must be"):
+            canonical_shift(finite, spec, N)
+    divergent = DiagonalSequence(B=F(1), explicit=(F(1, 2),), zero_tail=DivergentTail(), b_count=INF)
+    with pytest.raises(DomainError, match="the zero side must be"):
+        canonical_shift(divergent, spec, (1,))
+
+
+def test_layout_excess_frozen(dyadic):
+    # the zero tail's 1/2 plus the entry 1/2, less B·M = 1 and the b tail's 1/2
+    assert _ZLayout(dyadic).excess == F(-1, 2)
+
+
+def test_layout_excess_is_the_limit_of_the_prefix_defect():
+    """For every m > M, Σ_{i≤m} d_i − B·m is the excess plus the b tail's
+    distance mass after its first m − M elements, or the excess itself over
+    exact Bs."""
+    rng = Random(30)
+    for _ in range(200):
+        seq = random_sequence(rng)
+        layout, M = _ZLayout(seq), len(seq.explicit)
+        for m in range(M + 1, M + 12):
+            rest = seq.b_tail.tail_sum_from(m - M) if seq.b_tail is not None else 0
+            assert layout.prefix(m) - seq.B * m == layout.excess + rest
+
+
 def _planted_instance(rng: Random):
     """A feasible (seq, spec, N) built by Robin-Hood-perturbing the step
     arrangement itself, so the partial-sum test is known to pass."""
@@ -233,11 +280,10 @@ def test_anti_transfer_breaks_majorization():
 
 @pytest.mark.parametrize("point, split", [(F(1, 8), -2), (F(7, 8), 2)])
 def test_split_index_inside_a_tail(dyadic, point, split):
-    # A_n = 1/8 falls among the zero-tail elements 1/4, 1/8, 1/16, …, and
-    # 7/8 among the b-tail elements 3/4, 7/8, 15/16, …, so the split index
-    # is read from a tail, not from the explicit entries
     spec = SpectrumSpec((F(0), point, F(1)))
-    assert _ZLayout(dyadic).largest_index_below(point) == split
+    # the one interior point lies inside a tail: d_split < A_1 ≤ d_{split+1}
+    below, above = _ZLayout(dyadic).entries(split, 2)
+    assert below < point <= above
     outcomes = []
     for n in range(1, 30):
         shift = canonical_shift(dyadic, spec, (n,))

@@ -179,6 +179,47 @@ def test_one_lattice_search_answers_every_multiplicity_question():
     assert generators == []
 
 
+def _reached(roots) -> set:
+    """The package functions and methods reached from the named top-level
+    functions and classes, by name: a name or attribute read reaches every
+    function or method of that name, and a class name its __init__ and
+    __post_init__; a root class counts with its whole body."""
+    defs, roots_found = {}, []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in roots:
+                roots_found.append(node)
+            if isinstance(node, ast.FunctionDef):
+                defs.setdefault(node.name, []).append(node)
+            elif isinstance(node, ast.ClassDef):
+                for func in node.body:
+                    if isinstance(func, ast.FunctionDef):
+                        defs.setdefault(func.name, []).append(func)
+                        if func.name in ("__init__", "__post_init__"):
+                            defs.setdefault(node.name, []).append(func)
+    assert sorted(n.name for n in roots_found) == sorted(roots)
+    reached, todo = set(), roots_found
+    while todo:
+        node = todo.pop()
+        for n in ast.walk(node):
+            name = n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else None
+            if name in defs and name not in reached:
+                reached.add(name)
+                todo += defs[name]
+    return reached
+
+
+def test_partial_sum_form_shares_nothing_with_the_threshold_statistics():
+    """riemann_check and canonical_shift take the trace residual from the ℤ
+    layout's excess, so neither they nor _ZLayout reach the statistics pass,
+    the integer system, the trace residue or a tail cut search: a
+    riemann-against-lebesgue cross-check compares two independent codes."""
+    shared = {"threshold_stats", "_stats_pass", "_trace_residue", "_system", "_walk", "count_at_least", "count_greater"}
+    reached = _reached({"riemann_check", "canonical_shift", "_ZLayout"})
+    assert {"_ZLayout", "prefix", "entries", "_require_compatible"} <= reached
+    assert sorted(reached & shared) == []
+
+
 def _function(path: Path, name: str, cls: str = None) -> ast.FunctionDef:
     tree = ast.parse(path.read_text(encoding="utf-8"))
     scope = tree.body
@@ -272,11 +313,12 @@ def test_no_module_imports_a_name_it_never_uses():
 
 # Public functions of the package that no code path of the CLI and no
 # benchmark file calls: the library entry points for finite matrices,
-# summable diagonals, one witness's threshold-statistic criterion, the two
-# symmetries and sequence output.
+# summable diagonals, one witness's threshold-statistic criterion, the
+# statistics at one threshold, the two symmetries and sequence output.
 LIBRARY_ENTRY_POINTS = frozenset(
     {
         "horn_construct",
+        "threshold_stats",
         "decide_finite",
         "check_finite_rank_tail",
         "lebesgue_check",
