@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError
 from .majorize import Witness, _require_compatible
@@ -121,17 +121,17 @@ def enumerate_witnesses(
     if system is None:
         W, at = _stats_pass(seq, [spectrum.B / 2, *spectrum.interior])
         system = _system(spectrum, W, at[0], at[1:])  # raises on infinite statistics
-    return _lattice_search(*system)
+    return [Witness(N, k) for N, k in _lattice_search(*system)]
 
 
 def _lattice_search(
     qB: int, qgap: int, qa: Sequence[int], qw: List[List[int]], qcap: List[int]
-) -> List[Witness]:
+) -> Iterator[Tuple[Tuple[int, ...], int]]:
     """Every N ≥ 1 with (qgap − Σ_j qa_j·N_j) % qB == 0 and
-    Σ_j qw[r][j]·N_j ≤ qcap[r] for every r, as Witness(N, k) with k the
-    quotient, in lexicographic N order.  The trace and the mass bounds may
-    be scaled by different factors, and rows may outnumber coordinates:
-    every row bounds every coordinate.
+    Σ_j qw[r][j]·N_j ≤ qcap[r] for every r, yielded lazily as integer pairs
+    (N, k) with k the quotient, in lexicographic N order.  The trace and the
+    mass bounds may be scaled by different factors, and rows may outnumber
+    coordinates: every row bounds every coordinate.
 
     The bounds have positive coefficients, so a depth-first search over N_1,
     N_2, … stops each coordinate at the largest value that still fits with
@@ -145,26 +145,24 @@ def _lattice_search(
     for i in reversed(range(n)):
         g[i] = math.gcd(qa[i], g[i + 1])
     if qgap % g[0]:
-        return []
+        return
     # N_i must leave a multiple of g[i+1]: one residue class modulo step[i]
     step = [g[i + 1] // g[i] for i in range(n)]
     inv = [pow(qa[i] // g[i], -1, step[i]) for i in range(n)]
     # rest[i][r]: the load of coordinates i.. on mass bound r, all at 1
     rest = [[sum(row[i:]) for row in qw] for i in range(n + 1)]
     rows = range(len(qw))
-    found: List[Witness] = []
 
-    def search(i: int, N: Tuple[int, ...], used: List[int], res: int) -> None:
+    def search(i: int, N: Tuple[int, ...], used: List[int], res: int) -> Iterator:
         hi = min((qcap[r] - used[r] - rest[i + 1][r]) // qw[r][i] for r in rows)
         for v in range((res // g[i]) * inv[i] % step[i] or step[i], hi + 1, step[i]):
             left = res - qa[i] * v
             if i == n - 1:
-                found.append(Witness(N + (v,), left // qB))
+                yield N + (v,), left // qB
             else:
-                search(i + 1, N + (v,), [u + row[i] * v for u, row in zip(used, qw)], left)
+                yield from search(i + 1, N + (v,), [u + row[i] * v for u, row in zip(used, qw)], left)
 
-    search(0, (), [0] * len(qw), qgap)
-    return found
+    yield from search(0, (), [0] * len(qw), qgap)
 
 
 _OUT_OF_SCOPE_NOTE = ("requires infinite mass on both sides: Σ d_i and Σ (B − d_i) must both diverge; "
@@ -265,7 +263,11 @@ def decide_finite(
     eliminating M_0 by L and #{d_i < A_r} by the trace turns the inequality
     at A_r into mass bound r of _System.  So this is _lattice_search on the
     _System of d with the gap Σd (k = M_B) and two more rows, M_B ≥ 1 and
-    M_0 ≥ 1: Σ A_j N_j ≤ Σd − B and Σ (B − A_j)·N_j ≤ (L − 1)·B − Σd.
+    M_0 ≥ 1: Σ A_j N_j ≤ Σd − B and Σ (B − A_j)·N_j ≤ (L − 1)·B − Σd.  It
+    stops at the first N with M_0 = lo = max(1, ⌈Σ (A_1 − d_i)₊ / A_1⌉): only
+    the M_0 zeros of λ lie below A_1, so the inequality at t = A_1 reads
+    Σ (A_1 − d_i)₊ ≤ M_0·A_1 and no M_0 is below lo; N comes in lexicographic
+    order and fixes M_B, so the first N at the least M_0 gives the least M.
     """
     seq = DiagonalSequence(spectrum.B, tuple(d))  # raises on an entry outside [0, B]
     _, qB, P = seq._prefix
@@ -276,6 +278,11 @@ def decide_finite(
     W, at = _stats_pass(seq, spectrum.interior)  # W == Q: d has no tails
     qB, qgap, qa, qw, qcap = _system(spectrum, W, (total, 0), at)
     rows, caps = qw + [qa, [qB - a for a in qa]], qcap + [qgap - qB, (L - 1) * qB - qgap]
-    found = _lattice_search(qB, qgap, qa, rows, caps)
-    M = min(((L - sum(w.N) - w.k, *w.N, w.k) for w in found), default=None)
+    A1, M = spectrum.interior[0], None
+    lo = max(1, math.ceil(sum((A1 - x for x in seq.explicit if x < A1), seq.zero_count * A1) / A1))
+    for N, k in _lattice_search(qB, qgap, qa, rows, caps):
+        if M is None or L - sum(N) - k < M[0]:
+            M = (L - sum(N) - k, *N, k)
+            if M[0] == lo:
+                break
     return M is not None, M

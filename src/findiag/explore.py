@@ -176,7 +176,7 @@ def four_point_region(seq: DiagonalSequence, grid: int) -> List[RegionSample]:
     def cell(p: int, r: int) -> Tuple[bool, int]:
         pr = (p - 1, r - 1)
         w = [[qw[i][j] for j in pr] for i in pr]
-        count = len(_lattice_search(qB, qgap, [qa[i] for i in pr], w, [qcap[i] for i in pr]))
+        count = sum(1 for _ in _lattice_search(qB, qgap, [qa[i] for i in pr], w, [qcap[i] for i in pr]))
         return count > 0, count
 
     return rows(cell)

@@ -57,7 +57,7 @@ def _require_compatible(
     seq: DiagonalSequence, spectrum: SpectrumSpec, N: Optional[Sequence[int]] = None
 ) -> None:
     """The sequence and the spectrum share B, and the witness multiplicities
-    N, when given, are one per interior spectrum point."""
+    N, when given, are one per interior spectrum point, each an integer ≥ 1."""
     if seq.B != spectrum.B:
         raise DomainError(
             f"sequence endpoint B={seq.B} differs from spectrum endpoint {spectrum.B}"
@@ -66,6 +66,8 @@ def _require_compatible(
         raise DomainError(
             f"witness has {len(N)} multiplicities for {spectrum.n} interior spectrum points"
         )
+    if N is not None:
+        Witness(N, 0)  # Witness's check and message for each multiplicity
 
 
 @dataclass(frozen=True)

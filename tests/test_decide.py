@@ -1,6 +1,8 @@
 """Feasibility decisions: the projection case, witness enumeration, routing."""
 
 import importlib
+import math
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -280,9 +282,19 @@ def _finite_instance(rng, planted):
     return d, spectrum
 
 
+def least_zeros(d, spectrum):
+    """lo = max(1, ⌈Σ (A_1 − d_i)₊ / A_1⌉), the least M_0 that majorization
+    at t = A_1 allows."""
+    A1 = spectrum.interior[0]
+    return max(1, math.ceil(sum((A1 - x for x in d if x < A1), F(0)) / A1))
+
+
 def test_decide_finite_matches_the_composition_scan():
+    """The corpus ends the search both ways: at a vector with M_0 = lo, and
+    after the whole search when the least M_0 lies above lo."""
     rng = Random(11)
     feasible = {True: 0, False: 0}
+    ends = {"at lo": 0, "above lo": 0}
     for i in range(3000):
         d, spectrum = _finite_instance(rng, planted=i % 2 == 0)
         expected = finite_by_compositions(d, spectrum)
@@ -290,7 +302,37 @@ def test_decide_finite_matches_the_composition_scan():
         if i % 2 == 0:
             assert expected[0], (d, spectrum)
         feasible[expected[0]] += 1
+        if expected[0] and spectrum.n:
+            ends["at lo" if expected[1][0] == least_zeros(d, spectrum) else "above lo"] += 1
     assert min(feasible.values()) >= 500, feasible
+    assert ends["at lo"] >= 500 and ends["above lo"] >= 100, ends
+
+
+def test_decide_finite_stops_at_its_least_vector(monkeypatch):
+    """[1/2]*40 against the eighths has 836,618 feasible vectors.  The least
+    has M_0 = lo = 1, and the search stops there: fewer than 1% of the pairs
+    are drawn.  Float and string entries give the answer of their Fractions,
+    also where lo is above 1 (5 zeros, or four entries 1/16 that lie below
+    A_1 = 1/8)."""
+    module = sys.modules["findiag.decide"]
+    search, drawn = module._lattice_search, [0]
+
+    def counted(*args):
+        for pair in search(*args):
+            drawn[0] += 1
+            yield pair
+
+    monkeypatch.setattr(module, "_lattice_search", counted)
+    eighths = SpectrumSpec(tuple(F(i, 8) for i in range(9)))
+    assert decide_finite([F(1, 2)] * 40, eighths) == (True, (1, 1, 1, 1, 32, 1, 1, 1, 1))
+    assert 0 < drawn[0] < 8367, drawn[0]
+    for exact, M in (
+        ([F(1, 2)] * 40, (1, 1, 1, 1, 32, 1, 1, 1, 1)),
+        ([F(0)] * 5 + [F(1, 2)] * 31, (5, 1, 1, 5, 20, 1, 1, 1, 1)),
+        ([F(1, 16)] * 4 + [F(1, 2)] * 12, (2, 2, 3, 4, 1, 1, 1, 1, 1)),
+    ):
+        for d in (exact, [float(x) for x in exact], [str(x) for x in exact]):
+            assert decide_finite(d, eighths) == (True, M), d
 
 
 @pytest.mark.parametrize(

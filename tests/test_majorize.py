@@ -188,6 +188,24 @@ def test_every_check_rejects_a_witness_of_the_wrong_length(dyadic):
                 check()
 
 
+def test_canonical_shift_refuses_what_witness_refuses(dyadic):
+    """canonical_shift takes a bare N and refuses a multiplicity that is not
+    an integer ≥ 1 with Witness's message; the checks that take a Witness
+    keep their messages."""
+    spec = SpectrumSpec((F(0), F(1, 2), F(1)))
+    for nj in (-1, 0, True, 1.0):
+        message = rf"^witness multiplicities must be integers ≥ 1, got {nj!r}$"
+        with pytest.raises(DomainError, match=message):
+            canonical_shift(dyadic, spec, (nj,))
+        with pytest.raises(DomainError, match=message):
+            Witness((nj,), 0)
+    assert canonical_shift(dyadic, spec, (1,)) == canonical_shift(dyadic, spec, [1]) == 0
+    message = r"^witness has 2 multiplicities for 1 interior spectrum points$"
+    for check in (riemann_check, lebesgue_check, lambda *args: realize_truncated(*args, 4)):
+        with pytest.raises(DomainError, match=message):
+            check(dyadic, spec, Witness((1, 1), 0))
+
+
 def test_canonical_shift_refuses_a_sequence_with_no_layout():
     """The layout is read before the trace: a trace with no integer solution
     (N = 2 here) does not hide a sequence that has no ℤ arrangement."""

@@ -160,8 +160,11 @@ def test_only_geometric_tail_walks_a_tail():
 
 def test_one_lattice_search_answers_every_multiplicity_question():
     """decide_finite, enumerate_witnesses and four_point_region each call
-    _lattice_search, and decide.py holds no generator function, so no second
-    enumeration (a composition scan, say) can come back beside it."""
+    _lattice_search, and the only generator functions in decide.py are
+    _lattice_search and its nested search, so no second enumeration (a
+    composition scan, say) can come back beside it.  decide_finite consumes
+    the search lazily: it loops over the generator and calls no list, min or
+    sorted that could gather it."""
     for module, name in (("decide", "decide_finite"), ("decide", "enumerate_witnesses"), ("explore", "four_point_region")):
         calls = [
             n
@@ -176,7 +179,21 @@ def test_one_lattice_search_answers_every_multiplicity_question():
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
         and any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in ast.walk(func))
     ]
-    assert generators == []
+    assert sorted(generators) == ["_lattice_search", "search"]
+    finite = _function(SRC / "decide.py", "decide_finite")
+    loops = [
+        n
+        for n in ast.walk(finite)
+        if isinstance(n, ast.For) and isinstance(n.iter, ast.Call) and isinstance(n.iter.func, ast.Name)
+        and n.iter.func.id == "_lattice_search"
+    ]
+    assert len(loops) == 1
+    gathering = [
+        n.lineno
+        for n in ast.walk(finite)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id in ("list", "min", "sorted")
+    ]
+    assert gathering == []
 
 
 def _reached(roots) -> set:

@@ -156,9 +156,10 @@ def test_bounds_are_sound():
 
 
 def test_lattice_search_reads_every_row():
-    """With more rows than coordinates, every row prunes: the search equals a
-    box scan filtered by the congruence and every row, and on some systems
-    the rows past the n-th remove points that the first n rows keep."""
+    """With more rows than coordinates, every row prunes: the search yields
+    the (N, k) pairs of a box scan filtered by the congruence and every row,
+    in the same order, and on some systems the rows past the n-th remove
+    points that the first n rows keep."""
     rng = Random(5)
     pruned = 0
     for _ in range(300):
@@ -172,13 +173,13 @@ def test_lattice_search_reads_every_row():
         def scan(rows):
             box = [min(qcap[r] // qw[r][j] for r in rows) for j in range(n)]
             return [
-                Witness(N, (qgap - sum(a * v for a, v in zip(qa, N))) // qB)
+                (N, (qgap - sum(a * v for a, v in zip(qa, N))) // qB)
                 for N in product(*(range(1, b + 1) for b in box))
                 if (qgap - sum(a * v for a, v in zip(qa, N))) % qB == 0
                 and all(sum(w * v for w, v in zip(qw[r], N)) <= qcap[r] for r in rows)
             ]
 
-        got = _lattice_search(qB, qgap, qa, qw, qcap)
+        got = list(_lattice_search(qB, qgap, qa, qw, qcap))
         assert got == scan(range(len(qw))), (qB, qgap, qa, qw, qcap)
         pruned += got != scan(range(n))
     assert pruned >= 50, pruned  # 120 in this corpus
