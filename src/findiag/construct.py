@@ -113,19 +113,23 @@ class RealizationReport:
 def _apply_rotation(arr: np.ndarray, p: int, q: int, c: float, s: float) -> None:
     """Conjugate by the rotation acting as [[c, -s], [s, c]] on coordinates (p, q).
 
-    Rows then columns; the (q, p) entry is mirrored from (p, q) afterwards so
-    symmetry stays bitwise (all other mirrored pairs already agree bitwise
-    because rows and columns see identical arithmetic on a symmetric input).
+    arr must be bitwise symmetric, as every matrix construct builds is: it
+    starts from np.zeros and every step keeps mirrored entries equal bit for
+    bit.  So the column update of each entry outside the 2x2 block would
+    repeat the row update of its mirror: each new row is written as a row and
+    a column, and the block gets the rows-then-columns arithmetic in scalar
+    floats, with (q, p) set to (p, q), so the result stays bitwise symmetric.
     """
+    app, apq, aqq = arr.item(p, p), arr.item(p, q), arr.item(q, q)
     rp = c * arr[p] - s * arr[q]
     rq = s * arr[p] + c * arr[q]
-    arr[p] = rp
-    arr[q] = rq
-    cp = c * arr[:, p] - s * arr[:, q]
-    cq = s * arr[:, p] + c * arr[:, q]
-    arr[:, p] = cp
-    arr[:, q] = cq
-    arr[q, p] = arr[p, q]
+    arr[p] = arr[:, p] = rp
+    arr[q] = arr[:, q] = rq
+    rpp, rpq = c * app - s * apq, c * apq - s * aqq
+    rqp, rqq = s * app + c * apq, s * apq + c * aqq
+    arr[p, p] = c * rpp - s * rpq
+    arr[p, q] = arr[q, p] = s * rpp + c * rpq
+    arr[q, q] = s * rqp + c * rqq
 
 
 def horn_construct(lam: Sequence, d: Sequence) -> SymmetricMatrix:

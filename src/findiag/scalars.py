@@ -63,7 +63,7 @@ def parse_rational(text: str, path: str = "$", ratio=Fraction):
 
 def format_rational(x: Fraction) -> str:
     """Inverse of parse_rational; '3', '-1/2', etc."""
-    return str(Fraction(x))
+    return str(x) if type(x) is Fraction else str(Fraction(x))
 
 
 def _scaled(*values: Fraction) -> Tuple[int, List[int]]:

@@ -58,7 +58,8 @@ def dump_json(obj) -> str:
     payload again with each matrix as a NumPy array in which NaN, written as
     null, marks the entries it spells unlike float.__repr__.  The first
     render showed the payload has no null of its own, so one split at the
-    nulls and one join with float.__repr__ of each marked entry give the text.
+    nulls and one join with the marked entries, spelled by _band_spellings
+    from orjson's digits as float.__repr__ spells them, give the text.
     """
     import orjson  # here, so that importing the package never loads it
 
@@ -93,7 +94,7 @@ def dump_json(obj) -> str:
     parts = orjson.dumps(obj, default=lambda o: _marked(o._entries, respelled), option=options).split(b"null")
     pieces = [b""] * (2 * len(parts) - 1)
     pieces[::2] = parts
-    pieces[1::2] = [float.__repr__(v).encode() for v in respelled]
+    pieces[1::2] = _band_spellings(respelled)
     text = b"".join(pieces)
     del parts, pieces  # so that two texts at most are alive at once
     return text.decode()
@@ -102,13 +103,30 @@ def dump_json(obj) -> str:
 def _marked(entries: np.ndarray, respelled: List[float]) -> np.ndarray:
     """entries as a C-ordered array with NaN for each entry orjson spells
     unlike float.__repr__ (1e-9 <= |v| < 1e-4 or |v| >= 1e16), which is
-    appended to respelled; one float buffer holds |v|, then the result."""
+    appended to respelled for _band_spellings to spell; one float buffer
+    holds |v|, then the result."""
     marked = np.abs(entries, order="C")
     band = (marked >= 1e16) | ((marked >= 1e-9) & (marked < 1e-4))
     respelled += entries[band].tolist()
     np.copyto(marked, entries)
     marked[band] = np.nan
     return marked
+
+
+def _band_spellings(values: List[float]) -> List[bytes]:
+    """float.__repr__ of each value in the band of _marked, as bytes, from one
+    orjson render of them all: below 1e-5 and from 1e16 on it differs only in
+    the exponent, which three replacements respell (3.2e-7 and 1e16 become
+    3.2e-07 and 1e+16; each band exponent below 1e-5 has one digit).  Values
+    in [1e-5, 1e-4), which orjson writes as 0.0000..., take float.__repr__."""
+    import orjson
+
+    text = orjson.dumps(values)[1:-1].replace(b"e-", b"e-0").replace(b"e", b"e+").replace(b"e+-", b"e-")
+    spelled = text.split(b",") if values else []
+    for i, v in enumerate(values):
+        if 1e-5 <= abs(v) < 1e-4:
+            spelled[i] = float.__repr__(v).encode()
+    return spelled
 
 
 def _parse_scalar(value, path: str, ratio=Fraction):

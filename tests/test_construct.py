@@ -116,6 +116,64 @@ def test_horn_order_of_targets_is_respected():
     assert m.exact_diagonal == tuple(d)
 
 
+def rows_then_columns(arr, p, q, c, s):
+    """The rotation update _apply_rotation replaced, kept as its oracle: new
+    rows, then new columns from them, then (q, p) mirrored from (p, q)."""
+    rp = c * arr[p] - s * arr[q]
+    rq = s * arr[p] + c * arr[q]
+    arr[p] = rp
+    arr[q] = rq
+    cp = c * arr[:, p] - s * arr[:, q]
+    cq = s * arr[:, p] + c * arr[:, q]
+    arr[:, p] = cp
+    arr[:, q] = cq
+    arr[q, p] = arr[p, q]
+
+
+# Entries of the seeded matrices: signed zeros, subnormals, values in the
+# band dump_json respells (1e-9 <= |v| < 1e-4, |v| >= 1e16), and ordinary ones.
+_ROTATION_ENTRIES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -1.1e-308, 3.2e-7, -1e-9, 9.99e-5, -2.5e17, 0.5, -0.1, 1.0]
+
+
+def _bitwise_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Upper triangle drawn from _ROTATION_ENTRIES and random normals, copied
+    bit for bit below the diagonal, so -0.0 faces -0.0."""
+    pool = np.array(_ROTATION_ENTRIES + rng.normal(size=8).tolist())
+    upper = rng.choice(pool, size=(n, n))
+    return np.where(np.triu(np.ones((n, n), dtype=bool)), upper, upper.T)
+
+
+def _rotation_pairs(rng: np.random.Generator, n: int):
+    """(p, q) at both ends, adjacent in both orders, and one random pair."""
+    p, q = rng.choice(n, size=2, replace=False).tolist()
+    return [(0, n - 1), (n - 1, 0), (0, 1), (1, 0), (n - 2, n - 1), (n - 1, n - 2), (p, q)]
+
+
+def test_rotation_matches_the_rows_then_columns_update_bit_for_bit():
+    rng = np.random.default_rng(33)
+    checked = 0
+    for n in (2, 3, 4, 7, 12):
+        for _ in range(40):
+            arr = _bitwise_symmetric(rng, n)
+            oracle = arr.copy()
+            for p, q in _rotation_pairs(rng, n):
+                theta = rng.uniform(-math.pi, math.pi)
+                c, s = math.cos(theta), math.sin(theta)
+                _apply_rotation(arr, p, q, c, s)
+                rows_then_columns(oracle, p, q, c, s)
+                assert arr.tobytes() == oracle.tobytes()
+                assert arr.tobytes() == arr.T.copy().tobytes()
+                checked += 1
+    # the rotation by c = 1, s = 0 and by a quarter turn, on signed zeros
+    arr = np.array([[-0.0, 0.0, -0.0], [0.0, 5e-324, -0.0], [-0.0, -0.0, 0.0]])
+    oracle = arr.copy()
+    for c, s in [(1.0, 0.0), (0.0, 1.0), (1.0, -0.0), (-0.0, -1.0)]:
+        _apply_rotation(arr, 0, 2, c, s)
+        rows_then_columns(oracle, 0, 2, c, s)
+        assert arr.tobytes() == oracle.tobytes()
+    assert checked == 5 * 40 * 7
+
+
 # The rational construction the integer one replaced, kept as the oracle for
 # it: the same steps with every quantity a Fraction and every float taken
 # through float(Fraction).

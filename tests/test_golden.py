@@ -37,6 +37,11 @@ CASES = {
         "realize", "--seq", DYADIC, "--spectrum", "0,1/2,1",
         "--witness", WITNESS, "--trunc", "8", "--out", OUT,
     ],
+    # 32 entries in the band that orjson spells unlike float.__repr__, e-05 to e-09
+    "realize_t32.json": [
+        "realize", "--seq", DYADIC, "--spectrum", "0,1/2,1",
+        "--witness", WITNESS, "--trunc", "32", "--out", OUT,
+    ],
     "realize_t8_translate.json": [
         "realize", "--seq", SHIFTED, "--spectrum", "1/4,3/4,5/4", "--translate",
         "--witness", WITNESS, "--trunc", "8", "--out", OUT,
@@ -83,6 +88,14 @@ def test_masking_leaves_the_matrix_rows():
     data = (GOLDEN / "realize_t8.json").read_bytes()
     assert masked(data).count(b"~") == 2
     assert b'"rows": [' in masked(data)
+
+
+def test_realize_t32_holds_every_exponent_of_the_respelled_band():
+    """The band dump_json spells from orjson's digits, down to 1e-9: orjson
+    writes the e-05 entries as 0.0000... and the rest with one-digit exponents."""
+    data = (GOLDEN / "realize_t32.json").read_bytes()
+    for exponent in (b"e-05", b"e-06", b"e-07", b"e-08", b"e-09"):
+        assert exponent in data
 
 
 if __name__ == "__main__":

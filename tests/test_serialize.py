@@ -3,6 +3,7 @@
 import argparse
 import copy
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,7 +37,7 @@ from findiag import (
     parse_witness,
 )
 from findiag import cli
-from findiag.serialize import _rational_array
+from findiag.serialize import _band_spellings, _rational_array
 
 from conftest import random_sequence
 from random import Random
@@ -300,6 +301,32 @@ def test_matrix_rows_match_stdlib_bytes_at_the_respelled_band_edges(edge):
     """The doubles on both sides of each edge of the magnitudes whose fast
     spelling differs from float.__repr__ (1e-9 <= |v| < 1e-4, |v| >= 1e16)."""
     _assert_stdlib_bytes(_symmetric(_ulps_around([edge], 1)))
+
+
+_BAND = st.floats(1e-9, 1e-4, exclude_max=True) | st.floats(1e16, allow_infinity=False)
+
+
+def _repr_bytes(values):
+    return [float.__repr__(v).encode() for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_BAND, st.booleans()).map(lambda t: -t[0] if t[1] else t[0]), max_size=40))
+def test_band_spellings_are_float_repr(values):
+    """Any floats of either sign from both bands, so [1e-5, 1e-4), which
+    orjson writes as 0.0000..., among them."""
+    assert _band_spellings(values) == _repr_bytes(values)
+
+
+_BAND_EDGES = [
+    1e-9, 1e-5, math.nextafter(1e-5, 0), math.nextafter(1e-4, 0),
+    1e16, math.nextafter(1e16, math.inf), 1.7976931348623157e308,
+]
+
+
+@pytest.mark.parametrize("values", [[v] for v in _BAND_EDGES] + [[-v] for v in _BAND_EDGES] + [[]], ids=repr)
+def test_band_spellings_at_the_band_edges(values):
+    assert _band_spellings(values) == _repr_bytes(values)
 
 
 # Text of every ASCII character (DEL among them), the BMP with lone
