@@ -165,6 +165,38 @@ def _lattice_search(
     yield from search(0, (), [0] * len(qw), qgap)
 
 
+def _pair_counts(qB: int, qgap: int, qa: Sequence[int], qw: List[List[int]], qcap: List[int],
+                 pairs: Sequence[Tuple[int, int]]) -> List[int]:
+    """How many N _lattice_search yields on rows and columns i, j of the
+    system, in that order, for each (i, j) in pairs, without enumerating them.
+
+    Each quantity is _lattice_search's for n = 2: g = (gcd(qa_i, g_1),
+    g_1 = gcd(qa_j, qB), qB) with its steps and inverses; N_i from the residue
+    that leaves a multiple of g_1 up to the largest value that fits with
+    N_j = 1; and for each N_i, N_j from the residue that leaves a multiple of
+    qB up to the largest that fits, one progression whose length is a closed
+    form.  g_1, its step and its inverse depend on j alone: once per column."""
+    column = {}
+    for j in {j for _, j in pairs}:
+        g1 = math.gcd(qa[j], qB)
+        column[j] = g1, qB // g1, pow(qa[j] // g1, -1, qB // g1)
+    counts = []
+    for i, j in pairs:
+        (g1, s1, inv1), ai, ci, cj = column[j], qa[i], qcap[i], qcap[j]
+        (wii, wij), (wji, wjj) = (qw[i][i], qw[i][j]), (qw[j][i], qw[j][j])
+        g0, count = math.gcd(ai, g1), 0
+        if qgap % g0 == 0:
+            s0 = g1 // g0
+            start = (qgap // g0) * pow(ai // g0, -1, s0) % s0 or s0
+            for v in range(start, min((ci - wij) // wii, (cj - wjj) // wji) + 1, s0):
+                lo = (qgap - ai * v) // g1 * inv1 % s1 or s1
+                hi = min((ci - wii * v) // wij, (cj - wji * v) // wjj)
+                if hi >= lo:
+                    count += (hi - lo) // s1 + 1
+        counts.append(count)
+    return counts
+
+
 _OUT_OF_SCOPE_NOTE = ("requires infinite mass on both sides: Σ d_i and Σ (B − d_i) must both diverge; "
                       "for summable diagonals see decide_finite or check_finite_rank_tail")
 

@@ -6,9 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import FrozenSet, List, Optional, Sequence, Union
 
-from .decide import _OUT_OF_SCOPE_NOTE, Verdict, _case, _lattice_search, _system
+from .decide import _OUT_OF_SCOPE_NOTE, Verdict, _case, _pair_counts, _system
 from .errors import DomainError, OutOfScopeError
 from .scalars import _scaled, format_rational
 from .sequences import DiagonalSequence, GeometricTail, SpectrumSpec, materialize_tails
@@ -150,10 +150,10 @@ def four_point_region(seq: DiagonalSequence, grid: int) -> List[RegionSample]:
 
     A divergent statistic at B/2 gives feasible rows without witnesses; a
     summable side raises OutOfScopeError.  Otherwise one statistics pass
-    evaluates every abscissa p·B/q into one integer system, and each cell runs
-    the witness search of enumerate_witnesses on its two rows and columns,
-    with the gap C − D at B/q in place of C(B/2) − D(B/2): that moves only
-    the k of each witness, and only the count is kept.
+    evaluates every abscissa p·B/q into one integer system, and one call to
+    _pair_counts counts, for every cell, the N that the witness search of
+    enumerate_witnesses yields on its two rows and columns, with the gap
+    C − D at B/q in place of C(B/2) − D(B/2): that moves only each k.
     """
     if not isinstance(grid, int) or isinstance(grid, bool) or grid < 3:
         raise DomainError(f"grid must be an integer ≥ 3, got {grid!r}")
@@ -161,25 +161,18 @@ def four_point_region(seq: DiagonalSequence, grid: int) -> List[RegionSample]:
     abscissae = [Fraction(p, grid) * B for p in range(grid)]
     cells = [(p, r) for p in range(1, grid - 1) for r in range(p + 1, grid)]
 
-    def rows(verdict) -> List[RegionSample]:
-        return [RegionSample(abscissae[p], abscissae[r], *verdict(p, r)) for p, r in cells]
+    def rows(verdicts) -> List[RegionSample]:
+        return [RegionSample(abscissae[p], abscissae[r], *v) for (p, r), v in zip(cells, verdicts)]
 
     case = _case(seq)
     if case is Verdict.OUT_OF_SCOPE:
         raise OutOfScopeError(_OUT_OF_SCOPE_NOTE)
     if case is Verdict.FEASIBLE_CASE_I:
-        return rows(lambda p, r: (True, 0))
+        return rows(repeat((True, 0)))
     # the system of every abscissa as an interior point, with the gap at B/q
     W, at = _stats_pass(seq, abscissae[1:])
-    qB, qgap, qa, qw, qcap = _system(SpectrumSpec((0, *abscissae[1:], B)), W, at[0], at)
-
-    def cell(p: int, r: int) -> Tuple[bool, int]:
-        pr = (p - 1, r - 1)
-        w = [[qw[i][j] for j in pr] for i in pr]
-        count = sum(1 for _ in _lattice_search(qB, qgap, [qa[i] for i in pr], w, [qcap[i] for i in pr]))
-        return count > 0, count
-
-    return rows(cell)
+    system = _system(SpectrumSpec((0, *abscissae[1:], B)), W, at[0], at)
+    return rows((n > 0, n) for n in _pair_counts(*system, [(p - 1, r - 1) for p, r in cells]))
 
 
 # --------------------------------------------------------------------------

@@ -9,6 +9,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from findiag import (
     INF,
@@ -29,6 +31,7 @@ from findiag import (
 )
 
 from conftest import random_sequence, random_spectrum, witness_box
+from findiag.decide import _lattice_search, _pair_counts
 
 F = Fraction
 
@@ -346,3 +349,45 @@ def test_decide_finite_answers_without_scanning_compositions(d, points):
     start = time.perf_counter()
     assert decide_finite(d, SpectrumSpec(points)) == (False, None)
     assert time.perf_counter() - start < 1.0
+
+
+def _searched_pairs(qB, qgap, qa, qw, qcap, pairs):
+    """The oracle of _pair_counts: the N that _lattice_search yields on rows
+    and columns i, j of the system, counted one by one."""
+    return [
+        sum(1 for _ in _lattice_search(qB, qgap, [qa[i], qa[j]], [[qw[r][c] for c in (i, j)] for r in (i, j)],
+                                       [qcap[i], qcap[j]]))
+        for i, j in pairs
+    ]
+
+
+@st.composite
+def _two_coordinate_systems(draw):
+    """Positive weights, qB from 1 up, qa up to qB + 50, gaps of either sign
+    and caps down to −50."""
+    qB = draw(st.one_of(st.just(1), st.integers(1, 60), st.integers(1, 10**6)))
+    qa = [draw(st.integers(1, qB + 50)) for _ in range(2)]
+    qw = [[draw(st.integers(1, 40)) for _ in range(2)] for _ in range(2)]
+    qcap = [draw(st.integers(-50, 400)) for _ in range(2)]
+    return qB, draw(st.integers(-10**6, 10**6)), qa, qw, qcap
+
+
+@settings(max_examples=400, deadline=None)
+@given(_two_coordinate_systems())
+def test_pair_counts_are_the_lattice_search_counts(system):
+    pairs = [(0, 1), (1, 0)]
+    assert _pair_counts(*system, pairs) == _searched_pairs(*system, pairs)
+
+
+@pytest.mark.parametrize(
+    "system, count",
+    [
+        ((6, 1, [2, 4], [[1, 1], [1, 1]], [50, 50]), 0),  # qgap is odd, gcd(2, 4, 6) = 2
+        ((1, 0, [1, 1], [[1, 1], [1, 1]], [1, 1]), 0),  # N_i = 1 leaves no room for N_j = 1
+        ((1, 0, [1, 1], [[1, 1], [1, 1]], [5, 5]), 10),  # qB = 1: both steps 1, N_i + N_j ≤ 5
+        ((6, 0, [2, 4], [[1, 1], [1, 1]], [12, 12]), 22),  # step 1 on N_i, 3 on N_j: N_i ≡ N_j (mod 3)
+        ((6, 0, [3, 4], [[1, 1], [1, 1]], [12, 12]), 8),  # step 2 on N_i, 3 on N_j
+    ],
+)
+def test_pair_counts_at_each_early_exit(system, count):
+    assert _pair_counts(*system, [(0, 1)]) == _searched_pairs(*system, [(0, 1)]) == [count]

@@ -158,7 +158,7 @@ def _sharing_corpus(seed: int, count: int, q: int):
 
 def test_four_point_region_shared_stats_match_fresh_decide():
     feasible = 0
-    for q in (5, 6, 7):
+    for q in (5, 6, 7, 8, 9, 10, 11, 12):
         for seq in _sharing_corpus(q, 6, q):
             rows = four_point_region(seq, q)
             assert len(rows) == (q - 1) * (q - 2) // 2
@@ -376,10 +376,17 @@ def test_three_point_rejects_finite_mass():
 def test_four_point_region_frozen_counts(dyadic):
     rows = four_point_region(dyadic, 8)
     assert len(rows) == 21  # pairs 0 < p < r < 8
-    assert sum(1 for r in rows if r.feasible) == 13
     for r in rows:
         assert 0 < r.A1 < r.A2 < F(1)
         assert r.feasible == (r.witness_count > 0)
+
+
+@pytest.mark.parametrize("q, feasible, witnesses", [(8, 13, 14), (16, 45, 46), (32, 105, 106)])
+def test_four_point_region_frozen_witness_counts(dyadic, q, feasible, witnesses):
+    """The golden CSV pins feasibility alone; these pin the witness counts."""
+    rows = four_point_region(dyadic, q)
+    assert sum(r.feasible for r in rows) == feasible
+    assert sum(r.witness_count for r in rows) == witnesses
 
 
 def test_four_point_region_matches_decide(dyadic):

@@ -159,19 +159,33 @@ def test_only_geometric_tail_walks_a_tail():
 
 
 def test_one_lattice_search_answers_every_multiplicity_question():
-    """decide_finite, enumerate_witnesses and four_point_region each call
-    _lattice_search, and the only generator functions in decide.py are
+    """decide_finite and enumerate_witnesses call _lattice_search and
+    four_point_region calls _pair_counts, its closed-form count for two
+    coordinates; the only generator functions in decide.py are
     _lattice_search and its nested search, so no second enumeration (a
-    composition scan, say) can come back beside it.  decide_finite consumes
-    the search lazily: it loops over the generator and calls no list, min or
-    sorted that could gather it."""
-    for module, name in (("decide", "decide_finite"), ("decide", "enumerate_witnesses"), ("explore", "four_point_region")):
+    composition scan, say) can come back beside it, and explore.py calls no
+    gcd and no pow, so the lattice arithmetic stays in decide.py.
+    decide_finite consumes the search lazily: it loops over the generator and
+    calls no list, min or sorted that could gather it."""
+    for module, name, callee in (
+        ("decide", "decide_finite", "_lattice_search"),
+        ("decide", "enumerate_witnesses", "_lattice_search"),
+        ("explore", "four_point_region", "_pair_counts"),
+    ):
         calls = [
             n
             for n in ast.walk(_function(SRC / f"{module}.py", name))
-            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "_lattice_search"
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == callee
         ]
         assert calls, f"{module}.{name}"
+    lattice = [
+        n.lineno
+        for n in ast.walk(ast.parse((SRC / "explore.py").read_text(encoding="utf-8")))
+        if isinstance(n, ast.Call)
+        and (isinstance(n.func, ast.Name) and n.func.id in ("gcd", "pow")
+             or isinstance(n.func, ast.Attribute) and n.func.attr == "gcd")
+    ]
+    assert lattice == []
     tree = ast.parse((SRC / "decide.py").read_text(encoding="utf-8"))
     generators = [
         func.name
