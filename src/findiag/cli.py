@@ -14,6 +14,7 @@ import contextlib
 import functools
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -127,14 +128,7 @@ def _shift_sequence(seq: DiagonalSequence, shift: Fraction) -> DiagonalSequence:
     if shift == 0:
         return seq
     try:
-        return DiagonalSequence(
-            B=seq.B - shift,
-            explicit=tuple(v - shift for v in seq.explicit),
-            zero_count=seq.zero_count,
-            b_count=seq.b_count,
-            zero_tail=seq.zero_tail,
-            b_tail=seq.b_tail,
-        )
+        return replace(seq, B=seq.B - shift, explicit=tuple(v - shift for v in seq.explicit))
     except DomainError as exc:
         raise SchemaError(f"sequence does not fit the translated interval: {exc}", "--seq") from exc
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple, TypeVar
@@ -404,13 +404,11 @@ def _assemble(prob: _FiniteProblem) -> SymmetricMatrix:
         # delta_m to delta_{L-m} and the left end to the right end, solve at
         # the right end, and pull back through M -> B·I − M.
         L = len(prob.G)
-        refl = _FiniteProblem(
-            Q=prob.Q,
-            B=prob.B,
+        refl = replace(
+            prob,
             G=[prob.B - g for g in reversed(prob.G)],
             Lam=[prob.B - l for l in reversed(prob.Lam)],
             M0=L - prob.M0 - prob.sigma,
-            sigma=prob.sigma,
             deltas=[prob.deltas[L - m] for m in range(L + 1)],
         )
         rwindow = refl.deltas[refl.M0 : refl.M0 + refl.sigma + 1]

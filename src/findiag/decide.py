@@ -137,7 +137,8 @@ def _lattice_search(
     N_2, … stops each coordinate at the largest value that still fits with
     all later N_j = 1 (Fincke–Pohst pruning); coordinates i.. can balance
     only multiples of gcd(A_i, …, A_n, B), so each runs over one arithmetic
-    progression.
+    progression.  The search is one stack of prefixes (i, N, room, res):
+    room[r] is what mass bound r leaves after N with every later N_j = 1.
     """
     n = len(qa)
     # coordinates i.. can balance exactly the multiples of g[i]
@@ -149,20 +150,17 @@ def _lattice_search(
     # N_i must leave a multiple of g[i+1]: one residue class modulo step[i]
     step = [g[i + 1] // g[i] for i in range(n)]
     inv = [pow(qa[i] // g[i], -1, step[i]) for i in range(n)]
-    # rest[i][r]: the load of coordinates i.. on mass bound r, all at 1
-    rest = [[sum(row[i:]) for row in qw] for i in range(n + 1)]
-    rows = range(len(qw))
-
-    def search(i: int, N: Tuple[int, ...], used: List[int], res: int) -> Iterator:
-        hi = min((qcap[r] - used[r] - rest[i + 1][r]) // qw[r][i] for r in rows)
-        for v in range((res // g[i]) * inv[i] % step[i] or step[i], hi + 1, step[i]):
-            left = res - qa[i] * v
-            if i == n - 1:
-                yield N + (v,), left // qB
-            else:
-                yield from search(i + 1, N + (v,), [u + row[i] * v for u, row in zip(used, qw)], left)
-
-    yield from search(0, (), [0] * len(qw), qgap)
+    stack = [(0, (), [cap - sum(row) for row, cap in zip(qw, qcap)], qgap)]
+    while stack:
+        i, N, room, res = stack.pop()
+        values = range((res // g[i]) * inv[i] % step[i] or step[i],
+                       2 + min(left // row[i] for left, row in zip(room, qw)), step[i])
+        if i == n - 1:
+            for v in values:
+                yield N + (v,), (res - qa[i] * v) // qB
+        else:  # the least prefix on top keeps the order lexicographic
+            stack += [(i + 1, N + (v,), [left - row[i] * (v - 1) for left, row in zip(room, qw)],
+                       res - qa[i] * v) for v in reversed(values)]
 
 
 def _pair_counts(qB: int, qgap: int, qa: Sequence[int], qw: List[List[int]], qcap: List[int],

@@ -189,22 +189,11 @@ def _svg_scatter(rows: Sequence[RegionSample], B: Fraction) -> str:
     ]
     if rows:
         bf = float(B)
-
-        def sx(a: Fraction) -> float:
-            return margin + float(a) / bf * span
-
-        def sy(a: Fraction) -> float:
-            return size - margin - float(a) / bf * span
-
         parts.append(
             f'<rect x="{margin}" y="{margin}" width="{span}" height="{span}" '
             f'fill="none" stroke="#888" stroke-width="1"/>'
         )
-        denom = 1
-        for s in rows:
-            denom = max(denom, s.A1.denominator if s.A1 != 0 else 1)
-            if s.A2 is not None:
-                denom = max(denom, s.A2.denominator)
+        denom = max(a.denominator for s in rows for a in (s.A1, s.A2) if a is not None)
         ticks = denom if denom <= 32 else 16
         for i in range(1, ticks):
             pos = margin + span * i / ticks
@@ -218,8 +207,8 @@ def _svg_scatter(rows: Sequence[RegionSample], B: Fraction) -> str:
             )
         one_dim = all(s.A2 is None for s in rows)
         for s in rows:
-            x = sx(s.A1)
-            y = size / 2 if one_dim else sy(s.A2)
+            x = margin + float(s.A1) / bf * span
+            y = size / 2 if one_dim else size - margin - float(s.A2) / bf * span
             if s.feasible:
                 parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="5" fill="#1a6"/>')
             else:

@@ -11,7 +11,7 @@ infinite.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate
 from operator import itemgetter
@@ -251,7 +251,7 @@ def materialize_tails(seq: DiagonalSequence, low: Fraction, high: Fraction) -> D
         c = b_tail.count_at_least(seq.B - high)
         explicit += (seq.B - x for x in b_tail._head(c))
         b_tail = b_tail.drop(c)
-    return DiagonalSequence(seq.B, tuple(explicit), seq.zero_count, seq.b_count, zero_tail, b_tail)
+    return replace(seq, explicit=tuple(explicit), zero_tail=zero_tail, b_tail=b_tail)
 
 
 def threshold_stats(seq: DiagonalSequence, alpha: Fraction) -> ThresholdStats:
@@ -329,23 +329,11 @@ def reflect(obj):
     reverses the interior points about B/2.
     """
     if isinstance(obj, DiagonalSequence):
-        return DiagonalSequence(
-            obj.B,
-            tuple(obj.B - v for v in obj.explicit),
-            zero_count=obj.b_count,
-            b_count=obj.zero_count,
-            zero_tail=obj.b_tail,
-            b_tail=obj.zero_tail,
-        )
+        return replace(obj, explicit=tuple(obj.B - v for v in obj.explicit), zero_count=obj.b_count,
+                       b_count=obj.zero_count, zero_tail=obj.b_tail, b_tail=obj.zero_tail)
     if isinstance(obj, SpectrumSpec):
         return SpectrumSpec([0] + [obj.B - p for p in reversed(obj.interior)] + [obj.B])
     raise DomainError(f"cannot reflect {type(obj).__name__}")
-
-
-def _scale_tail(tail: Optional[Tail], c: Fraction) -> Optional[Tail]:
-    if isinstance(tail, GeometricTail):
-        return GeometricTail(tail.first * c, tail.ratio)
-    return tail
 
 
 def scale(obj, c: Fraction):
@@ -354,14 +342,9 @@ def scale(obj, c: Fraction):
     if c <= 0:
         raise DomainError(f"scale factor must be positive, got {c}")
     if isinstance(obj, DiagonalSequence):
-        return DiagonalSequence(
-            obj.B * c,
-            tuple(v * c for v in obj.explicit),
-            zero_count=obj.zero_count,
-            b_count=obj.b_count,
-            zero_tail=_scale_tail(obj.zero_tail, c),
-            b_tail=_scale_tail(obj.b_tail, c),
-        )
+        tails = {side: replace(t, first=t.first * c) for side in ("zero_tail", "b_tail")
+                 if isinstance(t := getattr(obj, side), GeometricTail)}
+        return replace(obj, B=obj.B * c, explicit=tuple(v * c for v in obj.explicit), **tails)
     if isinstance(obj, SpectrumSpec):
         return SpectrumSpec([p * c for p in obj.points])
     raise DomainError(f"cannot scale {type(obj).__name__}")

@@ -1,5 +1,6 @@
 """Feasibility decisions: the projection case, witness enumeration, routing."""
 
+import gc
 import importlib
 import math
 import sys
@@ -391,3 +392,77 @@ def test_pair_counts_are_the_lattice_search_counts(system):
 )
 def test_pair_counts_at_each_early_exit(system, count):
     assert _pair_counts(*system, [(0, 1)]) == _searched_pairs(*system, [(0, 1)]) == [count]
+
+
+def _recursive_search(qB, qgap, qa, qw, qcap):
+    """The reference for _lattice_search: its earlier form, one nested
+    recursive generator that bounds coordinate i by the loads of N_1..N_{i−1}
+    (used) and rest[i + 1], the load of the later coordinates all at 1."""
+    n = len(qa)
+    g = [qB] * (n + 1)
+    for i in reversed(range(n)):
+        g[i] = math.gcd(qa[i], g[i + 1])
+    if qgap % g[0]:
+        return
+    step = [g[i + 1] // g[i] for i in range(n)]
+    inv = [pow(qa[i] // g[i], -1, step[i]) for i in range(n)]
+    rest = [[sum(row[i:]) for row in qw] for i in range(n + 1)]
+
+    def search(i, N, used, res):
+        hi = min((qcap[r] - used[r] - rest[i + 1][r]) // qw[r][i] for r in range(len(qw)))
+        for v in range((res // g[i]) * inv[i] % step[i] or step[i], hi + 1, step[i]):
+            if i == n - 1:
+                yield N + (v,), (res - qa[i] * v) // qB
+            else:
+                yield from search(i + 1, N + (v,), [u + row[i] * v for u, row in zip(used, qw)], res - qa[i] * v)
+
+    yield from search(0, (), [0] * len(qw), qgap)
+
+
+@st.composite
+def _lattice_systems(draw):
+    """n = 1..4 coordinates under n..n + 2 rows of positive weights, qB from
+    1 up, qa up to qB + 50, caps down to −20 and gaps of either sign."""
+    n, extra = draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    qB = draw(st.one_of(st.just(1), st.integers(1, 60)))
+    qa = [draw(st.integers(1, qB + 50)) for _ in range(n)]
+    qw = [[draw(st.integers(1, 12)) for _ in range(n)] for _ in range(n + extra)]
+    qcap = [draw(st.integers(-20, 40)) for _ in range(n + extra)]
+    return qB, draw(st.integers(-200, 200)), qa, qw, qcap
+
+
+@settings(max_examples=400, deadline=None)
+@given(_lattice_systems())
+def test_lattice_search_yields_the_recursive_search_pairs(system):
+    assert list(_lattice_search(*system)) == list(_recursive_search(*system))
+
+
+def test_lattice_search_leaves_no_reference_cycle(dyadic, monkeypatch):
+    """With the cycle collector off, gc.collect() finds nothing after the
+    search is drained on the dyadic witness system and on one decide_finite
+    system, or closed after its first pair: reference counting frees all it
+    made."""
+    systems = []
+    monkeypatch.setattr(sys.modules["findiag.decide"], "_lattice_search",
+                        lambda *system: systems.append(system) or iter(()))
+    enumerate_witnesses(dyadic, SpectrumSpec((F(0), F(1, 2), F(1))))
+    decide_finite([F(1, 16)] * 4 + [F(1, 2)] * 12, SpectrumSpec(tuple(F(i, 8) for i in range(9))))
+    monkeypatch.undo()
+    witness, finite = systems
+
+    def drain(system):
+        assert sum(1 for _ in _lattice_search(*system)) > 0
+
+    def first_pair(system):
+        search = _lattice_search(*system)
+        next(search)
+        search.close()
+
+    gc.collect()
+    gc.disable()
+    try:
+        for run, system in ((drain, witness), (drain, finite), (first_pair, finite)):
+            run(system)
+            assert gc.collect() == 0, run.__name__
+    finally:
+        gc.enable()

@@ -161,10 +161,11 @@ def test_only_geometric_tail_walks_a_tail():
 def test_one_lattice_search_answers_every_multiplicity_question():
     """decide_finite and enumerate_witnesses call _lattice_search and
     four_point_region calls _pair_counts, its closed-form count for two
-    coordinates; the only generator functions in decide.py are
-    _lattice_search and its nested search, so no second enumeration (a
-    composition scan, say) can come back beside it, and explore.py calls no
-    gcd and no pow, so the lattice arithmetic stays in decide.py.
+    coordinates; the only generator function in decide.py is
+    _lattice_search, so no second enumeration (a composition scan, say) can
+    come back beside it, and it defines no nested function, so it walks one
+    stack of prefixes and holds no closure that reaches itself; explore.py
+    calls no gcd and no pow, so the lattice arithmetic stays in decide.py.
     decide_finite consumes the search lazily: it loops over the generator and
     calls no list, min or sorted that could gather it."""
     for module, name, callee in (
@@ -193,7 +194,14 @@ def test_one_lattice_search_answers_every_multiplicity_question():
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
         and any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in ast.walk(func))
     ]
-    assert sorted(generators) == ["_lattice_search", "search"]
+    assert generators == ["_lattice_search"]
+    nested = [
+        n.lineno
+        for stmt in _function(SRC / "decide.py", "_lattice_search").body
+        for n in ast.walk(stmt)
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+    ]
+    assert nested == []
     finite = _function(SRC / "decide.py", "decide_finite")
     loops = [
         n
